@@ -63,14 +63,10 @@ from .graph import (
     write_edge_list,
 )
 from .oracle import (
-    Deg,
     EmptyGraphError,
-    Nbr,
-    Pair,
     PlanProvenance,
     QueryLedger,
     QueryPlan,
-    RandEdge,
     Transcript,
     answer_plan,
     audit_nonadaptive,

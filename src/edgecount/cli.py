@@ -1,8 +1,8 @@
 """Command-line front end: estimate, bench, lowerbound, gen.
 
 Exit codes: 0 on success, 1 for usage or input errors, 2 when an estimation
-run ends in the failed branch. All file outputs are byte-stable for a fixed
-argument vector.
+run ends in the failed branch, 141 (128 + SIGPIPE) when the reader of stdout
+closes it early. All file outputs are byte-stable for a fixed argument vector.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .estimator import BRANCH_FAILED, EstimatorParams, estimate_edges, plan_layout
+from .estimator import BRANCH_FAILED, estimate_edges
 from .experiments import (
     TrialConfig,
     run_accuracy_trials,
@@ -46,17 +46,6 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--collision-reps", type=int, default=1, help="median-of-reps collision samples")
 
 
-def _params_from_args(args: argparse.Namespace, master_seed: int) -> EstimatorParams:
-    overrides = {
-        name: value
-        for name, value in (("c_s", args.c_s), ("c_t", args.c_t), ("c_f", args.c_f), ("c_r", args.c_r))
-        if value is not None
-    }
-    return EstimatorParams(
-        epsilon=args.eps, master_seed=master_seed, collision_reps=args.collision_reps, **overrides
-    )
-
-
 def _resolve_graph(args: argparse.Namespace):
     if args.file is not None:
         return read_edge_list(args.file)
@@ -67,32 +56,11 @@ def _graph_source_string(args: argparse.Namespace) -> str:
     return f"file:{args.file}" if args.file is not None else args.graph
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    graph = _resolve_graph(args)
-    params = _params_from_args(args, args.seed)
-    report = estimate_edges(graph, params)
-    layout = plan_layout(graph.n, params)
-    payload = report.to_json_dict()
-    payload["n"] = graph.n
-    payload["params"] = dict(params.as_dict())
-    payload["params"].update(
-        {
-            "degree_sample_size": layout.degree_size,
-            "endpoint_sample_size": layout.endpoint_size,
-            "vote_rounds": layout.vote_rounds,
-            "vote_batch_size": layout.vote_batch,
-            "collision_sample_size": layout.collision_size,
-        }
-    )
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 2 if report.branch == BRANCH_FAILED else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    config = TrialConfig(
+def _trial_config(args: argparse.Namespace, trials: int = 1) -> TrialConfig:
+    return TrialConfig(
         graph=_graph_source_string(args),
         epsilon=args.eps,
-        trials=args.trials,
+        trials=trials,
         master_seed=args.seed,
         c_s=args.c_s,
         c_t=args.c_t,
@@ -100,7 +68,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         c_r=args.c_r,
         collision_reps=args.collision_reps,
     )
-    stats = run_accuracy_trials(config)
+
+
+def _cmd_estimate(args: argparse.Namespace) -> int:
+    graph = _resolve_graph(args)
+    config = _trial_config(args)
+    report = estimate_edges(graph, config.params_for(args.seed))
+    payload = report.to_json_dict()
+    payload["n"] = graph.n
+    payload["params"] = config.resolved_params(graph.n)
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 2 if report.branch == BRANCH_FAILED else 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    stats = run_accuracy_trials(_trial_config(args, args.trials))
     header, rows = stats.csv_rows()
     summary = stats.summary_dict()
     csv_path, json_path = write_experiment_files(
@@ -179,7 +161,14 @@ def main(argv: list[str] | None = None) -> int:
         # estimation failures, so remap
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # surface a closed pipe here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left early (e.g. `| head`); send the unflushed rest, and
+        # the flush at exit, to devnull so nothing is reported
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GraphValidationError, EdgeListParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

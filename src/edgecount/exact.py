@@ -50,8 +50,10 @@ def heavy_light_decomposition(graph: Graph, heavy_indices: np.ndarray, config: B
     edges_light = int((~heavy_u & ~heavy_v).sum())
     edges_cross = graph.m - edges_heavy - edges_light
     mass = int(graph.degrees[mask].sum())
-    assert edges_heavy + edges_light + edges_cross == graph.m
-    assert mass == 2 * edges_heavy + edges_cross
+    if edges_heavy + edges_light + edges_cross != graph.m:
+        raise RuntimeError("identity broken: edges_heavy + edges_light + edges_cross != m")
+    if mass != 2 * edges_heavy + edges_cross:
+        raise RuntimeError("identity broken: heavy degree mass != 2 * edges_heavy + edges_cross")
     return HeavyLightDecomposition(
         heavy_degree_mass=mass,
         edges_heavy=edges_heavy,

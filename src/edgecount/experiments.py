@@ -57,6 +57,19 @@ class TrialConfig:
             epsilon=self.epsilon, master_seed=trial_seed, collision_reps=self.collision_reps, **overrides
         )
 
+    def resolved_params(self, n: int) -> dict[str, object]:
+        """``params_for(master_seed)`` plus the plan block sizes it gives at ``n``."""
+        params = self.params_for(self.master_seed)
+        layout = plan_layout(n, params)
+        return {
+            **params.as_dict(),
+            "degree_sample_size": layout.degree_size,
+            "endpoint_sample_size": layout.endpoint_size,
+            "vote_rounds": layout.vote_rounds,
+            "vote_batch_size": layout.vote_batch,
+            "collision_sample_size": layout.collision_size,
+        }
+
     @property
     def target(self) -> float:
         return self.epsilon if self.success_eps is None else self.success_eps
@@ -111,7 +124,7 @@ class TrialStats:
         }
 
     def csv_rows(self) -> tuple[list[str], list[list[object]]]:
-        header = ["trial", "m_hat", "branch", "rel_error", "r", "k", "queries_deg", "queries_rand_edge", "queries_nbr", "queries_pair"]
+        header = ["trial", "m_hat", "branch", "rel_error", "r", "k", "queries_deg", "queries_rand_edge"]
         rows = [
             [
                 row.trial,
@@ -122,8 +135,6 @@ class TrialStats:
                 row.k,
                 row.queries["deg"],
                 row.queries["rand_edge"],
-                row.queries["nbr"],
-                row.queries["pair"],
             ]
             for row in self.rows
         ]
@@ -162,20 +173,8 @@ def run_accuracy_trials(config: TrialConfig) -> TrialStats:
         )
 
     finite = [row.rel_error for row in rows if row.rel_error is not None]
-    params0 = config.params_for(config.master_seed)
-    layout = plan_layout(graph.n, params0)
-    resolved = dict(params0.as_dict())
-    resolved.update(
-        {
-            "master_seed": config.master_seed,
-            "degree_sample_size": layout.degree_size,
-            "endpoint_sample_size": layout.endpoint_size,
-            "vote_rounds": layout.vote_rounds,
-            "vote_batch_size": layout.vote_batch,
-            "collision_sample_size": layout.collision_size,
-            "plan_total": layout.total,
-        }
-    )
+    resolved = config.resolved_params(graph.n)
+    resolved["plan_total"] = plan_layout(graph.n, config.params_for(config.master_seed)).total
     return TrialStats(
         config=config,
         n=graph.n,
@@ -188,7 +187,7 @@ def run_accuracy_trials(config: TrialConfig) -> TrialStats:
         mean_rel_error=float(np.mean(finite)) if finite else None,
         max_rel_error=float(np.max(finite)) if finite else None,
         mean_queries={
-            key: float(np.mean([row.queries[key] for row in rows])) for key in ("deg", "rand_edge", "nbr", "pair")
+            key: float(np.mean([row.queries[key] for row in rows])) for key in ("deg", "rand_edge")
         },
         resolved_params=resolved,
     )

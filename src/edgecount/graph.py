@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+# Largest vertex count whose ``u * n + v`` edge codes fit in int64; it also
+# keeps every endpoint below 2**32, as the ``<< 32`` collision key needs.
+MAX_VERTICES = math.isqrt(2**63 - 1)
 
 
 class GraphValidationError(ValueError):
@@ -48,37 +52,19 @@ class Graph:
             return NotImplemented
         return self.n == other.n and np.array_equal(self.edges, other.edges)
 
-    @cached_property
-    def edge_codes(self) -> np.ndarray:
-        """Edges encoded as ``u * n + v``; ascending because edges are sorted."""
-        if self.m == 0:
-            return np.empty(0, dtype=np.int64)
-        return self.edges[:, 0] * np.int64(self.n) + self.edges[:, 1]
-
-    @cached_property
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style (offsets, neighbor ids) with neighbors in ascending order."""
-        heads = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
-        tails = np.concatenate((self.edges[:, 1], self.edges[:, 0]))
-        order = np.lexsort((tails, heads))
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=offsets[1:])
-        return offsets, tails[order]
-
-    def neighbors(self, v: int) -> np.ndarray:
-        offsets, flat = self._adjacency
-        return flat[offsets[v] : offsets[v + 1]]
-
 
 def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Validate, normalize and deduplicate raw edges into a :class:`Graph`.
 
     Pairs may arrive in either endpoint order and may repeat; both are
     normalized away. Self-loops and out-of-range endpoints are errors that
-    name the offending pair.
+    name the offending pair. Vertex counts above :data:`MAX_VERTICES` are
+    rejected before anything is allocated.
     """
     if n < 0:
         raise GraphValidationError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphValidationError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
     arr = np.asarray(raw_edges, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 2)

@@ -3,62 +3,24 @@
 A :class:`QueryPlan` fixes every query up front; :func:`answer_plan` resolves
 the whole batch in one call. Because no answer exists before the last query is
 declared, nothing downstream can steer later queries with earlier answers.
-Four query kinds are supported: degree lookup, uniform random edge (with
-replacement), k-th neighbor in ascending order, and pair membership.
+Two query kinds are supported, the only two the estimator issues: degree
+lookup and uniform random edge (with replacement).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .graph import Graph
 
-DEG, RAND_EDGE, NBR, PAIR = 0, 1, 2, 3
-_KIND_FIELDS = ("deg", "rand_edge", "nbr", "pair")
+DEG, RAND_EDGE = 0, 1
 
 
 class EmptyGraphError(RuntimeError):
     """Random-edge queries are unanswerable on a graph with no edges."""
-
-
-@dataclass(frozen=True)
-class Deg:
-    v: int
-
-
-@dataclass(frozen=True)
-class RandEdge:
-    pass
-
-
-@dataclass(frozen=True)
-class Nbr:
-    v: int
-    i: int  # 1-based rank among v's neighbors in ascending vertex order
-
-
-@dataclass(frozen=True)
-class Pair:
-    u: int
-    v: int
-
-
-QuerySpec = Union[Deg, RandEdge, Nbr, Pair]
-
-_RAND_EDGE = RandEdge()
-
-
-def _format_query(kind: int, a: int, b: int) -> str:
-    if kind == DEG:
-        return f"Deg({a})"
-    if kind == RAND_EDGE:
-        return "RandEdge"
-    if kind == NBR:
-        return f"Nbr({a},{b})"
-    return f"Pair({a},{b})"
 
 
 @dataclass(frozen=True)
@@ -89,37 +51,8 @@ class QueryPlan:
         for arr in (self.kinds, self.arg_a, self.arg_b):
             arr.setflags(write=False)
 
-    @classmethod
-    def from_specs(cls, specs: Iterable[QuerySpec], provenance: PlanProvenance) -> "QueryPlan":
-        kinds: list[int] = []
-        arg_a: list[int] = []
-        arg_b: list[int] = []
-        for spec in specs:
-            if isinstance(spec, Deg):
-                kinds.append(DEG), arg_a.append(spec.v), arg_b.append(-1)
-            elif isinstance(spec, RandEdge):
-                kinds.append(RAND_EDGE), arg_a.append(-1), arg_b.append(-1)
-            elif isinstance(spec, Nbr):
-                kinds.append(NBR), arg_a.append(spec.v), arg_b.append(spec.i)
-            elif isinstance(spec, Pair):
-                kinds.append(PAIR), arg_a.append(spec.u), arg_b.append(spec.v)
-            else:
-                raise TypeError(f"not a query spec: {spec!r}")
-        return cls(np.array(kinds, np.uint8), np.array(arg_a, np.int64), np.array(arg_b, np.int64), provenance)
-
     def __len__(self) -> int:
         return int(self.kinds.shape[0])
-
-    def __iter__(self) -> Iterator[QuerySpec]:
-        for kind, a, b in zip(self.kinds, self.arg_a, self.arg_b):
-            if kind == DEG:
-                yield Deg(int(a))
-            elif kind == RAND_EDGE:
-                yield _RAND_EDGE
-            elif kind == NBR:
-                yield Nbr(int(a), int(b))
-            else:
-                yield Pair(int(a), int(b))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QueryPlan):
@@ -131,8 +64,8 @@ class QueryPlan:
         )
 
     def counts(self) -> dict[str, int]:
-        tally = np.bincount(self.kinds, minlength=4)
-        return {name: int(tally[code]) for code, name in enumerate(_KIND_FIELDS)}
+        tally = np.bincount(self.kinds, minlength=2)
+        return {"deg": int(tally[DEG]), "rand_edge": int(tally[RAND_EDGE])}
 
 
 Block = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -161,39 +94,30 @@ class QueryLedger:
 
     deg: int = 0
     rand_edge: int = 0
-    nbr: int = 0
-    pair: int = 0
 
     @property
     def total(self) -> int:
-        return self.deg + self.rand_edge + self.nbr + self.pair
+        return self.deg + self.rand_edge
 
     def record(self, kinds: np.ndarray) -> None:
-        tally = np.bincount(kinds, minlength=4)
+        tally = np.bincount(kinds, minlength=2)
         self.deg += int(tally[DEG])
         self.rand_edge += int(tally[RAND_EDGE])
-        self.nbr += int(tally[NBR])
-        self.pair += int(tally[PAIR])
 
     def snapshot(self) -> "QueryLedger":
-        return QueryLedger(self.deg, self.rand_edge, self.nbr, self.pair)
+        return QueryLedger(self.deg, self.rand_edge)
 
     def as_dict(self) -> dict[str, int]:
-        return {"deg": self.deg, "rand_edge": self.rand_edge, "nbr": self.nbr, "pair": self.pair}
-
-    def dump_line(self) -> str:
-        return f"deg={self.deg} rand_edge={self.rand_edge} nbr={self.nbr} pair={self.pair} total={self.total}"
+        return {"deg": self.deg, "rand_edge": self.rand_edge}
 
 
 @dataclass(frozen=True)
 class Transcript:
     """A plan plus positionally aligned answers.
 
-    Answer columns by kind: degree lookups put the degree in ``ans_a``;
-    random edges fill ``ans_a``/``ans_b`` with the stored ``u < v`` endpoint
-    order; neighbor lookups put the neighbor in ``ans_a`` (``-1`` when the
-    rank exceeds the degree); pair queries put the membership bit in
-    ``ans_a``. Unused slots hold ``-1``.
+    Answer columns by kind: degree lookups put the degree in ``ans_a`` and
+    ``-1`` in ``ans_b``; random edges fill ``ans_a``/``ans_b`` with the stored
+    ``u < v`` endpoint order.
     """
 
     plan: QueryPlan
@@ -202,43 +126,19 @@ class Transcript:
     answer_seed: int
     ledger: QueryLedger
 
-    def answers(self) -> list[object]:
-        out: list[object] = []
-        for kind, a, b in zip(self.plan.kinds, self.ans_a, self.ans_b):
-            if kind == RAND_EDGE:
-                out.append((int(a), int(b)))
-            elif kind == NBR:
-                out.append(None if a < 0 else int(a))
-            else:
-                out.append(int(a))
-        return out
-
-    def dump_lines(self) -> list[str]:
-        lines = []
-        for (kind, qa, qb), answer in zip(
-            zip(self.plan.kinds, self.plan.arg_a, self.plan.arg_b), self.answers()
-        ):
-            shown = "none" if answer is None else f"({answer[0]}, {answer[1]})" if isinstance(answer, tuple) else str(answer)
-            lines.append(f"{_format_query(int(kind), int(qa), int(qb))} -> {shown}")
-        lines.append(self.ledger.dump_line())
-        return lines
-
 
 def _validate_plan(graph: Graph, plan: QueryPlan) -> None:
     if plan.provenance.n != graph.n:
         raise ValueError(f"plan was built for n={plan.provenance.n}, graph has n={graph.n}")
-    kinds, a, b = plan.kinds, plan.arg_a, plan.arg_b
-    vertex_args = (kinds == DEG) | (kinds == NBR) | (kinds == PAIR)
-    bad = vertex_args & ((a < 0) | (a >= graph.n))
-    pair_mask = kinds == PAIR
-    bad |= pair_mask & ((b < 0) | (b >= graph.n))
-    nbr_mask = kinds == NBR
-    bad |= nbr_mask & (b < 1)
+    kinds, a = plan.kinds, plan.arg_a
+    unknown = kinds > RAND_EDGE
+    if unknown.any():
+        pos = int(np.flatnonzero(unknown)[0])
+        raise ValueError(f"query {pos} has unknown kind {int(kinds[pos])}; only DEG and RAND_EDGE are answered")
+    bad = (kinds == DEG) & ((a < 0) | (a >= graph.n))
     if bad.any():
         pos = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"query {pos} ({_format_query(int(kinds[pos]), int(a[pos]), int(b[pos]))}) has invalid arguments"
-        )
+        raise ValueError(f"query {pos} (Deg({int(a[pos])})) has invalid arguments")
 
 
 def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLedger | None = None) -> Transcript:
@@ -269,25 +169,6 @@ def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLe
         idx = rng.integers(0, graph.m, size=n_rand)
         ans_a[rand_mask] = graph.edges[idx, 0]
         ans_b[rand_mask] = graph.edges[idx, 1]
-
-    nbr_mask = kinds == NBR
-    if nbr_mask.any():
-        v = plan.arg_a[nbr_mask]
-        rank = plan.arg_b[nbr_mask]
-        offsets, flat = graph._adjacency
-        defined = rank <= graph.degrees[v]
-        slots = np.where(defined, offsets[v] + rank - 1, 0)
-        ans_a[nbr_mask] = np.where(defined, flat[slots] if flat.size else -1, -1)
-
-    pair_mask = kinds == PAIR
-    if pair_mask.any():
-        u = plan.arg_a[pair_mask]
-        v = plan.arg_b[pair_mask]
-        codes = np.minimum(u, v) * np.int64(graph.n) + np.maximum(u, v)
-        table = graph.edge_codes
-        slot = np.searchsorted(table, codes)
-        found = (slot < table.size) & (table[np.minimum(slot, max(table.size - 1, 0))] == codes) if table.size else np.zeros(codes.shape, bool)
-        ans_a[pair_mask] = found.astype(np.int64)
 
     if ledger is None:
         ledger = QueryLedger()

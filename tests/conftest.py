@@ -1,8 +1,21 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import edgecount
 from edgecount import build_graph
+
+
+@pytest.fixture
+def subprocess_env():
+    """Environment for a child interpreter that imports this same edgecount."""
+    src = str(Path(edgecount.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +21,7 @@ def test_estimate_prints_report_json(capsys):
     assert payload["n"] == 400
     assert payload["branch"] in {"collision", "non_collision"}
     assert payload["m_hat"] > 0
-    assert set(payload["queries"]) == {"deg", "rand_edge", "nbr", "pair"}
+    assert set(payload["queries"]) == {"deg", "rand_edge"}
     assert payload["params"]["epsilon"] == 0.5
     assert payload["params"]["degree_sample_size"] > 0
 
@@ -138,3 +141,21 @@ def test_out_dir_env_var_is_honored(capsys, tmp_path, monkeypatch):
 def test_bad_inputs_exit_one(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 1
+
+
+def test_closed_stdout_exits_141_quietly(subprocess_env):
+    # the reader is gone before the CLI writes, like `edgecount estimate | head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "edgecount.cli", "estimate", "--graph", "gnm:400,1500", "--eps", "0.5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=subprocess_env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == b""

@@ -12,10 +12,8 @@ from edgecount import (
     BRANCH_ZERO_EDGES,
     BucketConfig,
     DegenerateEstimateError,
-    Deg,
     EstimatorParams,
     HeavySet,
-    RandEdge,
     answer_plan,
     bucketed_edge_estimate,
     build_graph,
@@ -35,6 +33,7 @@ from edgecount import (
     heavy_vertex_mask,
     plan_layout,
 )
+from edgecount.oracle import DEG, RAND_EDGE
 
 REFERENCE_N = 10_000
 
@@ -87,12 +86,11 @@ def test_sample_plan_deterministic_and_graph_blind():
     assert plan.counts() == {
         "deg": layout.degree_size,
         "rand_edge": layout.total - layout.degree_size,
-        "nbr": 0,
-        "pair": 0,
     }
-    specs = list(plan)
-    assert all(isinstance(q, Deg) and 0 <= q.v < 300 for q in specs[: layout.degree_size])
-    assert all(isinstance(q, RandEdge) for q in specs[layout.degree_size :])
+    degree_vertices = plan.arg_a[: layout.degree_size]
+    assert np.all(plan.kinds[: layout.degree_size] == DEG)
+    assert np.all((degree_vertices >= 0) & (degree_vertices < 300))
+    assert np.all(plan.kinds[layout.degree_size :] == RAND_EDGE)
     assert plan.provenance.n == 300
     assert plan.provenance.epsilon == 0.5
     assert plan.provenance.seed == 4
@@ -333,7 +331,7 @@ def test_report_json_shape(dense_graph):
     report = estimate_edges(dense_graph, EstimatorParams(epsilon=0.25))
     payload = report.to_json_dict()
     assert list(payload) == ["m_hat", "branch", "r", "k", "d_tilde_h", "p_tilde_h", "queries"]
-    assert sorted(payload["queries"]) == ["deg", "nbr", "pair", "rand_edge"]
+    assert sorted(payload["queries"]) == ["deg", "rand_edge"]
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,3 +116,30 @@ def test_scaled_bucket_mass_brackets_true_mass(case):
     mass = exact_heavy_degree_mass(g, heavy, config)
     assert mass <= scaled + 1e-9
     assert scaled <= (1.0 + config.gamma) * mass + 1e-9
+
+
+_INCONSISTENT_DEGREES = """
+import numpy as np
+from edgecount import BucketConfig, Graph, heavy_light_decomposition
+
+# path 0-1-2 on four vertices, but isolated vertex 3 claims degree 1
+g = Graph(4, np.array([[0, 1], [1, 2]]), np.array([1, 2, 1, 1]))
+config = BucketConfig(4, 0.05)
+try:
+    heavy_light_decomposition(g, np.arange(config.t), config)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_identity_checks_survive_optimized_mode(subprocess_env):
+    # python -O strips asserts; the decomposition identities must still fire
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _INCONSISTENT_DEGREES],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "identity broken: heavy degree mass != 2 * edges_heavy + edges_cross"

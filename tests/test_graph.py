@@ -63,9 +63,11 @@ def test_graph_equality_ignores_input_order():
     assert a != build_graph(4, [(0, 1)])
 
 
-def test_neighbors_sorted(triangle):
-    assert triangle.neighbors(1).tolist() == [0, 2]
-    assert triangle.neighbors(0).tolist() == [1, 2]
+def test_vertex_count_beyond_int64_range_rejected():
+    # isqrt(2**63 - 1) + 1: u * n + v could overflow int64; must fail before
+    # the length-n degree array is allocated
+    with pytest.raises(GraphValidationError, match="3037000500 exceeds the supported maximum 3037000499"):
+        build_graph(3_037_000_500, [])
 
 
 @settings(max_examples=60, deadline=None)
