@@ -58,8 +58,20 @@ class BucketConfig:
         return int(np.searchsorted(self.powers, degree, side="left"))
 
     def bucket_indices(self, degrees: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`bucket_index`; every degree must be in ``1..n``."""
+        """Vectorized :meth:`bucket_index`; every degree must be in ``1..n``.
+
+        Each distinct degree is searched in the boundary table once, into a
+        lookup table that the degrees then index, so a long array of repeated
+        degrees costs one gather instead of one binary search per element.
+        """
         degrees = np.asarray(degrees)
-        if degrees.size and (degrees.min() < 1 or degrees.max() > self.n):
+        if degrees.size == 0:
+            return np.empty(0, dtype=np.intp)
+        if degrees.min() < 1 or degrees.max() > self.n:
             raise ValueError("degrees must lie in 1..n")
-        return np.searchsorted(self.powers, degrees, side="left")
+        present = np.zeros(int(degrees.max()) + 1, dtype=bool)
+        present[degrees] = True
+        distinct = np.flatnonzero(present)
+        table = np.empty(present.shape[0], dtype=np.intp)
+        table[distinct] = np.searchsorted(self.powers, distinct, side="left")
+        return table[degrees]

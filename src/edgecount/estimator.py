@@ -189,6 +189,12 @@ class HeavySet:
         return mask
 
 
+def _check_degree_range(degrees: np.ndarray, n: int) -> None:
+    # before any table sized by the largest degree is allocated
+    if degrees.size and (degrees.min() < 0 or degrees.max() > n):
+        raise ValueError(f"degree answers must lie in 0..{n}")
+
+
 def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: float) -> HeavySet:
     """Mark buckets whose sampled frequency clears ``sqrt(eps / 6n) / t``.
 
@@ -199,8 +205,12 @@ def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: fl
     sample_size = int(degree_answers.shape[0])
     if sample_size == 0:
         raise ValueError("cannot classify from an empty degree sample")
-    nonzero = degree_answers >= 1
-    counts = np.bincount(config.bucket_indices(degree_answers[nonzero]), minlength=config.t).astype(np.int64)
+    _check_degree_range(degree_answers, config.n)
+    # fold the per-degree tally into buckets: one bucket lookup per distinct degree
+    per_degree = np.bincount(degree_answers)
+    distinct = np.flatnonzero(per_degree[1:]) + 1
+    counts = np.zeros(config.t, dtype=np.int64)
+    np.add.at(counts, config.bucket_indices(distinct), per_degree[distinct])
     threshold = math.sqrt(epsilon / (6.0 * config.n)) / config.t
     indices = np.flatnonzero(counts / sample_size >= threshold)
     return HeavySet(indices=indices, bucket_counts=counts, sample_size=sample_size, threshold=threshold)
@@ -240,13 +250,23 @@ def heavy_fraction_estimate(
     endpoints = np.asarray(endpoints)
     if endpoints.size == 0:
         raise ValueError("heavy fraction needs at least one endpoint draw")
-    multiplicity = np.bincount(sampled_vertices, minlength=config.n)
-    heavy_vertex = np.zeros(config.n, dtype=bool)
-    nonzero = sampled_degrees >= 1
-    if nonzero.any():
-        bucket_of = config.bucket_indices(sampled_degrees[nonzero])
-        heavy_vertex[sampled_vertices[nonzero]] = heavy.heavy_mask()[bucket_of]
-    matched_pairs = int((multiplicity[endpoints] * heavy_vertex[endpoints]).sum())
+    sampled_vertices = np.asarray(sampled_vertices)
+    sampled_degrees = np.asarray(sampled_degrees)
+    _check_degree_range(sampled_degrees, config.n)
+    per_degree = np.bincount(sampled_degrees)
+    distinct = np.flatnonzero(per_degree[1:]) + 1  # degree 0 is in no bucket
+    heavy_by_degree = np.zeros(per_degree.shape[0], dtype=bool)
+    heavy_by_degree[distinct] = heavy.heavy_mask()[config.bucket_indices(distinct)]
+    is_endpoint = np.zeros(config.n, dtype=bool)
+    is_endpoint[endpoints] = True
+    # count each heavy sample once per endpoint draw of its vertex; only the
+    # few samples that are also endpoints need the lookup, and sorted keys
+    # make the binary searches several times faster than random ones
+    hits = np.sort(sampled_vertices[heavy_by_degree[sampled_degrees] & is_endpoint[sampled_vertices]])
+    ordered = np.sort(endpoints)
+    matched_pairs = int(
+        (np.searchsorted(ordered, hits, side="right") - np.searchsorted(ordered, hits, side="left")).sum()
+    )
     return float(config.n / heavy.sample_size * matched_pairs / endpoints.shape[0])
 
 
@@ -269,11 +289,20 @@ def collision_edge_estimate(sample_count: int, collisions: int) -> float:
 
 
 def collision_majority_vote(edge_u: np.ndarray, edge_v: np.ndarray, rounds: int, batch_size: int) -> int:
-    """1 if more than half of the rounds saw any within-batch collision, else 0."""
-    edges = np.column_stack((edge_u, edge_v))
-    votes = sum(
-        1 for j in range(rounds) if count_collisions(edges[j * batch_size : (j + 1) * batch_size]) > 0
-    )
+    """1 if more than half of the rounds saw any within-batch collision, else 0.
+
+    Round ``j`` is the batch of edges ``j * batch_size .. (j + 1) * batch_size - 1``;
+    fewer than ``rounds * batch_size`` edges is an error.
+    """
+    size = rounds * batch_size
+    edge_u = np.asarray(edge_u, dtype=np.int64)
+    edge_v = np.asarray(edge_v, dtype=np.int64)
+    if min(edge_u.shape[0], edge_v.shape[0]) < size:
+        raise ValueError(f"vote needs {rounds} x {batch_size} = {size} edges")
+    u, v = edge_u[:size], edge_v[:size]
+    codes = ((np.minimum(u, v) << np.int64(32)) | np.maximum(u, v)).reshape(rounds, batch_size)
+    codes.sort(axis=1)
+    votes = int(np.count_nonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1)))
     return 1 if 2 * votes > rounds else 0
 
 

@@ -42,7 +42,7 @@ def heavy_vertex_mask(graph: Graph, heavy_indices: np.ndarray, config: BucketCon
 
 def heavy_light_decomposition(graph: Graph, heavy_indices: np.ndarray, config: BucketConfig) -> HeavyLightDecomposition:
     """Count heavy/light/cross edges and the heavy degree mass, checking the
-    bookkeeping identities on every call."""
+    degree-mass identity on every call."""
     mask = heavy_vertex_mask(graph, heavy_indices, config)
     heavy_u = mask[graph.edges[:, 0]] if graph.m else np.zeros(0, bool)
     heavy_v = mask[graph.edges[:, 1]] if graph.m else np.zeros(0, bool)
@@ -50,8 +50,6 @@ def heavy_light_decomposition(graph: Graph, heavy_indices: np.ndarray, config: B
     edges_light = int((~heavy_u & ~heavy_v).sum())
     edges_cross = graph.m - edges_heavy - edges_light
     mass = int(graph.degrees[mask].sum())
-    if edges_heavy + edges_light + edges_cross != graph.m:
-        raise RuntimeError("identity broken: edges_heavy + edges_light + edges_cross != m")
     if mass != 2 * edges_heavy + edges_cross:
         raise RuntimeError("identity broken: heavy degree mass != 2 * edges_heavy + edges_cross")
     return HeavyLightDecomposition(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphValidationError, build_graph, read_edge_list
+from .graph import Graph, GraphValidationError, build_graph, read_edge_list, run_starts, sorted_unique
 
 # Above this many candidate pairs we sample edges by rejection instead of
 # materializing every pair, which keeps gen_gnm cheap for large sparse graphs.
@@ -37,9 +37,12 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
         keep = u != v
         codes = np.minimum(u[keep], v[keep]) * np.int64(n) + np.maximum(u[keep], v[keep])
         collected = np.concatenate((collected, codes))
-        distinct = np.unique(collected).size
-    # keep the first m distinct codes in draw order so the edge set is uniform
-    _, first_pos = np.unique(collected, return_index=True)
+        distinct = sorted_unique(collected).size
+    # keep the first m distinct codes in draw order so the edge set is uniform:
+    # the smallest draw position within each run of equal sorted codes
+    order = np.argsort(collected)
+    ordered = collected[order]
+    first_pos = np.minimum.reduceat(order, np.flatnonzero(run_starts(ordered)))
     codes = collected[np.sort(first_pos)[:m]]
     return build_graph(n, np.column_stack((codes // n, codes % n)))
 

@@ -64,8 +64,10 @@ class QueryPlan:
         )
 
     def counts(self) -> dict[str, int]:
-        tally = np.bincount(self.kinds, minlength=2)
-        return {"deg": int(tally[DEG]), "rand_edge": int(tally[RAND_EDGE])}
+        return {
+            "deg": int(np.count_nonzero(self.kinds == DEG)),
+            "rand_edge": int(np.count_nonzero(self.kinds == RAND_EDGE)),
+        }
 
 
 Block = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -100,9 +102,8 @@ class QueryLedger:
         return self.deg + self.rand_edge
 
     def record(self, kinds: np.ndarray) -> None:
-        tally = np.bincount(kinds, minlength=2)
-        self.deg += int(tally[DEG])
-        self.rand_edge += int(tally[RAND_EDGE])
+        self.deg += int(np.count_nonzero(kinds == DEG))
+        self.rand_edge += int(np.count_nonzero(kinds == RAND_EDGE))
 
     def snapshot(self) -> "QueryLedger":
         return QueryLedger(self.deg, self.rand_edge)
@@ -153,16 +154,14 @@ def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLe
     _validate_plan(graph, plan)
     kinds = plan.kinds
     rand_mask = kinds == RAND_EDGE
-    n_rand = int(rand_mask.sum())
+    n_rand = int(np.count_nonzero(rand_mask))
     if n_rand and graph.m == 0:
         raise EmptyGraphError("graph has no edges; random-edge queries cannot be answered")
 
-    ans_a = np.full(len(plan), -1, dtype=np.int64)
+    # every degree argument is in range (validated above); the rand-edge rows
+    # carry -1, which the clip maps to a real vertex, and are overwritten below
+    ans_a = graph.degrees.take(plan.arg_a, mode="clip").astype(np.int64, copy=False)
     ans_b = np.full(len(plan), -1, dtype=np.int64)
-
-    deg_mask = kinds == DEG
-    if deg_mask.any():
-        ans_a[deg_mask] = graph.degrees[plan.arg_a[deg_mask]]
 
     if n_rand:
         rng = np.random.default_rng(answer_seed)

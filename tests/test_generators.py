@@ -36,6 +36,7 @@ def test_gnm_exact_count_rejection_path():
     g = gen_gnm(3000, 5000, seed=2)
     assert g.m == 5000
     assert np.all(g.edges[:, 0] < g.edges[:, 1])
+    assert gen_gnm(3000, 0, seed=2).m == 0
 
 
 def test_gnm_deterministic():

@@ -1,0 +1,56 @@
+"""Byte-identity pins: digests of estimates, the lower-bound experiment and
+generated graphs.
+
+The pinned digests were recorded before the post-processing kernels and the
+sort-based dedupe replaced their direct forms. Any change to a random stream,
+a bucket boundary, a tie rule or the edge order of a generator moves them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from edgecount import EstimatorParams, estimate_edges, graph_from_spec, run_distinguishing_experiment
+
+ESTIMATE_GRAPHS = ("gnm:2000,8000", "gnm:3000,1000", "skewed:2000,3.0", "star:1500")
+
+GENERATED_GRAPHS = (
+    ("gnm:10000,100000", 0),
+    ("gnm:1000000,500000", 0),
+    ("gnm:3000,1000", 7),
+    ("gnm:5000,40000", 3),
+    ("skewed:20000,2.5", 1),
+    ("gnm:2000,8000", 7),
+)
+
+
+def test_estimates_are_byte_identical():
+    # 4 graphs x 30 seeds x 2 epsilons x 1 or 3 collision reps
+    h = hashlib.sha256()
+    count = 0
+    for spec in ESTIMATE_GRAPHS:
+        graph = graph_from_spec(spec, 7)
+        for seed in range(30):
+            for epsilon in (0.25, 0.5):
+                for reps in (1, 3):
+                    params = EstimatorParams(epsilon=epsilon, master_seed=seed, collision_reps=reps)
+                    report = estimate_edges(graph, params).to_json_dict()
+                    h.update(json.dumps(report, sort_keys=True).encode())
+                    count += 1
+    assert count == 480
+    assert h.hexdigest()[:16] == "0faff9878a66c508"
+
+
+def test_lower_bound_experiment_is_byte_identical():
+    result = run_distinguishing_experiment(2000, 60, 200, 5)
+    payload = json.dumps([result.summary_dict(), result.csv_rows()], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest()[:16] == "1eaad10b5e37ea04"
+
+
+def test_generated_graphs_are_byte_identical():
+    h = hashlib.sha256()
+    for spec, seed in GENERATED_GRAPHS:
+        graph = graph_from_spec(spec, seed)
+        h.update(graph.edges.tobytes() + graph.degrees.tobytes())
+    assert h.hexdigest()[:16] == "474db82f7b7d7fe3"

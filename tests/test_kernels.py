@@ -1,0 +1,177 @@
+"""The post-processing kernels against reference copies of their direct formulas.
+
+Each reference below is the straightforward version of a kernel: a binary
+search per degree, length-n tallies and masks, one collision count per vote
+round. The kernels must give exactly the same results, with memory that grows
+with the sample and its largest degree, plus one length-n boolean mask.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edgecount import BucketConfig, HeavySet, classify_heavy, collision_majority_vote, heavy_fraction_estimate
+from edgecount.graph import sorted_unique
+
+
+def ref_bucket_indices(config: BucketConfig, degrees: np.ndarray) -> np.ndarray:
+    return np.searchsorted(config.powers, degrees, side="left")
+
+
+def ref_bucket_counts(degree_answers: np.ndarray, config: BucketConfig) -> np.ndarray:
+    nonzero = degree_answers >= 1
+    return np.bincount(ref_bucket_indices(config, degree_answers[nonzero]), minlength=config.t)
+
+
+def ref_heavy_fraction(endpoints, sampled_vertices, sampled_degrees, heavy: HeavySet, config: BucketConfig) -> float:
+    multiplicity = np.bincount(sampled_vertices, minlength=config.n)
+    heavy_vertex = np.zeros(config.n, dtype=bool)
+    nonzero = sampled_degrees >= 1
+    if nonzero.any():
+        heavy_vertex[sampled_vertices[nonzero]] = heavy.heavy_mask()[ref_bucket_indices(config, sampled_degrees[nonzero])]
+    matched_pairs = int((multiplicity[endpoints] * heavy_vertex[endpoints]).sum())
+    return float(config.n / heavy.sample_size * matched_pairs / endpoints.shape[0])
+
+
+def ref_vote(edge_u, edge_v, rounds: int, batch_size: int) -> int:
+    votes = 0
+    for j in range(rounds):
+        batch = range(j * batch_size, (j + 1) * batch_size)
+        pairs = [tuple(sorted((int(edge_u[i]), int(edge_v[i])))) for i in batch]
+        votes += len(set(pairs)) < len(pairs)
+    return 1 if 2 * votes > rounds else 0
+
+
+@st.composite
+def degree_samples(draw):
+    """A bucket table plus a degree sample consistent with one degree per
+    vertex; degrees span 0 (no bucket) up to n (the top of the table), and
+    small vertex ranges make repeated samples and endpoints common."""
+    n = draw(st.integers(2, 300))
+    gamma = draw(st.floats(0.01, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degree_of = rng.integers(0, draw(st.sampled_from((1, 3, n))) + 1, size=n)
+    degree_of[:2] = (n, 0)
+    span = draw(st.integers(1, n))
+    sampled = rng.integers(0, span, size=draw(st.integers(1, 80)))
+    endpoints = rng.integers(0, span, size=draw(st.integers(1, 60)))
+    return BucketConfig(n, gamma), degree_of, sampled, endpoints
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5000), st.floats(0.01, 2.0), st.lists(st.integers(0, 10**6), min_size=1, max_size=50))
+def test_bucket_indices_match_binary_search(n, gamma, raw):
+    config = BucketConfig(n, gamma)
+    degrees = np.array([1 + r % n for r in raw] + [1, n], dtype=np.int64)
+    got = config.bucket_indices(degrees)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, ref_bucket_indices(config, degrees))
+    assert config.bucket_indices(np.zeros(0, dtype=np.int64)).shape == (0,)
+    for bad in (0, n + 1):
+        with pytest.raises(ValueError):
+            config.bucket_indices(np.append(degrees, bad))
+
+
+@settings(max_examples=150, deadline=None)
+@given(degree_samples(), st.floats(0.01, 0.8))
+def test_classify_heavy_counts_match_reference(sample, epsilon):
+    config, degree_of, sampled, _ = sample
+    degrees = degree_of[sampled]
+    heavy = classify_heavy(degrees, config, epsilon)
+    expected = ref_bucket_counts(degrees, config)
+    assert heavy.bucket_counts.dtype == np.int64
+    assert np.array_equal(heavy.bucket_counts, expected)
+    assert heavy.sample_size == degrees.shape[0]
+    assert np.array_equal(heavy.indices, np.flatnonzero(expected / degrees.shape[0] >= heavy.threshold))
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree_samples(), st.floats(0.01, 0.8), st.randoms(use_true_random=False))
+def test_heavy_fraction_matches_reference(sample, epsilon, rnd):
+    config, degree_of, sampled, endpoints = sample
+    degrees = degree_of[sampled]
+    classified = classify_heavy(degrees, config, epsilon)
+    # also an arbitrary heavy set, so light buckets with samples occur too
+    subset = np.array(sorted(rnd.sample(range(config.t), rnd.randint(0, config.t))), dtype=np.int64)
+    arbitrary = HeavySet(indices=subset, bucket_counts=classified.bucket_counts, sample_size=degrees.shape[0], threshold=0.0)
+    for heavy in (classified, arbitrary):
+        got = heavy_fraction_estimate(endpoints, sampled, degrees, heavy, config)
+        assert got == ref_heavy_fraction(endpoints, sampled, degrees, heavy, config)
+
+
+def test_heavy_fraction_counts_duplicates_on_both_sides():
+    config = BucketConfig(10, 0.5)
+    sampled = np.array([3, 3, 3, 7], dtype=np.int64)
+    degrees = np.array([10, 10, 10, 0], dtype=np.int64)  # degree n, and degree 0
+    heavy = classify_heavy(degrees, config, epsilon=0.5)
+    endpoints = np.array([3, 3, 7, 1, 7], dtype=np.int64)
+    # 3 samples of vertex 3 x 2 draws of it; vertex 7 has degree 0
+    assert heavy_fraction_estimate(endpoints, sampled, degrees, heavy, config) == 10 / 4 * 6 / 5
+    assert ref_heavy_fraction(endpoints, sampled, degrees, heavy, config) == 10 / 4 * 6 / 5
+
+
+def test_degree_answers_outside_zero_to_n_rejected():
+    config = BucketConfig(10, 0.5)
+    vertices = np.array([1, 2], dtype=np.int64)
+    heavy = classify_heavy(np.array([10, 0]), config, epsilon=0.5)
+    for degrees in (np.array([3, -1]), np.array([3, 11]), np.array([3, 10**15])):
+        with pytest.raises(ValueError, match="0..10"):
+            classify_heavy(degrees, config, epsilon=0.5)
+        with pytest.raises(ValueError, match="0..10"):
+            heavy_fraction_estimate(vertices, vertices, degrees, heavy, config)
+
+
+pair_lists = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_lists, st.integers(0, 8), st.integers(0, 6), st.integers(0, 3))
+def test_majority_vote_matches_per_round_scan(pairs, rounds, batch_size, extra):
+    size = rounds * batch_size
+    if len(pairs) < size + extra:
+        pairs = (pairs + [(0, 1), (2, 3), (4, 5), (1, 0)] * (size + extra))[: size + extra]
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    assert collision_majority_vote(edges[:, 0], edges[:, 1], rounds, batch_size) == ref_vote(
+        edges[:, 0], edges[:, 1], rounds, batch_size
+    )
+
+
+def test_majority_vote_rejects_too_few_edges():
+    u = np.zeros(14, dtype=np.int64)
+    v = np.ones(14, dtype=np.int64)
+    with pytest.raises(ValueError, match="15 edges"):
+        collision_majority_vote(u, v, rounds=5, batch_size=3)
+    with pytest.raises(ValueError):
+        collision_majority_vote(np.zeros(15, dtype=np.int64), v, rounds=5, batch_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(2**62), 2**62) | st.integers(-3, 3), max_size=200))
+def test_sorted_unique_matches_np_unique(values):
+    arr = np.array(values, dtype=np.int64)
+    assert np.array_equal(sorted_unique(arr), np.unique(arr))
+
+
+def test_postprocessing_memory_does_not_scale_with_n():
+    # 1,000 samples on n = 10**7: one length-n bool mask (n bytes) is the
+    # only allowance; length-n int64 tallies would need 8 n bytes
+    n = 10**7
+    config = BucketConfig(n, 0.025)
+    rng = np.random.default_rng(5)
+    sampled = rng.integers(0, n, size=1000)
+    degrees = rng.integers(0, 30, size=1000)
+    endpoints = np.concatenate((sampled[:300], rng.integers(0, n, size=700)))
+    tracemalloc.start()
+    try:
+        heavy = classify_heavy(degrees, config, epsilon=0.25)
+        fraction = heavy_fraction_estimate(endpoints, sampled, degrees, heavy, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fraction > 0
+    assert peak < 2 * n
