@@ -34,6 +34,7 @@ from .exact import (
 from .experiments import (
     DistinguishResult,
     PhBoundStats,
+    QueryBudgetError,
     TrialConfig,
     TrialStats,
     run_accuracy_trials,
@@ -47,7 +48,6 @@ from .generators import (
     gen_clique_plus_isolated,
     gen_gnm,
     gen_lowerbound_instance,
-    gen_named,
     gen_path,
     gen_skewed,
     gen_star,

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .buckets import BucketConfig
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph, run_starts
 from .oracle import (
     PlanProvenance,
     QueryLedger,
@@ -24,9 +24,6 @@ from .oracle import (
     Transcript,
     EmptyGraphError,
     answer_plan,
-    deg_block,
-    plan_from_blocks,
-    rand_edge_block,
 )
 from .seeding import derive_rng, derive_seed
 
@@ -145,6 +142,8 @@ class PlanLayout:
 def plan_layout(n: int, params: EstimatorParams) -> PlanLayout:
     if n < 2:
         raise ValueError("estimation requires n >= 2")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n={n} exceeds the supported maximum {MAX_VERTICES}")
     return PlanLayout(
         degree_size=params.degree_sample_size(n),
         endpoint_size=params.endpoint_sample_size(n),
@@ -167,11 +166,7 @@ def build_sample_plan(n: int, params: EstimatorParams) -> QueryPlan:
     rng = derive_rng(params.master_seed, "plan:degree-vertices")
     vertices = rng.integers(0, n, size=layout.degree_size, dtype=np.int64)
     provenance = PlanProvenance(n=n, epsilon=params.epsilon, seed=params.master_seed)
-    return plan_from_blocks(
-        provenance,
-        deg_block(vertices),
-        rand_edge_block(layout.total - layout.degree_size),
-    )
+    return QueryPlan(vertices, layout.total - layout.degree_size, provenance)
 
 
 @dataclass(frozen=True)
@@ -252,17 +247,19 @@ def heavy_fraction_estimate(
         raise ValueError("heavy fraction needs at least one endpoint draw")
     sampled_vertices = np.asarray(sampled_vertices)
     sampled_degrees = np.asarray(sampled_degrees)
+    if sampled_vertices.shape != sampled_degrees.shape:
+        raise ValueError("sampled vertices and degrees must align one to one")
     _check_degree_range(sampled_degrees, config.n)
-    per_degree = np.bincount(sampled_degrees)
-    distinct = np.flatnonzero(per_degree[1:]) + 1  # degree 0 is in no bucket
-    heavy_by_degree = np.zeros(per_degree.shape[0], dtype=bool)
-    heavy_by_degree[distinct] = heavy.heavy_mask()[config.bucket_indices(distinct)]
     is_endpoint = np.zeros(config.n, dtype=bool)
     is_endpoint[endpoints] = True
-    # count each heavy sample once per endpoint draw of its vertex; only the
-    # few samples that are also endpoints need the lookup, and sorted keys
-    # make the binary searches several times faster than random ones
-    hits = np.sort(sampled_vertices[heavy_by_degree[sampled_degrees] & is_endpoint[sampled_vertices]])
+    # only the few samples that are also endpoints can match, so only they
+    # are bucketed; degree 0 is in no bucket
+    hit = np.flatnonzero(is_endpoint[sampled_vertices])
+    hit = hit[sampled_degrees[hit] >= 1]
+    heavy_hit = hit[heavy.heavy_mask()[config.bucket_indices(sampled_degrees[hit])]]
+    # count each heavy sample once per endpoint draw of its vertex; sorted
+    # keys make the binary searches several times faster than random ones
+    hits = np.sort(sampled_vertices[heavy_hit])
     ordered = np.sort(endpoints)
     matched_pairs = int(
         (np.searchsorted(ordered, hits, side="right") - np.searchsorted(ordered, hits, side="left")).sum()
@@ -276,8 +273,10 @@ def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
     if arr.size == 0:
         return 0
     arr = arr.reshape(-1, 2)
-    codes = (np.minimum(arr[:, 0], arr[:, 1]) << np.int64(32)) | np.maximum(arr[:, 0], arr[:, 1])
-    _, counts = np.unique(codes, return_counts=True)
+    codes = np.sort((np.minimum(arr[:, 0], arr[:, 1]) << np.int64(32)) | np.maximum(arr[:, 0], arr[:, 1]))
+    # run lengths of the sorted codes; sorting beats numpy 2.x's hash-based
+    # np.unique(return_counts=True)
+    counts = np.diff(np.append(np.flatnonzero(run_starts(codes)), codes.shape[0]))
     return int((counts * (counts - 1) // 2).sum())
 
 
@@ -306,22 +305,21 @@ def collision_majority_vote(edge_u: np.ndarray, edge_v: np.ndarray, rounds: int,
     return 1 if 2 * votes > rounds else 0
 
 
+def _edge_rows(transcript: Transcript, layout: PlanLayout, plan_slice: slice) -> np.ndarray:
+    """The answered random edges of ``plan_slice``, a slice of the whole plan."""
+    offset = layout.degree_size
+    return transcript.edges[plan_slice.start - offset : plan_slice.stop - offset]
+
+
 def _bucket_pipeline(transcript: Transcript, params: EstimatorParams) -> tuple[float, float, HeavySet]:
     n = transcript.plan.provenance.n
     layout = plan_layout(n, params)
     config = params.bucket_config(n)
-    degree_slice = layout.degree_slice
-    sampled_vertices = transcript.plan.arg_a[degree_slice]
-    sampled_degrees = transcript.ans_a[degree_slice]
-    heavy = classify_heavy(sampled_degrees, config, params.epsilon)
+    heavy = classify_heavy(transcript.degrees, config, params.epsilon)
     mass = heavy_mass_estimate(heavy, config)
-    endpoint_slice = layout.endpoint_slice
-    endpoints = choose_endpoints(
-        transcript.ans_a[endpoint_slice],
-        transcript.ans_b[endpoint_slice],
-        derive_rng(params.master_seed, "estimate:endpoint-coins"),
-    )
-    fraction = heavy_fraction_estimate(endpoints, sampled_vertices, sampled_degrees, heavy, config)
+    drawn = _edge_rows(transcript, layout, layout.endpoint_slice)
+    endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
+    fraction = heavy_fraction_estimate(endpoints, transcript.plan.deg_vertices, transcript.degrees, heavy, config)
     return mass, fraction, heavy
 
 
@@ -338,8 +336,7 @@ def bucketed_edge_estimate(transcript: Transcript, params: EstimatorParams) -> t
 
 
 def _collision_counts(transcript: Transcript, layout: PlanLayout) -> list[int]:
-    sl = layout.collision_slice
-    edges = np.column_stack((transcript.ans_a[sl], transcript.ans_b[sl]))
+    edges = _edge_rows(transcript, layout, layout.collision_slice)
     size = layout.collision_size
     return [count_collisions(edges[j * size : (j + 1) * size]) for j in range(layout.collision_reps)]
 
@@ -393,10 +390,8 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
             queries=ledger.snapshot(),
         )
 
-    vote_slice = layout.vote_slice
-    k = collision_majority_vote(
-        transcript.ans_a[vote_slice], transcript.ans_b[vote_slice], layout.vote_rounds, layout.vote_batch
-    )
+    vote = _edge_rows(transcript, layout, layout.vote_slice)
+    k = collision_majority_vote(vote[:, 0], vote[:, 1], layout.vote_rounds, layout.vote_batch)
     rep_counts = _collision_counts(transcript, layout)
     r = sorted(rep_counts)[len(rep_counts) // 2]  # upper median; identity for one rep
 

@@ -32,6 +32,14 @@ from .oracle import PlanProvenance, answer_plan, plan_from_blocks, rand_edge_blo
 from .seeding import derive_seed
 
 
+class QueryBudgetError(AssertionError):
+    """A metered query total broke the plan formula or its budget bound.
+
+    It subclasses :class:`AssertionError` so that callers treating the
+    budget check as an assertion still catch it.
+    """
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Inputs for a batch of estimation trials on one graph."""
@@ -198,10 +206,10 @@ def run_query_budget_check(
 ) -> list[dict[str, object]]:
     """Measure real ledgers over an ``(n, epsilon)`` grid against the plan formula.
 
-    Each cell estimates one sparse random graph and asserts that the metered
+    Each cell estimates one sparse random graph and checks that the metered
     total equals the formula total exactly, and that the total divided by
     ``sqrt(n) * ln(n) / eps**2.5`` stays below a constant determined by the
-    sample-size multipliers.
+    sample-size multipliers; either failure raises :class:`QueryBudgetError`.
     """
     rows: list[dict[str, object]] = []
     for n in ns:
@@ -215,9 +223,9 @@ def run_query_budget_check(
             ratio = measured / scale
             bound = params.c_s + params.c_t + math.sqrt(2.0) * params.c_r + params.c_f + 1.0
             if measured != layout.total:
-                raise AssertionError(f"ledger {measured} != plan formula {layout.total} at n={n}, eps={eps}")
+                raise QueryBudgetError(f"ledger {measured} != plan formula {layout.total} at n={n}, eps={eps}")
             if ratio > bound:
-                raise AssertionError(f"query ratio {ratio:.3f} exceeds bound {bound:.3f} at n={n}, eps={eps}")
+                raise QueryBudgetError(f"query ratio {ratio:.3f} exceeds bound {bound:.3f} at n={n}, eps={eps}")
             rows.append(
                 {
                     "n": n,
@@ -278,9 +286,8 @@ def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_se
         params = EstimatorParams(epsilon=epsilon, master_seed=derive_seed(master_seed, f"trial:{j}"))
         plan = build_sample_plan(graph.n, params)
         transcript = answer_plan(graph, plan, derive_seed(params.master_seed, "oracle:answers"))
-        layout = plan_layout(graph.n, params)
         config = params.bucket_config(graph.n)
-        heavy = classify_heavy(transcript.ans_a[layout.degree_slice], config, epsilon)
+        heavy = classify_heavy(transcript.degrees, config, epsilon)
         heavy_light_decomposition(graph, heavy.indices, config)  # identity checks
         values.append(exact_heavy_fraction(graph, heavy.indices, config))
     meeting = sum(value >= bound for value in values)
@@ -379,7 +386,7 @@ def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int 
         counts = {}
         for label, graph in (("a", instance.graph_a), ("b", instance.graph_b)):
             transcript = answer_plan(graph, plan, derive_seed(master_seed, f"answers:{label}:{j}"))
-            counts[label] = count_collisions(np.column_stack((transcript.ans_a, transcript.ans_b)))
+            counts[label] = count_collisions(transcript.edges)
         correct_a = counts["a"] <= threshold
         correct_b = counts["b"] > threshold
         correct += int(correct_a) + int(correct_b)

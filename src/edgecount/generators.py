@@ -92,24 +92,6 @@ def gen_skewed(n: int, exponent: float, seed: int) -> Graph:
     return build_graph(n, np.column_stack((u[keep], v[keep])))
 
 
-def gen_named(shape: str, n: int, seed: int = 0, *, k: int | None = None, exponent: float | None = None) -> Graph:
-    """Dispatch to a named generator. ``k`` is required for
-    ``clique_plus_isolated`` and ``exponent`` for ``skewed``."""
-    if shape == "path":
-        return gen_path(n)
-    if shape == "star":
-        return gen_star(n)
-    if shape == "clique_plus_isolated":
-        if k is None:
-            raise GraphValidationError("clique_plus_isolated needs k")
-        return gen_clique_plus_isolated(n, k)
-    if shape == "skewed":
-        if exponent is None:
-            raise GraphValidationError("skewed needs an exponent")
-        return gen_skewed(n, exponent, seed)
-    raise GraphValidationError(f"unknown graph shape {shape!r}")
-
-
 def graph_from_spec(spec: str, seed: int = 0) -> Graph:
     """Build a graph from a compact ``name:arg1,arg2`` string.
 
@@ -118,11 +100,19 @@ def graph_from_spec(spec: str, seed: int = 0) -> Graph:
     """
     name, _, argstr = spec.partition(":")
     args = [a for a in argstr.split(",") if a] if argstr else []
+    if name not in ("gnm", "path", "star", "clique_plus_isolated", "skewed"):
+        raise GraphValidationError(f"bad graph spec {spec!r}: unknown graph shape {name!r}")
+    if name == "clique_plus_isolated" and len(args) == 1:
+        raise GraphValidationError(f"bad graph spec {spec!r}: clique_plus_isolated needs k")
+    if name == "skewed" and len(args) == 1:
+        raise GraphValidationError(f"bad graph spec {spec!r}: skewed needs an exponent")
     try:
         if name == "gnm" and len(args) == 2:
             return gen_gnm(int(args[0]), int(args[1]), seed)
-        if name in ("path", "star") and len(args) == 1:
-            return gen_named(name, int(args[0]), seed)
+        if name == "path" and len(args) == 1:
+            return gen_path(int(args[0]))
+        if name == "star" and len(args) == 1:
+            return gen_star(int(args[0]))
         if name == "clique_plus_isolated" and len(args) == 2:
             return gen_clique_plus_isolated(int(args[0]), int(args[1]))
         if name == "skewed" and len(args) == 2:

@@ -4,11 +4,13 @@ A :class:`QueryPlan` fixes every query up front; :func:`answer_plan` resolves
 the whole batch in one call. Because no answer exists before the last query is
 declared, nothing downstream can steer later queries with earlier answers.
 Two query kinds are supported, the only two the estimator issues: degree
-lookup and uniform random edge (with replacement).
+lookup and uniform random edge (with replacement). A plan is one block of
+each, degree probes first.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from .graph import Graph
 
+# kind codes of the columnar views
 DEG, RAND_EDGE = 0, 1
 
 
@@ -33,61 +36,68 @@ class PlanProvenance:
 
 
 class QueryPlan:
-    """Ordered, immutable query sequence stored columnar for batch answering.
+    """Degree probes of ``deg_vertices``, in order, then ``n_rand`` random edges.
 
     Equality compares the query sequence only, which is what a
-    non-adaptivity audit needs; provenance is bookkeeping.
+    non-adaptivity audit needs; provenance is bookkeeping. The three columnar
+    properties give one row per query, built on each access.
     """
 
-    __slots__ = ("kinds", "arg_a", "arg_b", "provenance")
+    __slots__ = ("deg_vertices", "n_rand", "provenance")
 
-    def __init__(self, kinds: np.ndarray, arg_a: np.ndarray, arg_b: np.ndarray, provenance: PlanProvenance):
-        if not (len(kinds) == len(arg_a) == len(arg_b)):
-            raise ValueError("plan columns must have equal length")
-        self.kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
-        self.arg_a = np.ascontiguousarray(arg_a, dtype=np.int64)
-        self.arg_b = np.ascontiguousarray(arg_b, dtype=np.int64)
+    def __init__(self, deg_vertices: np.ndarray, n_rand: int, provenance: PlanProvenance):
+        n_rand = operator.index(n_rand)
+        if n_rand < 0:
+            raise ValueError("random-edge count must be non-negative")
+        self.deg_vertices = np.ascontiguousarray(deg_vertices, dtype=np.int64)
+        self.deg_vertices.setflags(write=False)
+        self.n_rand = n_rand
         self.provenance = provenance
-        for arr in (self.kinds, self.arg_a, self.arg_b):
-            arr.setflags(write=False)
 
     def __len__(self) -> int:
-        return int(self.kinds.shape[0])
+        return int(self.deg_vertices.shape[0]) + self.n_rand
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QueryPlan):
             return NotImplemented
-        return (
-            np.array_equal(self.kinds, other.kinds)
-            and np.array_equal(self.arg_a, other.arg_a)
-            and np.array_equal(self.arg_b, other.arg_b)
-        )
+        return self.n_rand == other.n_rand and np.array_equal(self.deg_vertices, other.deg_vertices)
 
     def counts(self) -> dict[str, int]:
-        return {
-            "deg": int(np.count_nonzero(self.kinds == DEG)),
-            "rand_edge": int(np.count_nonzero(self.kinds == RAND_EDGE)),
-        }
+        return {"deg": int(self.deg_vertices.shape[0]), "rand_edge": self.n_rand}
+
+    @property
+    def kinds(self) -> np.ndarray:
+        return np.repeat(np.array([DEG, RAND_EDGE], np.uint8), [self.deg_vertices.shape[0], self.n_rand])
+
+    @property
+    def arg_a(self) -> np.ndarray:
+        return np.concatenate((self.deg_vertices, np.full(self.n_rand, -1, np.int64)))
+
+    @property
+    def arg_b(self) -> np.ndarray:
+        return np.full(len(self), -1, np.int64)
 
 
-Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+Block = tuple[np.ndarray, int]
 
 
 def deg_block(vertices: np.ndarray) -> Block:
-    vertices = np.asarray(vertices, dtype=np.int64)
-    count = vertices.shape[0]
-    return np.full(count, DEG, np.uint8), vertices, np.full(count, -1, np.int64)
+    return np.asarray(vertices, dtype=np.int64), 0
 
 
 def rand_edge_block(count: int) -> Block:
-    return np.full(count, RAND_EDGE, np.uint8), np.full(count, -1, np.int64), np.full(count, -1, np.int64)
+    return np.empty(0, np.int64), count
 
 
 def plan_from_blocks(provenance: PlanProvenance, *blocks: Block) -> QueryPlan:
-    kinds = np.concatenate([b[0] for b in blocks]) if blocks else np.empty(0, np.uint8)
-    arg_a = np.concatenate([b[1] for b in blocks]) if blocks else np.empty(0, np.int64)
-    arg_b = np.concatenate([b[2] for b in blocks]) if blocks else np.empty(0, np.int64)
-    return QueryPlan(kinds, arg_a, arg_b, provenance)
+    """Join blocks into one plan; every degree probe must precede every random edge."""
+    rand_seen = False
+    for vertices, count in blocks:
+        if rand_seen and vertices.shape[0]:
+            raise ValueError("a degree block cannot follow a random-edge block")
+        rand_seen = rand_seen or count > 0
+    vertices = np.concatenate([b[0] for b in blocks]) if blocks else np.empty(0, np.int64)
+    return QueryPlan(vertices, sum(b[1] for b in blocks), provenance)
 
 
 @dataclass
@@ -101,10 +111,6 @@ class QueryLedger:
     def total(self) -> int:
         return self.deg + self.rand_edge
 
-    def record(self, kinds: np.ndarray) -> None:
-        self.deg += int(np.count_nonzero(kinds == DEG))
-        self.rand_edge += int(np.count_nonzero(kinds == RAND_EDGE))
-
     def snapshot(self) -> "QueryLedger":
         return QueryLedger(self.deg, self.rand_edge)
 
@@ -114,32 +120,36 @@ class QueryLedger:
 
 @dataclass(frozen=True)
 class Transcript:
-    """A plan plus positionally aligned answers.
+    """A plan plus its answers, block by block.
 
-    Answer columns by kind: degree lookups put the degree in ``ans_a`` and
-    ``-1`` in ``ans_b``; random edges fill ``ans_a``/``ans_b`` with the stored
-    ``u < v`` endpoint order.
+    ``degrees[i]`` is the degree of ``plan.deg_vertices[i]``; row ``j`` of the
+    ``(n_rand, 2)`` array ``edges`` is random edge ``j`` in its stored
+    ``u < v`` order. The two columnar properties, built on each access,
+    answer a degree probe with ``(degree, -1)`` and a random edge with its row.
     """
 
     plan: QueryPlan
-    ans_a: np.ndarray
-    ans_b: np.ndarray
+    degrees: np.ndarray
+    edges: np.ndarray
     answer_seed: int
     ledger: QueryLedger
+
+    @property
+    def ans_a(self) -> np.ndarray:
+        return np.concatenate((self.degrees, self.edges[:, 0]))
+
+    @property
+    def ans_b(self) -> np.ndarray:
+        return np.concatenate((np.full(self.degrees.shape[0], -1, np.int64), self.edges[:, 1]))
 
 
 def _validate_plan(graph: Graph, plan: QueryPlan) -> None:
     if plan.provenance.n != graph.n:
         raise ValueError(f"plan was built for n={plan.provenance.n}, graph has n={graph.n}")
-    kinds, a = plan.kinds, plan.arg_a
-    unknown = kinds > RAND_EDGE
-    if unknown.any():
-        pos = int(np.flatnonzero(unknown)[0])
-        raise ValueError(f"query {pos} has unknown kind {int(kinds[pos])}; only DEG and RAND_EDGE are answered")
-    bad = (kinds == DEG) & ((a < 0) | (a >= graph.n))
-    if bad.any():
-        pos = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"query {pos} (Deg({int(a[pos])})) has invalid arguments")
+    v = plan.deg_vertices
+    if v.size and (v.min() < 0 or v.max() >= graph.n):
+        pos = int(np.flatnonzero((v < 0) | (v >= graph.n))[0])
+        raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments")
 
 
 def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLedger | None = None) -> Transcript:
@@ -152,27 +162,16 @@ def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLe
     before anything is metered.
     """
     _validate_plan(graph, plan)
-    kinds = plan.kinds
-    rand_mask = kinds == RAND_EDGE
-    n_rand = int(np.count_nonzero(rand_mask))
-    if n_rand and graph.m == 0:
+    if plan.n_rand and graph.m == 0:
         raise EmptyGraphError("graph has no edges; random-edge queries cannot be answered")
-
-    # every degree argument is in range (validated above); the rand-edge rows
-    # carry -1, which the clip maps to a real vertex, and are overwritten below
-    ans_a = graph.degrees.take(plan.arg_a, mode="clip").astype(np.int64, copy=False)
-    ans_b = np.full(len(plan), -1, dtype=np.int64)
-
-    if n_rand:
-        rng = np.random.default_rng(answer_seed)
-        idx = rng.integers(0, graph.m, size=n_rand)
-        ans_a[rand_mask] = graph.edges[idx, 0]
-        ans_b[rand_mask] = graph.edges[idx, 1]
-
+    degrees = graph.degrees.take(plan.deg_vertices).astype(np.int64, copy=False)
+    idx = np.random.default_rng(answer_seed).integers(0, graph.m, size=plan.n_rand)
+    edges = graph.edges.take(idx, axis=0)
     if ledger is None:
         ledger = QueryLedger()
-    ledger.record(kinds)
-    return Transcript(plan=plan, ans_a=ans_a, ans_b=ans_b, answer_seed=answer_seed, ledger=ledger)
+    ledger.deg += int(degrees.shape[0])
+    ledger.rand_edge += plan.n_rand
+    return Transcript(plan=plan, degrees=degrees, edges=edges, answer_seed=answer_seed, ledger=ledger)
 
 
 PlanFn = Callable[[Graph, float, int], QueryPlan]

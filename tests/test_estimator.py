@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from edgecount import (
     heavy_vertex_mask,
     plan_layout,
 )
+from edgecount.graph import MAX_VERTICES
 from edgecount.oracle import DEG, RAND_EDGE
 
 REFERENCE_N = 10_000
@@ -74,6 +76,22 @@ def test_layout_slices_partition_the_plan():
     assert layout.collision_slice.stop - layout.collision_slice.start == 3 * layout.collision_size
     with pytest.raises(ValueError):
         plan_layout(1, EstimatorParams(epsilon=0.5))
+
+
+def test_plan_layout_rejects_vertex_counts_beyond_max():
+    params = EstimatorParams(epsilon=0.25)
+    assert plan_layout(MAX_VERTICES, params).total > 0
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        plan_layout(MAX_VERTICES + 1, params)
+    # rejected before the ~600 MB degree-vertex block is drawn
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            build_sample_plan(MAX_VERTICES + 1, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_sample_plan_deterministic_and_graph_blind():

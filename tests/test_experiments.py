@@ -1,9 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
+import edgecount.experiments
 from edgecount import (
+    QueryBudgetError,
+    QueryLedger,
     TrialConfig,
+    estimate_edges,
     plan_layout,
     run_accuracy_trials,
     run_distinguishing_experiment,
@@ -56,6 +61,18 @@ def test_query_budget_grid():
     assert abs(halving - 2**2.5) <= 0.1 * 2**2.5
     doubling = rows[2]["measured_total"] / rows[0]["measured_total"]
     assert 1.3 <= doubling <= 1.8
+
+
+def test_query_budget_mismatch_raises_named_assertion(monkeypatch):
+    def overbilled(graph, params):
+        report = estimate_edges(graph, params)
+        ledger = QueryLedger(report.queries.deg, report.queries.rand_edge + 1)
+        return dataclasses.replace(report, queries=ledger)
+
+    monkeypatch.setattr(edgecount.experiments, "estimate_edges", overbilled)
+    with pytest.raises(QueryBudgetError, match="!= plan formula") as info:
+        run_query_budget_check([1000], [0.5], master_seed=1)
+    assert isinstance(info.value, AssertionError)
 
 
 def test_ph_bound_on_complete_graph():

@@ -10,7 +10,6 @@ from edgecount import (
     gen_clique_plus_isolated,
     gen_gnm,
     gen_lowerbound_instance,
-    gen_named,
     gen_path,
     gen_skewed,
     gen_star,
@@ -90,14 +89,16 @@ def test_skewed_degree_tail_follows_exponent():
 
 
 def test_gen_named_dispatch():
-    assert gen_named("path", 5).m == 4
-    assert gen_named("star", 5).m == 4
-    assert gen_named("clique_plus_isolated", 6, k=3).m == 3
-    assert gen_named("skewed", 50, seed=1, exponent=2.0).n == 50
+    assert graph_from_spec("path:5").m == 4
+    assert graph_from_spec("star:5").m == 4
+    assert graph_from_spec("clique_plus_isolated:6,3").m == 3
+    assert graph_from_spec("skewed:50,2.0", seed=1).n == 50
     with pytest.raises(GraphValidationError, match="unknown graph shape"):
-        gen_named("torus", 5)
+        graph_from_spec("torus:5")
     with pytest.raises(GraphValidationError, match="needs k"):
-        gen_named("clique_plus_isolated", 5)
+        graph_from_spec("clique_plus_isolated:5")
+    with pytest.raises(GraphValidationError, match="needs an exponent"):
+        graph_from_spec("skewed:50")
 
 
 def test_graph_from_spec():

@@ -2,7 +2,7 @@
 
 Each reference below is the straightforward version of a kernel: a binary
 search per degree, length-n tallies and masks, one collision count per vote
-round. The kernels must give exactly the same results, with memory that grows
+round, hashed run counts for collisions. The kernels must give exactly the same results, with memory that grows
 with the sample and its largest degree, plus one length-n boolean mask.
 """
 
@@ -15,7 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgecount import BucketConfig, HeavySet, classify_heavy, collision_majority_vote, heavy_fraction_estimate
+from edgecount import (
+    BucketConfig,
+    EstimatorParams,
+    HeavySet,
+    classify_heavy,
+    collision_majority_vote,
+    count_collisions,
+    estimate_edges,
+    graph_from_spec,
+    heavy_fraction_estimate,
+    plan_layout,
+)
 from edgecount.graph import sorted_unique
 
 
@@ -36,6 +47,13 @@ def ref_heavy_fraction(endpoints, sampled_vertices, sampled_degrees, heavy: Heav
         heavy_vertex[sampled_vertices[nonzero]] = heavy.heavy_mask()[ref_bucket_indices(config, sampled_degrees[nonzero])]
     matched_pairs = int((multiplicity[endpoints] * heavy_vertex[endpoints]).sum())
     return float(config.n / heavy.sample_size * matched_pairs / endpoints.shape[0])
+
+
+def ref_count_collisions(edges) -> int:
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    codes = (np.minimum(arr[:, 0], arr[:, 1]) << np.int64(32)) | np.maximum(arr[:, 0], arr[:, 1])
+    _, counts = np.unique(codes, return_counts=True)
+    return int((counts * (counts - 1) // 2).sum())
 
 
 def ref_vote(edge_u, edge_v, rounds: int, batch_size: int) -> int:
@@ -126,7 +144,25 @@ def test_degree_answers_outside_zero_to_n_rejected():
             heavy_fraction_estimate(vertices, vertices, degrees, heavy, config)
 
 
+def test_heavy_fraction_rejects_misaligned_samples():
+    config = BucketConfig(10, 0.5)
+    degrees = np.array([10, 10, 10], dtype=np.int64)
+    heavy = classify_heavy(degrees, config, epsilon=0.5)
+    endpoints = np.array([3], dtype=np.int64)
+    for vertices in (np.array([3, 3], dtype=np.int64), np.array([3, 3, 3, 3], dtype=np.int64)):
+        with pytest.raises(ValueError, match="align"):
+            heavy_fraction_estimate(endpoints, vertices, degrees, heavy, config)
+
+
 pair_lists = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=60)
+endpoint_ids = st.integers(0, 5) | st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(endpoint_ids, endpoint_ids), max_size=80))
+def test_count_collisions_matches_hashed_counts(pairs):
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    assert count_collisions(edges) == ref_count_collisions(edges)
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,3 +211,18 @@ def test_postprocessing_memory_does_not_scale_with_n():
         tracemalloc.stop()
     assert fraction > 0
     assert peak < 2 * n
+
+
+def test_estimate_memory_is_about_two_words_per_query():
+    # the plan and its answers are blocks: a vertex and a degree per probe,
+    # a (u, v) row per random edge, and the edge indices while they are drawn
+    graph = graph_from_spec("gnm:200000,100000", 0)
+    params = EstimatorParams(epsilon=0.25, master_seed=1)
+    estimate_edges(graph, params)
+    tracemalloc.start()
+    try:
+        estimate_edges(graph, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * plan_layout(graph.n, params).total

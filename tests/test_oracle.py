@@ -100,19 +100,48 @@ def test_plan_validation_errors(triangle):
         answer_plan(triangle, _plan(4, degs=[0]), answer_seed=0)
 
 
-@pytest.mark.parametrize("kind", [2, 3, 255])
-def test_unknown_kinds_rejected_before_metering(triangle, kind):
-    # QueryPlan is public, so a plan can carry a kind code the oracle does not answer
-    plan = QueryPlan(
-        np.array([0, kind, 1], np.uint8),
-        np.array([0, 1, -1], np.int64),
-        np.array([-1, 2, -1], np.int64),
-        PlanProvenance(n=3, epsilon=None, seed=0),
-    )
-    ledger = QueryLedger()
-    with pytest.raises(ValueError, match=f"query 1 has unknown kind {kind}"):
-        answer_plan(triangle, plan, answer_seed=0, ledger=ledger)
-    assert ledger.total == 0
+def ref_columns(graph, degs, n_rand, answer_seed):
+    """One-row-per-query columns of the same plan and answers, built directly:
+    kind 0 = degree probe, kind 1 = random edge; a degree probe answers
+    (degree, -1) and a random edge (u, v)."""
+    kinds = np.concatenate((np.zeros(len(degs), np.uint8), np.ones(n_rand, np.uint8)))
+    arg_a = np.concatenate((np.asarray(degs, np.int64), np.full(n_rand, -1, np.int64)))
+    arg_b = np.full(kinds.shape[0], -1, np.int64)
+    ans_a = np.full(kinds.shape[0], -1, np.int64)
+    ans_b = np.full(kinds.shape[0], -1, np.int64)
+    ans_a[kinds == 0] = graph.degrees[arg_a[kinds == 0]]
+    if n_rand:
+        idx = np.random.default_rng(answer_seed).integers(0, graph.m, size=n_rand)
+        ans_a[kinds == 1] = graph.edges[idx, 0]
+        ans_b[kinds == 1] = graph.edges[idx, 1]
+    return kinds, arg_a, arg_b, ans_a, ans_b
+
+
+@pytest.mark.parametrize("n_degs, n_rand", [(25, 57), (0, 33), (25, 0)])
+def test_columnar_views_match_direct_columns(n_degs, n_rand):
+    g = gen_gnm(40, 100, seed=3)
+    degs = np.random.default_rng(n_degs).integers(0, 40, size=n_degs)
+    plan = _plan(40, degs=degs, rand_edges=n_rand)
+    transcript = answer_plan(g, plan, answer_seed=8)
+    views = (plan.kinds, plan.arg_a, plan.arg_b, transcript.ans_a, transcript.ans_b)
+    for got, expected in zip(views, ref_columns(g, degs, n_rand, answer_seed=8)):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    assert transcript.degrees.shape == (n_degs,)
+    assert transcript.edges.shape == (n_rand, 2)
+    assert plan.deg_vertices.flags.writeable is False
+
+
+def test_plan_blocks_in_order_with_nonnegative_count():
+    provenance = PlanProvenance(n=3, epsilon=None, seed=0)
+    with pytest.raises(ValueError, match="cannot follow a random-edge block"):
+        plan_from_blocks(provenance, deg_block(np.array([0])), rand_edge_block(2), deg_block(np.array([1])))
+    # empty blocks hold no queries, so they may sit anywhere
+    plan = plan_from_blocks(provenance, rand_edge_block(0), deg_block(np.array([1])), rand_edge_block(2), deg_block([]))
+    assert plan == QueryPlan(np.array([1]), 2, provenance)
+    assert len(plan) == 3
+    with pytest.raises(ValueError, match="non-negative"):
+        QueryPlan(np.array([0]), -1, provenance)
 
 
 @st.composite
