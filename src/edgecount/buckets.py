@@ -30,10 +30,11 @@ class BucketConfig:
 
     def __init__(self, n: int, gamma: float):
         t = bucket_count(n, gamma)
-        powers = np.empty(t, dtype=np.float64)
-        powers[0] = 1.0
-        for i in range(1, t):
-            powers[i] = powers[i - 1] * (1.0 + gamma)
+        # accumulate multiplies in sequence, so each entry is the same
+        # rounded product as ``powers[i - 1] * (1 + gamma)`` in a loop
+        factors = np.full(t, 1.0 + gamma)
+        factors[0] = 1.0
+        powers = np.multiply.accumulate(factors)
         # the formula already overshoots by one bucket; this guard only fires
         # if float rounding ever leaves the top degree uncovered
         while powers[-1] < n:

@@ -250,6 +250,10 @@ def heavy_fraction_estimate(
     if sampled_vertices.shape != sampled_degrees.shape:
         raise ValueError("sampled vertices and degrees must align one to one")
     _check_degree_range(sampled_degrees, config.n)
+    # a negative id would index the endpoint mask from its end
+    for name, ids in (("endpoints", endpoints), ("sampled vertices", sampled_vertices)):
+        if ids.size and (ids.min() < 0 or ids.max() >= config.n):
+            raise ValueError(f"{name} must lie in 0..{config.n - 1}")
     is_endpoint = np.zeros(config.n, dtype=bool)
     is_endpoint[endpoints] = True
     # only the few samples that are also endpoints can match, so only they

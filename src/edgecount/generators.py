@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphValidationError, build_graph, read_edge_list, run_starts, sorted_unique
+from .graph import Graph, GraphValidationError, build_graph, read_edge_list, run_starts
 
 # Above this many candidate pairs we sample edges by rejection instead of
 # materializing every pair, which keeps gen_gnm cheap for large sparse graphs.
@@ -28,23 +28,70 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
         chosen = rng.permutation(max_pairs)[:m]
         return build_graph(n, np.column_stack((iu[chosen], iv[chosen])))
 
-    collected = np.empty(0, dtype=np.int64)
+    # Draw batches of pair codes until m distinct ones have been seen, and
+    # keep the first m distinct codes in draw order so the edge set is
+    # uniform. Each pass sorts only its own batch: ``seen`` holds the sorted
+    # distinct codes of the earlier passes, and ``firsts`` each pass's codes
+    # drawn for the first time, in draw order.
+    seen = np.empty(0, dtype=np.int64)
+    firsts: list[np.ndarray] = []
     distinct = 0
     while distinct < m:
         batch = max(2 * (m - distinct), 1024)
         u = rng.integers(0, n, size=batch, dtype=np.int64)
         v = rng.integers(0, n, size=batch, dtype=np.int64)
-        keep = u != v
-        codes = np.minimum(u[keep], v[keep]) * np.int64(n) + np.maximum(u[keep], v[keep])
-        collected = np.concatenate((collected, codes))
-        distinct = sorted_unique(collected).size
-    # keep the first m distinct codes in draw order so the edge set is uniform:
-    # the smallest draw position within each run of equal sorted codes
-    order = np.argsort(collected)
-    ordered = collected[order]
-    first_pos = np.minimum.reduceat(order, np.flatnonzero(run_starts(ordered)))
-    codes = collected[np.sort(first_pos)[:m]]
-    return build_graph(n, np.column_stack((codes // n, codes % n)))
+        codes = np.minimum(u, v)
+        codes *= n
+        codes += np.maximum(u, v)
+        codes = codes[u != v]
+        fresh, first_pos = _first_draws(codes, n * n)
+        new = ~_sorted_member(seen, fresh)
+        is_first = np.zeros(codes.size, dtype=bool)
+        is_first[first_pos[new]] = True
+        firsts.append(codes[is_first])
+        distinct += firsts[-1].size
+        if distinct < m:
+            added = fresh[new]
+            seen = np.insert(seen, np.searchsorted(seen, added), added)
+
+    edges = np.empty((m, 2), dtype=np.int64)
+    filled = 0
+    for codes in firsts:
+        rows = edges[filled : filled + codes.size]
+        np.divmod(codes[: rows.shape[0]], n, out=(rows[:, 0], rows[:, 1]))
+        filled += rows.shape[0]
+    return build_graph(n, edges)
+
+
+def _first_draws(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of ``codes`` (all in ``0..bound-1``), sorted, and the
+    position of the first draw of each.
+
+    When a code and its position fit in 63 bits together, one sort of the
+    packed ``code << shift | position`` keys yields both, at the cost of a
+    plain sort, several times cheaper than an argsort. Larger codes and
+    batches take an argsort and the least position in each run of equal
+    codes.
+    """
+    shift = codes.size.bit_length()
+    if (bound - 1).bit_length() + shift <= 63:
+        keys = codes << shift
+        keys |= np.arange(codes.size, dtype=np.int64)
+        keys.sort()
+        ordered = keys >> shift
+        starts = run_starts(ordered)
+        return ordered[starts], keys[starts] & np.int64((1 << shift) - 1)
+    order = np.argsort(codes)
+    ordered = codes[order]
+    starts = np.flatnonzero(run_starts(ordered))
+    return ordered[starts], np.minimum.reduceat(order, starts)
+
+
+def _sorted_member(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mask of the ``values`` that occur in the sorted 1-d array ``ordered``."""
+    if ordered.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    return ordered.take(np.searchsorted(ordered, values), mode="clip") == values
 
 
 def gen_path(n: int) -> Graph:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,41 +78,73 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Gr
 
     Pairs may arrive in either endpoint order and may repeat; both are
     normalized away. Self-loops and out-of-range endpoints are errors that
-    name the offending pair. Vertex counts above :data:`MAX_VERTICES` are
-    rejected before anything is allocated.
+    name the offending pair; so are endpoints beyond the int64 range. Vertex
+    counts above :data:`MAX_VERTICES` are rejected before anything is
+    allocated.
     """
     if n < 0:
         raise GraphValidationError("vertex count must be non-negative")
     if n > MAX_VERTICES:
         raise GraphValidationError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
-    arr = np.asarray(raw_edges, dtype=np.int64)
+    try:
+        arr = np.asarray(raw_edges, dtype=np.int64)
+    except OverflowError:
+        raise GraphValidationError(f"edge endpoint beyond the int64 range: out of range for n={n}") from None
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GraphValidationError("edges must be an iterable of vertex pairs")
 
-    bad = (arr < 0) | (arr >= n)
-    if bad.any():
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        bad = (arr < 0) | (arr >= n)
         u, v = arr[np.flatnonzero(bad.any(axis=1))[0]]
         raise GraphValidationError(f"edge ({u}, {v}): endpoint out of range for n={n}")
-    loops = arr[:, 0] == arr[:, 1]
+    first, second = arr[:, 0], arr[:, 1]
+    loops = first == second
     if loops.any():
-        u = arr[np.flatnonzero(loops)[0], 0]
+        u = first[np.flatnonzero(loops)[0]]
         raise GraphValidationError(f"self-loop ({u}, {u}) is not allowed")
 
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    codes = sorted_unique(lo * np.int64(n) + hi)
-    edges = np.column_stack((codes // n, codes % n)) if codes.size else np.empty((0, 2), dtype=np.int64)
-    degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
+    codes = np.minimum(first, second)
+    codes *= n
+    codes += np.maximum(first, second)
+    codes = sorted_unique(codes)
+    edges = np.empty((codes.shape[0], 2), dtype=np.int64)
+    np.divmod(codes, n, out=(edges[:, 0], edges[:, 1]))
+    degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False)
     return Graph(n=n, edges=edges, degrees=degrees)
+
+
+def format_edges(edges: np.ndarray) -> bytes:
+    """ASCII ``"u v\\n"`` per row of a ``(k, 2)`` array of non-negative ids.
+
+    The bytes equal ``"".join(f"{u} {v}\\n" for u, v in edges)``. Every id
+    is written right-aligned into a fixed-width row of digit bytes, one
+    column per decimal place, and the leading zeros are then dropped by one
+    mask.
+    """
+    ids = np.ascontiguousarray(edges, dtype=np.int64).ravel()
+    if ids.size == 0:
+        return b""
+    width = len(str(int(ids.max())))
+    cells = np.empty((ids.size, width + 1), dtype=np.uint8)
+    cells[0::2, width] = ord(" ")
+    cells[1::2, width] = ord("\n")
+    rest = ids
+    digits = np.ones(ids.size, dtype=np.int64)
+    for place in range(width - 1, -1, -1):
+        rest, cells[:, place] = np.divmod(rest, 10)
+        if place:
+            digits += rest > 0
+    cells[:, :width] += ord("0")
+    return cells[np.arange(width + 1) >= width - digits[:, None]].tobytes()
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:
     """Write ``n`` on the first line, then one ``u v`` edge per line."""
-    lines = [str(graph.n)]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(path, "wb") as out:
+        out.write(f"{graph.n}\n".encode("ascii"))
+        out.write(format_edges(graph.edges))
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -119,11 +152,42 @@ def read_edge_list(path: str | Path) -> Graph:
 
     Blank lines are ignored. Any other malformed line raises
     :class:`EdgeListParseError` carrying its 1-based line number.
+
+    The lines after a well-formed count line are parsed in bulk by
+    ``np.loadtxt``; anything it rejects, and any row that is not two
+    fields, goes through the line-by-line parser, which alone words the
+    errors. Both read the same ``str.splitlines`` lines, so characters such
+    as ``\\x0b`` end a line in both.
     """
-    text = Path(path).read_text(encoding="ascii")
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    parsed = _parse_bulk(lines)
+    n, pairs = parsed if parsed is not None else _parse_lines(lines)
+    return build_graph(n, pairs)
+
+
+def _parse_bulk(lines: list[str]) -> tuple[int, np.ndarray] | None:
+    """Vertex count and ``(k, 2)`` edge array, or None to defer to :func:`_parse_lines`."""
+    fields = lines[0].split() if lines else []
+    if len(fields) != 1:
+        return None
+    try:
+        n = int(fields[0])
+    except ValueError:
+        return None
+    if not any(map(str.strip, itertools.islice(lines, 1, None))):
+        # no edge lines; loadtxt would warn about empty input
+        return n, np.empty((0, 2), dtype=np.int64)
+    try:
+        pairs = np.loadtxt(lines, dtype=np.int64, comments=None, skiprows=1, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    return (n, pairs) if pairs.shape[1] == 2 else None
+
+
+def _parse_lines(lines: list[str]) -> tuple[int, list[tuple[int, int]]]:
     n: int | None = None
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -144,4 +208,4 @@ def read_edge_list(path: str | Path) -> Graph:
             raise EdgeListParseError(f"line {lineno}: endpoints are not integers: {raw!r}") from None
     if n is None:
         raise EdgeListParseError("line 1: missing vertex count")
-    return build_graph(n, pairs)
+    return n, pairs

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgecount import BucketConfig, bucket_count
+from edgecount.graph import MAX_VERTICES
 
 
 def test_bucket_count_frozen_values():
@@ -85,3 +86,24 @@ def test_powers_table_is_read_only():
     config = BucketConfig(50, 0.5)
     with pytest.raises(ValueError):
         config.powers[0] = 99.0
+
+
+def loop_powers(n: int, gamma: float) -> np.ndarray:
+    """The boundary table as the per-bucket loop built it."""
+    t = bucket_count(n, gamma)
+    powers = np.empty(t, dtype=np.float64)
+    powers[0] = 1.0
+    for i in range(1, t):
+        powers[i] = powers[i - 1] * (1.0 + gamma)
+    while powers[-1] < n:
+        powers = np.append(powers, powers[-1] * (1.0 + gamma))
+    return powers
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 999, 10_000, 10**6, 12_345_678, 10**9, MAX_VERTICES])
+@pytest.mark.parametrize("gamma", [0.001, 0.0125, 0.025, 0.05, 0.08, 0.5, 1.0])
+def test_powers_match_the_loop_bit_for_bit(n, gamma):
+    config = BucketConfig(n, gamma)
+    expected = loop_powers(n, gamma)
+    assert config.t == expected.shape[0]
+    assert config.powers.tobytes() == expected.tobytes()

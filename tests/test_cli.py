@@ -159,3 +159,40 @@ def test_closed_stdout_exits_141_quietly(subprocess_env):
         os.close(write_end)
     assert result.returncode == 141
     assert result.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "abc\n0 1\n",
+        "3 3\n0 1\n",
+        "3\n0\n",
+        "3\n0 1 2\n",
+        "3\n1\x0b2\n",
+        "3\n1\x0c2\n",
+        "3\n1\x1c2\n",
+        "3\n0 1\n#0 2\n",
+        "3\n0 1.0\n",
+        "3\r\n0 1\r\n1\r\n",
+        "3\n1_0 2\n",
+        "3\n0 0\n",
+        "3\n99999999999999999999 1\n",
+    ],
+)
+def test_corrupted_edge_list_exits_one(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode("ascii"))
+    code, out, err = run_cli(capsys, "estimate", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_endpoint_beyond_int64_exits_one_without_traceback(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("3\n99999999999999999999 1\n")
+    code, out, err = run_cli(capsys, "estimate", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: edge endpoint beyond the int64 range: out of range for n=3\n"

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgecount import (
     GraphValidationError,
+    build_graph,
     gen_clique_plus_isolated,
     gen_gnm,
     gen_lowerbound_instance,
@@ -15,6 +18,8 @@ from edgecount import (
     gen_star,
     graph_from_spec,
 )
+from edgecount import generators
+from edgecount.graph import run_starts, sorted_unique
 
 
 def test_gnm_complete_graph():
@@ -156,3 +161,67 @@ def test_lowerbound_instance_needs_room():
         with pytest.raises(GraphValidationError, match="n >= 7"):
             gen_lowerbound_instance(n, seed=0)
     assert gen_lowerbound_instance(7, seed=0).planted_set.size == 7
+
+
+def reference_gen_gnm(n, m, seed):
+    """The rejection path as it stood before: every pass re-dedupes all draws so
+    far, then one argsort picks the first m distinct codes in draw order."""
+    rng = np.random.default_rng(seed)
+    collected = np.empty(0, dtype=np.int64)
+    distinct = 0
+    while distinct < m:
+        batch = max(2 * (m - distinct), 1024)
+        u = rng.integers(0, n, size=batch, dtype=np.int64)
+        v = rng.integers(0, n, size=batch, dtype=np.int64)
+        keep = u != v
+        codes = np.minimum(u[keep], v[keep]) * np.int64(n) + np.maximum(u[keep], v[keep])
+        collected = np.concatenate((collected, codes))
+        distinct = sorted_unique(collected).size
+    order = np.argsort(collected)
+    ordered = collected[order]
+    first_pos = np.minimum.reduceat(order, np.flatnonzero(run_starts(ordered)))
+    codes = collected[np.sort(first_pos)[:m]]
+    return build_graph(n, np.column_stack((codes // n, codes % n)))
+
+
+def assert_same_graph(a, b):
+    assert a.n == b.n
+    assert a.edges.tobytes() == b.edges.tobytes()
+    assert a.degrees.tobytes() == b.degrees.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        (60, 0),  # no pass
+        (60, 5),  # one pass, no repeats
+        (60, 700),  # one pass, repeats
+        (60, 1500),  # several passes, many repeats
+        (60, 1770),  # every pair: passes until the last pair turns up
+        (2, 1),
+        (300, 40000),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gnm_rejection_matches_reference_selection(monkeypatch, n, m, seed):
+    # push small graphs through the rejection path, where repeats and
+    # several passes are cheap to reach
+    monkeypatch.setattr(generators, "_DENSE_ENUMERATION_LIMIT", 0)
+    assert_same_graph(gen_gnm(n, m, seed), reference_gen_gnm(n, m, seed))
+
+
+@pytest.mark.parametrize("n, m", [(3000, 0), (3000, 5000), (10_000, 100_000), (3_000_000, 300_000)])
+def test_gnm_matches_reference_selection_at_size(n, m):
+    # the last case's codes and draw positions do not fit one 63-bit key
+    assert_same_graph(gen_gnm(n, m, 7), reference_gen_gnm(n, m, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=300))
+def test_first_draws_agree_packed_and_unpacked(values):
+    codes = np.array(values, dtype=np.int64)
+    expected_codes, expected_first = np.unique(codes, return_index=True)
+    for bound in (41, 2**62):  # packed keys, then the argsort branch
+        distinct, first = generators._first_draws(codes, bound)
+        assert np.array_equal(distinct, expected_codes)
+        assert np.array_equal(first, expected_first)

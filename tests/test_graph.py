@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from edgecount import EdgeListParseError, GraphValidationError, build_graph, read_edge_list, write_edge_list
+from edgecount import EdgeListParseError, Graph, GraphValidationError, build_graph, read_edge_list, write_edge_list
+from edgecount.graph import MAX_VERTICES, format_edges
 
 
 @st.composite
@@ -138,3 +142,171 @@ def test_read_edge_list_skips_blank_lines(tmp_path):
     f = tmp_path / "padded.el"
     f.write_text("3\n\n0 1\n\n1 2\n\n")
     assert read_edge_list(f) == build_graph(3, [(0, 1), (1, 2)])
+
+
+def reference_read_edge_list(path):
+    """The line-by-line reader as it stood before the bulk parse."""
+    text = Path(path).read_text(encoding="ascii")
+    n = None
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        fields = stripped.split()
+        if n is None:
+            if len(fields) != 1:
+                raise EdgeListParseError(f"line {lineno}: expected a single vertex count, got {raw!r}")
+            try:
+                n = int(fields[0])
+            except ValueError:
+                raise EdgeListParseError(f"line {lineno}: vertex count is not an integer: {raw!r}") from None
+            continue
+        if len(fields) != 2:
+            raise EdgeListParseError(f"line {lineno}: expected 'u v', got {raw!r}")
+        try:
+            pairs.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise EdgeListParseError(f"line {lineno}: endpoints are not integers: {raw!r}") from None
+    if n is None:
+        raise EdgeListParseError("line 1: missing vertex count")
+    return build_graph(n, pairs)
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # the comparison is of the exception itself
+        return type(exc), str(exc)
+
+
+_TOKENS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["+1", "-1", "-0", "01", "1_0", "#", "#1", "1.0", "x", "0x1", "99999999999999999999",
+                     "9223372036854775807", "-9223372036854775809", "\x00", "1\x7f"]),
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x1f"])
+_ODD_BREAKS = st.sampled_from(["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Well-formed edge lists, half of them then corrupted in one to three places."""
+    n = draw(st.integers(2, 12))
+    lines = [str(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        lines.append(f"{u}{draw(_SEPARATORS)}{v if v != u else (u + 1) % n}")
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x1f"])))
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(lines)))
+            kind = draw(st.sampled_from(["fields", "break", "count", "drop"]))
+            if kind == "fields":
+                lines.insert(at, draw(_SEPARATORS).join(draw(st.lists(_TOKENS, min_size=1, max_size=3))))
+            elif kind == "break" and at < len(lines):
+                cut = draw(st.integers(0, len(lines[at])))
+                lines[at] = lines[at][:cut] + draw(_ODD_BREAKS) + lines[at][cut:]
+            elif kind == "count" and lines:
+                lines[0] = draw(st.sampled_from(["", f" {n} ", f"+{n}", "x", f"{n} {n}", "-1", "1_2"]))
+            elif kind == "drop" and lines:
+                del lines[min(at, len(lines) - 1)]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_list_texts())
+def test_reader_matches_line_by_line_reference(tmp_path, text):
+    path = tmp_path / "g.el"
+    path.write_bytes(text.encode("ascii"))
+    new, ref = outcome(read_edge_list, path), outcome(reference_read_edge_list, path)
+    if isinstance(ref, Graph):
+        assert isinstance(new, Graph) and new == ref
+        assert new.degrees.tobytes() == ref.degrees.tobytes()
+    else:
+        assert new == ref
+
+
+CORRUPTED_TEXTS = [
+    ("", "line 1: missing vertex count"),
+    ("\n\n", "line 1: missing vertex count"),
+    ("3 3\n0 1\n", "line 1: expected a single vertex count"),
+    ("abc\n0 1\n", "line 1: vertex count is not an integer"),
+    ("3\n0\n", "line 2: expected 'u v'"),
+    ("3\n0 1 2\n", "line 2: expected 'u v'"),
+    ("3\n1\x0b2\n", "line 2: expected 'u v'"),
+    ("3\n1\x0c2\n", "line 2: expected 'u v'"),
+    ("3\n1\x1c2\n", "line 2: expected 'u v'"),
+    ("3\n\n0 1\n0 x\n", "line 4: endpoints are not integers"),
+    ("3\n0 1\n#0 2\n", "line 3: endpoints are not integers"),
+    ("3\n0 1.0\n", "line 2: endpoints are not integers"),
+    ("3\r\n0 1\r\n1\r\n", "line 3: expected 'u v'"),
+    ("3\n1_0 2\n", "endpoint out of range for n=3"),
+    ("3\n99999999999999999999 1\n", "out of range for n=3"),
+    ("3\n0 0\n", "self-loop (0, 0)"),
+]
+
+
+@pytest.mark.parametrize("text, message", CORRUPTED_TEXTS)
+def test_corrupted_files_name_the_fault(tmp_path, text, message):
+    path = tmp_path / "bad.el"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(ValueError) as caught:
+        read_edge_list(path)
+    assert message in str(caught.value)
+    assert outcome(reference_read_edge_list, path) == (type(caught.value), str(caught.value))
+
+
+def test_reader_accepts_what_int_accepts(tmp_path):
+    path = tmp_path / "odd.el"
+    path.write_bytes(b"\n +12 \r\n\n0\t+1\r\n01 1_0\n-0 11\x1f\n\n")
+    assert read_edge_list(path) == build_graph(12, [(0, 1), (1, 10), (0, 11)])
+
+
+def test_endpoint_beyond_int64_is_a_validation_error(tmp_path):
+    with pytest.raises(GraphValidationError, match="beyond the int64 range"):
+        build_graph(3, [(0, 1), (99999999999999999999, 1)])
+    with pytest.raises(GraphValidationError, match="beyond the int64 range"):
+        build_graph(3, [(0, -(2**63) - 1)])
+    path = tmp_path / "huge.el"
+    path.write_text("3\n0 1\n99999999999999999999 1\n")
+    with pytest.raises(GraphValidationError, match="out of range for n=3"):
+        read_edge_list(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, MAX_VERTICES - 1), st.integers(0, MAX_VERTICES - 1)), max_size=40)
+    | st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40)
+)
+def test_format_edges_matches_fstring_lines(rows):
+    edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    assert format_edges(edges) == "".join(f"{u} {v}\n" for u, v in rows).encode("ascii")
+
+
+def test_format_edges_covers_every_digit_count():
+    ids = np.array([0, 9, 10, 99, 100, 10**9 - 1, 10**9, MAX_VERTICES - 1], dtype=np.int64)
+    edges = np.column_stack((ids, ids[::-1]))
+    assert format_edges(edges) == "".join(f"{u} {v}\n" for u, v in edges.tolist()).encode("ascii")
+    assert format_edges(np.empty((0, 2), dtype=np.int64)) == b""
+
+
+def test_write_edge_list_matches_fstring_file(tmp_path):
+    g = build_graph(1000, [(u, (7 * u + 3) % 1000) for u in range(1000) if (7 * u + 3) % 1000 != u])
+    target = tmp_path / "g.el"
+    write_edge_list(g, target)
+    lines = [str(g.n)] + [f"{u} {v}" for u, v in g.edges]
+    assert target.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    write_edge_list(build_graph(7, []), target)
+    assert target.read_bytes() == b"7\n"
+
+
+@pytest.mark.parametrize("text", ["6\n", "6", "6\n\n \n\t\n", "6\r\n\r\n"])
+def test_edgeless_file_reads_without_warnings(tmp_path, text):
+    path = tmp_path / "edgeless.el"
+    path.write_bytes(text.encode("ascii"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_edge_list(path) == build_graph(6, [])

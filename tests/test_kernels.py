@@ -226,3 +226,21 @@ def test_estimate_memory_is_about_two_words_per_query():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * plan_layout(graph.n, params).total
+
+
+def test_heavy_fraction_rejects_vertices_outside_the_graph():
+    config = BucketConfig(10, 0.5)
+    heavy = HeavySet(
+        indices=np.arange(config.t), bucket_counts=np.zeros(config.t, dtype=np.int64), sample_size=2, threshold=0.0
+    )
+    # a negative id used to index the endpoint mask from its end and count as
+    # a match, so this call returned 10.0
+    with pytest.raises(ValueError, match="endpoints must lie in 0..9"):
+        heavy_fraction_estimate(np.array([-1]), np.array([-1, -1]), np.array([10, 10]), heavy, config)
+    with pytest.raises(ValueError, match="endpoints must lie in 0..9"):
+        heavy_fraction_estimate(np.array([10]), np.array([1, 2]), np.array([10, 10]), heavy, config)
+    with pytest.raises(ValueError, match="sampled vertices must lie in 0..9"):
+        heavy_fraction_estimate(np.array([1]), np.array([1, -1]), np.array([10, 10]), heavy, config)
+    with pytest.raises(ValueError, match="sampled vertices must lie in 0..9"):
+        heavy_fraction_estimate(np.array([1]), np.array([1, 10]), np.array([10, 10]), heavy, config)
+    assert heavy_fraction_estimate(np.array([9]), np.array([0, 9]), np.array([10, 10]), heavy, config) == 5.0
