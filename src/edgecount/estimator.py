@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -35,6 +35,14 @@ BRANCH_FAILED = "failed"
 
 class DegenerateEstimateError(RuntimeError):
     """The sampled heavy fraction came out zero, so no ratio estimate exists."""
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    # NaN compares false with everything, so it is caught here, not by "<= 0"
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,14 +69,13 @@ class EstimatorParams:
         if not 0.0 < self.epsilon <= 0.8:
             raise ValueError("epsilon must be in (0, 0.8]")
         for name in ("c_s", "c_t", "c_f", "c_r"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            _check_positive_finite(name, getattr(self, name))
         if self.collision_reps < 1:
             raise ValueError("collision_reps must be at least 1")
         if self.gamma is None:
             object.__setattr__(self, "gamma", self.epsilon / 10.0)
-        elif self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        else:
+            _check_positive_finite("gamma", self.gamma)
 
     def degree_sample_size(self, n: int) -> int:
         return math.ceil(self.c_s * math.sqrt(n) * math.log(n) / self.epsilon**2.5)
@@ -139,18 +146,35 @@ class PlanLayout:
         return slice(start, self.total)
 
 
+def _block_size(size: Callable[[int], int], n: int, block: str, inputs: str) -> int:
+    """``size(n)``, or a ``ValueError`` naming ``inputs`` when that is no positive count."""
+    try:
+        count = size(n)
+    except (OverflowError, ZeroDivisionError):  # an infinite or undefined float size
+        count = 0
+    if count < 1:
+        raise ValueError(f"cannot size the {block} at n={n} from {inputs}")
+    return count
+
+
 def plan_layout(n: int, params: EstimatorParams) -> PlanLayout:
+    """Block sizes of the standard plan at ``n``.
+
+    A block whose size overflows, divides by an underflowed ``epsilon**2.5``
+    or rounds to zero raises ``ValueError`` naming the parameters it came from.
+    """
     if n < 2:
         raise ValueError("estimation requires n >= 2")
     if n > MAX_VERTICES:
         raise ValueError(f"n={n} exceeds the supported maximum {MAX_VERTICES}")
+    eps = f"epsilon={params.epsilon}"
     return PlanLayout(
-        degree_size=params.degree_sample_size(n),
-        endpoint_size=params.endpoint_sample_size(n),
-        vote_rounds=params.vote_rounds(n),
+        degree_size=_block_size(params.degree_sample_size, n, "degree sample", f"c_s={params.c_s}, {eps}"),
+        endpoint_size=_block_size(params.endpoint_sample_size, n, "endpoint sample", f"c_t={params.c_t}, {eps}"),
+        vote_rounds=_block_size(params.vote_rounds, n, "vote rounds", f"c_r={params.c_r}"),
         vote_batch=params.vote_batch_size(n),
         collision_reps=params.collision_reps,
-        collision_size=params.collision_sample_size(n),
+        collision_size=_block_size(params.collision_sample_size, n, "collision sample", f"c_f={params.c_f}, {eps}"),
     )
 
 
@@ -162,7 +186,10 @@ def build_sample_plan(n: int, params: EstimatorParams) -> QueryPlan:
     is byte-identical across calls with equal inputs and never looks at any
     graph.
     """
-    layout = plan_layout(n, params)
+    return _sample_plan(n, params, plan_layout(n, params))
+
+
+def _sample_plan(n: int, params: EstimatorParams, layout: PlanLayout) -> QueryPlan:
     rng = derive_rng(params.master_seed, "plan:degree-vertices")
     vertices = rng.integers(0, n, size=layout.degree_size, dtype=np.int64)
     provenance = PlanProvenance(n=n, epsilon=params.epsilon, seed=params.master_seed)
@@ -190,6 +217,12 @@ def _check_degree_range(degrees: np.ndarray, n: int) -> None:
         raise ValueError(f"degree answers must lie in 0..{n}")
 
 
+def _check_vertex_ids(name: str, ids: np.ndarray, n: int) -> None:
+    # a negative id would index the endpoint mask from its end
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"{name} must lie in 0..{n - 1}")
+
+
 def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: float) -> HeavySet:
     """Mark buckets whose sampled frequency clears ``sqrt(eps / 6n) / t``.
 
@@ -197,10 +230,15 @@ def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: fl
     isolated vertices carry no edge mass.
     """
     degree_answers = np.asarray(degree_answers)
-    sample_size = int(degree_answers.shape[0])
-    if sample_size == 0:
+    if degree_answers.shape[0] == 0:
         raise ValueError("cannot classify from an empty degree sample")
     _check_degree_range(degree_answers, config.n)
+    return _classify_heavy(degree_answers, config, epsilon)
+
+
+def _classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: float) -> HeavySet:
+    """:func:`classify_heavy` of a non-empty sample already checked to lie in ``0..n``."""
+    sample_size = int(degree_answers.shape[0])
     # fold the per-degree tally into buckets: one bucket lookup per distinct degree
     per_degree = np.bincount(degree_answers)
     distinct = np.flatnonzero(per_degree[1:]) + 1
@@ -250,10 +288,19 @@ def heavy_fraction_estimate(
     if sampled_vertices.shape != sampled_degrees.shape:
         raise ValueError("sampled vertices and degrees must align one to one")
     _check_degree_range(sampled_degrees, config.n)
-    # a negative id would index the endpoint mask from its end
-    for name, ids in (("endpoints", endpoints), ("sampled vertices", sampled_vertices)):
-        if ids.size and (ids.min() < 0 or ids.max() >= config.n):
-            raise ValueError(f"{name} must lie in 0..{config.n - 1}")
+    _check_vertex_ids("endpoints", endpoints, config.n)
+    _check_vertex_ids("sampled vertices", sampled_vertices, config.n)
+    return _heavy_fraction(endpoints, sampled_vertices, sampled_degrees, heavy, config)
+
+
+def _heavy_fraction(
+    endpoints: np.ndarray,
+    sampled_vertices: np.ndarray,
+    sampled_degrees: np.ndarray,
+    heavy: HeavySet,
+    config: BucketConfig,
+) -> float:
+    """:func:`heavy_fraction_estimate` on inputs that passed its checks."""
     is_endpoint = np.zeros(config.n, dtype=bool)
     is_endpoint[endpoints] = True
     # only the few samples that are also endpoints can match, so only they
@@ -315,25 +362,36 @@ def _edge_rows(transcript: Transcript, layout: PlanLayout, plan_slice: slice) ->
     return transcript.edges[plan_slice.start - offset : plan_slice.stop - offset]
 
 
-def _bucket_pipeline(transcript: Transcript, params: EstimatorParams) -> tuple[float, float, HeavySet]:
-    n = transcript.plan.provenance.n
-    layout = plan_layout(n, params)
-    config = params.bucket_config(n)
-    heavy = classify_heavy(transcript.degrees, config, params.epsilon)
+def _bucket_pipeline(
+    transcript: Transcript, params: EstimatorParams, layout: PlanLayout, config: BucketConfig
+) -> tuple[float, float]:
+    """Heavy mass and heavy fraction of an answered standard plan.
+
+    Runs the kernels behind :func:`classify_heavy` and
+    :func:`heavy_fraction_estimate` with each array range-checked once:
+    :func:`answer_plan` has checked the probed vertices, so only the degree
+    answers and the chosen endpoints are checked here. The block sizes of
+    ``layout`` are positive, so neither sample is empty.
+    """
+    degrees = transcript.degrees
+    _check_degree_range(degrees, config.n)
+    heavy = _classify_heavy(degrees, config, params.epsilon)
     mass = heavy_mass_estimate(heavy, config)
     drawn = _edge_rows(transcript, layout, layout.endpoint_slice)
     endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
-    fraction = heavy_fraction_estimate(endpoints, transcript.plan.deg_vertices, transcript.degrees, heavy, config)
-    return mass, fraction, heavy
+    _check_vertex_ids("endpoints", endpoints, config.n)
+    fraction = _heavy_fraction(endpoints, transcript.plan.deg_vertices, degrees, heavy, config)
+    return mass, fraction
 
 
 def bucketed_edge_estimate(transcript: Transcript, params: EstimatorParams) -> tuple[float, float, float]:
-    """Edge estimate ``mass / (2 * fraction)`` from an answered sample plan.
+    """Edge estimate ``mass / (2 * fraction)`` from a plan answered by :func:`answer_plan`.
 
     Returns ``(estimate, mass, fraction)``; raises
     :class:`DegenerateEstimateError` when the sampled fraction is zero.
     """
-    mass, fraction, _ = _bucket_pipeline(transcript, params)
+    n = transcript.plan.provenance.n
+    mass, fraction = _bucket_pipeline(transcript, params, plan_layout(n, params), params.bucket_config(n))
     if fraction == 0.0:
         raise DegenerateEstimateError("sampled heavy fraction is zero")
     return mass / (2.0 * fraction), mass, fraction
@@ -378,8 +436,8 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     estimate; ``failed`` when that ratio is degenerate. The ledger in the
     report accounts for every issued query.
     """
-    plan = build_sample_plan(graph.n, params)
     layout = plan_layout(graph.n, params)
+    plan = _sample_plan(graph.n, params, layout)
     ledger = QueryLedger()
     try:
         transcript = answer_plan(graph, plan, derive_seed(params.master_seed, "oracle:answers"), ledger)
@@ -399,7 +457,7 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     rep_counts = _collision_counts(transcript, layout)
     r = sorted(rep_counts)[len(rep_counts) // 2]  # upper median; identity for one rep
 
-    mass, fraction, _ = _bucket_pipeline(transcript, params)
+    mass, fraction = _bucket_pipeline(transcript, params, layout, params.bucket_config(graph.n))
     if r > 0 and k == 1:
         m_hat: float | None = collision_edge_estimate(layout.collision_size, r)
         branch = BRANCH_COLLISION

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -31,11 +31,18 @@ class Graph:
     deduplicated and sorted lexicographically, so equal edge sets always have
     identical bytes. Isolated vertices are allowed. Instances never change
     after construction and can be shared freely across concurrent trials.
+
+    ``degree_table`` holds the same values as ``degrees`` in the narrowest
+    unsigned dtype that fits the largest degree (uint8 up to 255), so random
+    degree lookups gather from a table small enough to stay in cache. When
+    ``degrees`` is empty, not integer or has a negative entry, the table is
+    ``degrees`` itself.
     """
 
     n: int
     edges: np.ndarray
     degrees: np.ndarray
+    degree_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for arr in (self.edges, self.degrees):
@@ -43,6 +50,11 @@ class Graph:
                 arr.setflags(write=False)
             except ValueError:
                 pass  # views of caller-owned memory stay as they are
+        table = self.degrees
+        if table.dtype.kind in "iu" and table.size and table.min() >= 0:
+            table = table.astype(np.min_scalar_type(table.max()))
+            table.setflags(write=False)
+        object.__setattr__(self, "degree_table", table)
 
     @property
     def m(self) -> int:

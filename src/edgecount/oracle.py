@@ -164,7 +164,7 @@ def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLe
     _validate_plan(graph, plan)
     if plan.n_rand and graph.m == 0:
         raise EmptyGraphError("graph has no edges; random-edge queries cannot be answered")
-    degrees = graph.degrees.take(plan.deg_vertices).astype(np.int64, copy=False)
+    degrees = graph.degree_table.take(plan.deg_vertices).astype(np.int64, copy=False)
     idx = np.random.default_rng(answer_seed).integers(0, graph.m, size=plan.n_rand)
     edges = graph.edges.take(idx, axis=0)
     if ledger is None:

@@ -143,6 +143,21 @@ def test_bad_inputs_exit_one(capsys, argv):
     assert code == 1
 
 
+@pytest.mark.parametrize("option", ["--c-s=inf", "--c-r=inf", "--c-s=nan", "--c-f=1e308", "--eps=1e-300"])
+def test_unusable_estimator_parameters_exit_one_without_traceback(subprocess_env, option):
+    result = subprocess.run(
+        [sys.executable, "-m", "edgecount.cli", "estimate", "--graph", "gnm:1000,2000", option],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_closed_stdout_exits_141_quietly(subprocess_env):
     # the reader is gone before the CLI writes, like `edgecount estimate | head -0`
     read_end, write_end = os.pipe()

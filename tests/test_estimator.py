@@ -14,6 +14,7 @@ from edgecount import (
     BucketConfig,
     DegenerateEstimateError,
     EstimatorParams,
+    Graph,
     HeavySet,
     answer_plan,
     bucketed_edge_estimate,
@@ -53,6 +54,42 @@ def test_params_validation():
         EstimatorParams(epsilon=0.5, gamma=-1.0)
     assert EstimatorParams(epsilon=0.4).gamma == pytest.approx(0.04)
     assert EstimatorParams(epsilon=0.4, gamma=0.07).gamma == 0.07
+
+
+@pytest.mark.parametrize("name", ["c_s", "c_t", "c_f", "c_r", "gamma"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite_constants(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        EstimatorParams(epsilon=0.25, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"c_s": 1e308}, "degree sample at n=1000 from c_s=1e+308, epsilon=0.25"),
+        ({"epsilon": 1e-300}, "degree sample at n=1000 from c_s=2.0, epsilon=1e-300"),
+        ({"c_t": 1e308}, "endpoint sample at n=1000 from c_t=1e+308, epsilon=0.25"),
+        ({"c_t": 1e-300, "epsilon": 1e-100}, "endpoint sample at n=1000 from c_t=1e-300, epsilon=1e-100"),
+        ({"c_r": 1e308}, "vote rounds at n=1000 from c_r=1e+308"),
+        ({"c_f": 1e308}, "collision sample at n=1000 from c_f=1e+308, epsilon=0.25"),
+    ],
+)
+def test_plan_layout_names_the_parameters_of_an_unsizeable_block(overrides, named):
+    params = EstimatorParams(**{"epsilon": 0.25, **overrides})
+    for build in (plan_layout, build_sample_plan):
+        with pytest.raises(ValueError) as info:
+            build(1000, params)
+        assert str(info.value) == f"cannot size the {named}"
+
+
+@pytest.mark.parametrize("bad_degree", [99, -1])
+def test_estimate_checks_degree_answers_once_before_tallying(bad_degree):
+    # hand-built graph whose vertex 3 claims a degree outside 0..n; -1 also
+    # leaves the compact degree table as the int64 degrees
+    graph = Graph(4, np.array([[0, 1], [1, 2]]), np.array([1, 2, 1, bad_degree]))
+    with pytest.raises(ValueError) as info:
+        estimate_edges(graph, EstimatorParams(epsilon=0.25))
+    assert str(info.value) == "degree answers must lie in 0..4"
 
 
 def test_sample_sizes_frozen_at_reference_scale():

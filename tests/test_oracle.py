@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from edgecount import (
     EmptyGraphError,
     EstimatorParams,
+    Graph,
     PlanProvenance,
     QueryLedger,
     QueryPlan,
@@ -20,6 +21,8 @@ from edgecount import (
     gen_clique_plus_isolated,
     gen_gnm,
     gen_path,
+    gen_star,
+    graph_from_spec,
     plan_from_blocks,
     rand_edge_block,
 )
@@ -207,3 +210,51 @@ def test_plan_equality_is_content_based():
     b = _plan(5, rand_edges=3, seed=99)
     assert a == b
     assert a != _plan(5, rand_edges=4)
+
+
+def _answer_every_vertex(graph):
+    """Degree answers for each vertex twice, in a shuffled order."""
+    vertices = np.random.default_rng(graph.n).permutation(np.tile(np.arange(graph.n), 2))
+    return vertices, answer_plan(graph, _plan(graph.n, degs=vertices), answer_seed=0)
+
+
+@pytest.mark.parametrize(
+    "graph, largest, table_dtype",
+    [
+        (graph_from_spec("gnm:300,0"), 0, np.uint8),
+        (gen_star(256), 255, np.uint8),
+        (gen_star(257), 256, np.uint16),
+        (gen_star(65536), 65535, np.uint16),
+        (gen_star(65537), 65536, np.uint32),
+        (gen_gnm(2000, 30000, seed=5), None, np.uint8),
+    ],
+    ids=["edgeless", "star-255", "star-256", "star-65535", "star-65536", "gnm"],
+)
+def test_degree_answers_from_compact_table_match_degrees(graph, largest, table_dtype):
+    if largest is not None:
+        assert int(graph.degrees.max()) == largest
+    assert graph.degree_table.dtype == table_dtype
+    assert graph.degree_table.flags.writeable is False
+    assert graph.degrees.dtype == np.int64
+    vertices, transcript = _answer_every_vertex(graph)
+    assert transcript.degrees.dtype == np.int64
+    assert np.array_equal(transcript.degrees, graph.degrees.take(vertices))
+
+
+def test_degree_table_of_an_empty_graph_is_its_degrees():
+    graph = build_graph(0, [])
+    assert graph.degree_table is graph.degrees
+    assert graph.degree_table.flags.writeable is False
+    transcript = answer_plan(graph, _plan(0), answer_seed=0)
+    assert transcript.degrees.dtype == np.int64
+    assert transcript.degrees.shape == (0,)
+
+
+def test_degree_table_falls_back_to_degrees_with_a_negative_degree():
+    # hand-built: vertex 3 claims degree -1, which no unsigned table can hold
+    graph = Graph(4, np.array([[0, 1], [1, 2]]), np.array([1, 2, 1, -1]))
+    assert graph.degree_table is graph.degrees
+    assert graph.degree_table.flags.writeable is False
+    vertices, transcript = _answer_every_vertex(graph)
+    assert transcript.degrees.dtype == np.int64
+    assert np.array_equal(transcript.degrees, graph.degrees.take(vertices))
