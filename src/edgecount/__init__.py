@@ -6,12 +6,10 @@ from .estimator import (
     BRANCH_FAILED,
     BRANCH_NON_COLLISION,
     BRANCH_ZERO_EDGES,
-    DegenerateEstimateError,
     EstimateReport,
     EstimatorParams,
     HeavySet,
     PlanLayout,
-    bucketed_edge_estimate,
     build_sample_plan,
     choose_endpoints,
     classify_heavy,
@@ -68,7 +66,9 @@ from .oracle import (
     QueryLedger,
     QueryPlan,
     Transcript,
+    answer_degrees,
     answer_plan,
+    answer_rand_edges,
     audit_nonadaptive,
     deg_block,
     plan_from_blocks,

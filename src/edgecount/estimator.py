@@ -3,27 +3,30 @@
 The plan bundles four blocks: uniform vertex degree probes, random-edge draws
 feeding the heavy-mass fraction, many small random-edge batches for the
 sparse-regime collision vote, and one large random-edge sample for the
-collision-count estimate. Everything after :func:`answer_plan` is
-post-processing of the transcript; no query ever depends on an answer.
+collision-count estimate. The plan is a pure function of ``(n, params)``, so
+no query ever depends on an answer. :func:`build_sample_plan` and
+:func:`~edgecount.oracle.answer_plan` give it and its transcript whole, for
+audits; :func:`estimate_edges` draws, answers and folds the same queries
+block by block and never holds either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .buckets import BucketConfig
 from .graph import MAX_VERTICES, Graph, run_starts
 from .oracle import (
+    EmptyGraphError,
     PlanProvenance,
     QueryLedger,
     QueryPlan,
-    Transcript,
-    EmptyGraphError,
-    answer_plan,
+    answer_degrees,
+    answer_rand_edges,
 )
 from .seeding import derive_rng, derive_seed
 
@@ -32,9 +35,13 @@ BRANCH_NON_COLLISION = "non_collision"
 BRANCH_ZERO_EDGES = "zero_edges"
 BRANCH_FAILED = "failed"
 
+# Largest plan that plan_layout sizes. Its degree probes alone would fill
+# 32 GiB as int64 vertices, so only misset constants ask for more.
+MAX_PLAN_QUERIES = 2**32
 
-class DegenerateEstimateError(RuntimeError):
-    """The sampled heavy fraction came out zero, so no ratio estimate exists."""
+# Degree probes drawn, answered and folded at a time by estimate_edges: a
+# chunk's int64 vertices and degrees take 1 MiB each.
+_DEGREE_CHUNK = 2**17
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -161,21 +168,55 @@ def plan_layout(n: int, params: EstimatorParams) -> PlanLayout:
     """Block sizes of the standard plan at ``n``.
 
     A block whose size overflows, divides by an underflowed ``epsilon**2.5``
-    or rounds to zero raises ``ValueError`` naming the parameters it came from.
+    or rounds to zero raises ``ValueError`` naming the parameters it came
+    from, and so does a plan of more than :data:`MAX_PLAN_QUERIES` queries,
+    naming those of its largest block.
     """
     if n < 2:
         raise ValueError("estimation requires n >= 2")
     if n > MAX_VERTICES:
         raise ValueError(f"n={n} exceeds the supported maximum {MAX_VERTICES}")
     eps = f"epsilon={params.epsilon}"
-    return PlanLayout(
-        degree_size=_block_size(params.degree_sample_size, n, "degree sample", f"c_s={params.c_s}, {eps}"),
-        endpoint_size=_block_size(params.endpoint_sample_size, n, "endpoint sample", f"c_t={params.c_t}, {eps}"),
-        vote_rounds=_block_size(params.vote_rounds, n, "vote rounds", f"c_r={params.c_r}"),
+    degree_from = f"c_s={params.c_s}, {eps}"
+    endpoint_from = f"c_t={params.c_t}, {eps}"
+    vote_from = f"c_r={params.c_r}"
+    collision_from = f"c_f={params.c_f}, {eps}"
+    layout = PlanLayout(
+        degree_size=_block_size(params.degree_sample_size, n, "degree sample", degree_from),
+        endpoint_size=_block_size(params.endpoint_sample_size, n, "endpoint sample", endpoint_from),
+        vote_rounds=_block_size(params.vote_rounds, n, "vote rounds", vote_from),
         vote_batch=params.vote_batch_size(n),
         collision_reps=params.collision_reps,
-        collision_size=_block_size(params.collision_sample_size, n, "collision sample", f"c_f={params.c_f}, {eps}"),
+        collision_size=_block_size(params.collision_sample_size, n, "collision sample", collision_from),
     )
+    if layout.total > MAX_PLAN_QUERIES:
+        blocks = [
+            (layout.degree_size, "degree sample", degree_from),
+            (layout.endpoint_size, "endpoint sample", endpoint_from),
+            (layout.vote_size, "vote", vote_from),
+            (
+                layout.collision_reps * layout.collision_size,
+                "collision sample",
+                f"{collision_from}, collision_reps={params.collision_reps}",
+            ),
+        ]
+        _, block, inputs = max(blocks)
+        raise ValueError(
+            f"the plan at n={n} has more than MAX_PLAN_QUERIES={MAX_PLAN_QUERIES} queries; "
+            f"its largest block, the {block}, comes from {inputs}"
+        )
+    return layout
+
+
+def _degree_vertex_chunks(n: int, params: EstimatorParams, count: int) -> Iterator[np.ndarray]:
+    """The ``count`` degree-probe vertices of the plan, in order, in chunks.
+
+    The only place the stream is drawn. Chunked draws from one generator
+    give the same values as one draw of ``count``.
+    """
+    rng = derive_rng(params.master_seed, "plan:degree-vertices")
+    for start in range(0, count, _DEGREE_CHUNK):
+        yield rng.integers(0, n, size=min(_DEGREE_CHUNK, count - start), dtype=np.int64)
 
 
 def build_sample_plan(n: int, params: EstimatorParams) -> QueryPlan:
@@ -184,14 +225,15 @@ def build_sample_plan(n: int, params: EstimatorParams) -> QueryPlan:
     Degree probes target i.i.d. uniform vertices drawn from the plan stream of
     ``params.master_seed``; every other block is random-edge draws. The result
     is byte-identical across calls with equal inputs and never looks at any
-    graph.
+    graph. It holds the queries :func:`estimate_edges` streams.
     """
-    return _sample_plan(n, params, plan_layout(n, params))
-
-
-def _sample_plan(n: int, params: EstimatorParams, layout: PlanLayout) -> QueryPlan:
-    rng = derive_rng(params.master_seed, "plan:degree-vertices")
-    vertices = rng.integers(0, n, size=layout.degree_size, dtype=np.int64)
+    layout = plan_layout(n, params)
+    vertices = np.empty(layout.degree_size, dtype=np.int64)
+    start = 0
+    # each chunk is copied out and freed before the next is drawn
+    for chunk in _degree_vertex_chunks(n, params, layout.degree_size):
+        vertices[start : start + chunk.shape[0]] = chunk
+        start += chunk.shape[0]
     provenance = PlanProvenance(n=n, epsilon=params.epsilon, seed=params.master_seed)
     return QueryPlan(vertices, layout.total - layout.degree_size, provenance)
 
@@ -233,14 +275,12 @@ def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: fl
     if degree_answers.shape[0] == 0:
         raise ValueError("cannot classify from an empty degree sample")
     _check_degree_range(degree_answers, config.n)
-    return _classify_heavy(degree_answers, config, epsilon)
+    return _heavy_set(np.bincount(degree_answers), int(degree_answers.shape[0]), config, epsilon)
 
 
-def _classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: float) -> HeavySet:
-    """:func:`classify_heavy` of a non-empty sample already checked to lie in ``0..n``."""
-    sample_size = int(degree_answers.shape[0])
-    # fold the per-degree tally into buckets: one bucket lookup per distinct degree
-    per_degree = np.bincount(degree_answers)
+def _heavy_set(per_degree: np.ndarray, sample_size: int, config: BucketConfig, epsilon: float) -> HeavySet:
+    """:func:`classify_heavy` from its tally: ``per_degree[d]`` probes of ``sample_size`` answered ``d``."""
+    # one bucket lookup per distinct degree
     distinct = np.flatnonzero(per_degree[1:]) + 1
     counts = np.zeros(config.t, dtype=np.int64)
     np.add.at(counts, config.bucket_indices(distinct), per_degree[distinct])
@@ -290,27 +330,40 @@ def heavy_fraction_estimate(
     _check_degree_range(sampled_degrees, config.n)
     _check_vertex_ids("endpoints", endpoints, config.n)
     _check_vertex_ids("sampled vertices", sampled_vertices, config.n)
-    return _heavy_fraction(endpoints, sampled_vertices, sampled_degrees, heavy, config)
+    hit_vertices, hit_degrees = _endpoint_hits(_endpoint_mask(endpoints, config.n), sampled_vertices, sampled_degrees)
+    return _heavy_fraction(endpoints, hit_vertices, hit_degrees, heavy, config)
+
+
+def _endpoint_mask(endpoints: np.ndarray, n: int) -> np.ndarray:
+    is_endpoint = np.zeros(n, dtype=bool)
+    is_endpoint[endpoints] = True
+    return is_endpoint
+
+
+def _endpoint_hits(
+    is_endpoint: np.ndarray, sampled_vertices: np.ndarray, sampled_degrees: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and degrees of the probes on a chosen endpoint, degree 0 left out.
+
+    Only these few probes can match an endpoint draw, and degree 0 is in no
+    bucket.
+    """
+    hit = np.flatnonzero(is_endpoint[sampled_vertices])
+    hit = hit[sampled_degrees[hit] >= 1]
+    return sampled_vertices[hit], sampled_degrees[hit]
 
 
 def _heavy_fraction(
     endpoints: np.ndarray,
-    sampled_vertices: np.ndarray,
-    sampled_degrees: np.ndarray,
+    hit_vertices: np.ndarray,
+    hit_degrees: np.ndarray,
     heavy: HeavySet,
     config: BucketConfig,
 ) -> float:
-    """:func:`heavy_fraction_estimate` on inputs that passed its checks."""
-    is_endpoint = np.zeros(config.n, dtype=bool)
-    is_endpoint[endpoints] = True
-    # only the few samples that are also endpoints can match, so only they
-    # are bucketed; degree 0 is in no bucket
-    hit = np.flatnonzero(is_endpoint[sampled_vertices])
-    hit = hit[sampled_degrees[hit] >= 1]
-    heavy_hit = hit[heavy.heavy_mask()[config.bucket_indices(sampled_degrees[hit])]]
-    # count each heavy sample once per endpoint draw of its vertex; sorted
+    """:func:`heavy_fraction_estimate` from the :func:`_endpoint_hits` of its checked inputs."""
+    # count each heavy probe once per endpoint draw of its vertex; sorted
     # keys make the binary searches several times faster than random ones
-    hits = np.sort(sampled_vertices[heavy_hit])
+    hits = np.sort(hit_vertices[heavy.heavy_mask()[config.bucket_indices(hit_degrees)]])
     ordered = np.sort(endpoints)
     matched_pairs = int(
         (np.searchsorted(ordered, hits, side="right") - np.searchsorted(ordered, hits, side="left")).sum()
@@ -324,11 +377,22 @@ def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
     if arr.size == 0:
         return 0
     arr = arr.reshape(-1, 2)
-    codes = np.sort((np.minimum(arr[:, 0], arr[:, 1]) << np.int64(32)) | np.maximum(arr[:, 0], arr[:, 1]))
-    # run lengths of the sorted codes; sorting beats numpy 2.x's hash-based
-    # np.unique(return_counts=True)
-    counts = np.diff(np.append(np.flatnonzero(run_starts(codes)), codes.shape[0]))
-    return int((counts * (counts - 1) // 2).sum())
+    codes = _edge_codes(arr[:, 0], arr[:, 1])
+    codes.sort()
+    # a run of c equal codes repeats its code c - 1 times and holds
+    # c * (c - 1) / 2 colliding pairs; sorting beats numpy 2.x's hash-based
+    # np.unique(return_counts=True), and only the few repeats are counted
+    repeats = codes[1:][codes[1:] == codes[:-1]]
+    extra = np.diff(np.append(np.flatnonzero(run_starts(repeats)), repeats.shape[0]))
+    return int((extra * (extra + 1) // 2).sum())
+
+
+def _edge_codes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``min << 32 | max`` of each endpoint pair, built with one temporary."""
+    codes = np.minimum(u, v)
+    codes <<= 32
+    codes |= np.maximum(u, v)
+    return codes
 
 
 def collision_edge_estimate(sample_count: int, collisions: int) -> float:
@@ -349,58 +413,10 @@ def collision_majority_vote(edge_u: np.ndarray, edge_v: np.ndarray, rounds: int,
     edge_v = np.asarray(edge_v, dtype=np.int64)
     if min(edge_u.shape[0], edge_v.shape[0]) < size:
         raise ValueError(f"vote needs {rounds} x {batch_size} = {size} edges")
-    u, v = edge_u[:size], edge_v[:size]
-    codes = ((np.minimum(u, v) << np.int64(32)) | np.maximum(u, v)).reshape(rounds, batch_size)
+    codes = _edge_codes(edge_u[:size], edge_v[:size]).reshape(rounds, batch_size)
     codes.sort(axis=1)
     votes = int(np.count_nonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1)))
     return 1 if 2 * votes > rounds else 0
-
-
-def _edge_rows(transcript: Transcript, layout: PlanLayout, plan_slice: slice) -> np.ndarray:
-    """The answered random edges of ``plan_slice``, a slice of the whole plan."""
-    offset = layout.degree_size
-    return transcript.edges[plan_slice.start - offset : plan_slice.stop - offset]
-
-
-def _bucket_pipeline(
-    transcript: Transcript, params: EstimatorParams, layout: PlanLayout, config: BucketConfig
-) -> tuple[float, float]:
-    """Heavy mass and heavy fraction of an answered standard plan.
-
-    Runs the kernels behind :func:`classify_heavy` and
-    :func:`heavy_fraction_estimate` with each array range-checked once:
-    :func:`answer_plan` has checked the probed vertices, so only the degree
-    answers and the chosen endpoints are checked here. The block sizes of
-    ``layout`` are positive, so neither sample is empty.
-    """
-    degrees = transcript.degrees
-    _check_degree_range(degrees, config.n)
-    heavy = _classify_heavy(degrees, config, params.epsilon)
-    mass = heavy_mass_estimate(heavy, config)
-    drawn = _edge_rows(transcript, layout, layout.endpoint_slice)
-    endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
-    _check_vertex_ids("endpoints", endpoints, config.n)
-    fraction = _heavy_fraction(endpoints, transcript.plan.deg_vertices, degrees, heavy, config)
-    return mass, fraction
-
-
-def bucketed_edge_estimate(transcript: Transcript, params: EstimatorParams) -> tuple[float, float, float]:
-    """Edge estimate ``mass / (2 * fraction)`` from a plan answered by :func:`answer_plan`.
-
-    Returns ``(estimate, mass, fraction)``; raises
-    :class:`DegenerateEstimateError` when the sampled fraction is zero.
-    """
-    n = transcript.plan.provenance.n
-    mass, fraction = _bucket_pipeline(transcript, params, plan_layout(n, params), params.bucket_config(n))
-    if fraction == 0.0:
-        raise DegenerateEstimateError("sampled heavy fraction is zero")
-    return mass / (2.0 * fraction), mass, fraction
-
-
-def _collision_counts(transcript: Transcript, layout: PlanLayout) -> list[int]:
-    edges = _edge_rows(transcript, layout, layout.collision_slice)
-    size = layout.collision_size
-    return [count_collisions(edges[j * size : (j + 1) * size]) for j in range(layout.collision_reps)]
 
 
 @dataclass(frozen=True)
@@ -435,12 +451,19 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     the inverse-collision estimate; ``non_collision`` for the bucketed ratio
     estimate; ``failed`` when that ratio is degenerate. The ledger in the
     report accounts for every issued query.
+
+    Issues the queries of :func:`build_sample_plan` as
+    :func:`~edgecount.oracle.answer_plan` would answer them, one block or
+    chunk at a time. The random-edge blocks come first, from the one answer
+    generator, so that the chosen endpoints are known when the degree block
+    streams past and only its tally and endpoint hits are kept.
     """
     layout = plan_layout(graph.n, params)
-    plan = _sample_plan(graph.n, params, layout)
+    config = params.bucket_config(graph.n)
     ledger = QueryLedger()
+    rng = np.random.default_rng(derive_seed(params.master_seed, "oracle:answers"))
     try:
-        transcript = answer_plan(graph, plan, derive_seed(params.master_seed, "oracle:answers"), ledger)
+        drawn = answer_rand_edges(graph, rng, layout.endpoint_size, ledger)
     except EmptyGraphError:
         return EstimateReport(
             m_hat=0.0,
@@ -451,13 +474,18 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
             p_tilde_h=0.0,
             queries=ledger.snapshot(),
         )
-
-    vote = _edge_rows(transcript, layout, layout.vote_slice)
-    k = collision_majority_vote(vote[:, 0], vote[:, 1], layout.vote_rounds, layout.vote_batch)
-    rep_counts = _collision_counts(transcript, layout)
+    endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
+    _check_vertex_ids("endpoints", endpoints, graph.n)
+    k = _vote(answer_rand_edges(graph, rng, layout.vote_size, ledger), layout)
+    rep_counts = [
+        count_collisions(answer_rand_edges(graph, rng, layout.collision_size, ledger))
+        for _ in range(layout.collision_reps)
+    ]
     r = sorted(rep_counts)[len(rep_counts) // 2]  # upper median; identity for one rep
 
-    mass, fraction = _bucket_pipeline(transcript, params, layout, params.bucket_config(graph.n))
+    heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, ledger)
+    mass = heavy_mass_estimate(heavy, config)
+    fraction = _heavy_fraction(endpoints, hit_vertices, hit_degrees, heavy, config)
     if r > 0 and k == 1:
         m_hat: float | None = collision_edge_estimate(layout.collision_size, r)
         branch = BRANCH_COLLISION
@@ -476,3 +504,37 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
         p_tilde_h=fraction,
         queries=ledger.snapshot(),
     )
+
+
+def _vote(edges: np.ndarray, layout: PlanLayout) -> int:
+    """:func:`collision_majority_vote` of the answered vote block, which is freed on return."""
+    return collision_majority_vote(edges[:, 0], edges[:, 1], layout.vote_rounds, layout.vote_batch)
+
+
+def _stream_degree_block(
+    graph: Graph,
+    params: EstimatorParams,
+    layout: PlanLayout,
+    config: BucketConfig,
+    endpoints: np.ndarray,
+    ledger: QueryLedger,
+) -> tuple[HeavySet, np.ndarray, np.ndarray]:
+    """Draw, answer and fold the degree block one chunk at a time.
+
+    Returns the heavy set of the whole block and its :func:`_endpoint_hits`.
+    Each chunk's degree answers are range-checked before they are tallied.
+    """
+    is_endpoint = _endpoint_mask(endpoints, graph.n)
+    per_degree = np.zeros(0, dtype=np.intp)
+    hits = []
+    for vertices in _degree_vertex_chunks(graph.n, params, layout.degree_size):
+        degrees = answer_degrees(graph, vertices, ledger)
+        _check_degree_range(degrees, graph.n)
+        tally = np.bincount(degrees, minlength=per_degree.shape[0])
+        tally[: per_degree.shape[0]] += per_degree
+        per_degree = tally
+        hits.append(_endpoint_hits(is_endpoint, vertices, degrees))
+        del vertices, degrees  # freed before the next chunk is drawn
+    heavy = _heavy_set(per_degree, layout.degree_size, config, params.epsilon)
+    hit_vertices, hit_degrees = (np.concatenate(column) for column in zip(*hits))
+    return heavy, hit_vertices, hit_degrees

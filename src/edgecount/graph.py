@@ -31,6 +31,8 @@ class Graph:
     deduplicated and sorted lexicographically, so equal edge sets always have
     identical bytes. Isolated vertices are allowed. Instances never change
     after construction and can be shared freely across concurrent trials.
+    A hand-built instance gets ``edges`` and ``degrees`` through
+    ``np.asarray``, so nested lists work; nothing else is checked.
 
     ``degree_table`` holds the same values as ``degrees`` in the narrowest
     unsigned dtype that fits the largest degree (uint8 up to 255), so random
@@ -45,11 +47,13 @@ class Graph:
     degree_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for arr in (self.edges, self.degrees):
+        for name in ("edges", "degrees"):
+            arr = np.asarray(getattr(self, name))
             try:
                 arr.setflags(write=False)
             except ValueError:
                 pass  # views of caller-owned memory stay as they are
+            object.__setattr__(self, name, arr)
         table = self.degrees
         if table.dtype.kind in "iu" and table.size and table.min() >= 0:
             table = table.astype(np.min_scalar_type(table.max()))

@@ -1,11 +1,13 @@
 """Metered graph access through declared query plans.
 
 A :class:`QueryPlan` fixes every query up front; :func:`answer_plan` resolves
-the whole batch in one call. Because no answer exists before the last query is
-declared, nothing downstream can steer later queries with earlier answers.
-Two query kinds are supported, the only two the estimator issues: degree
-lookup and uniform random edge (with replacement). A plan is one block of
-each, degree probes first.
+the whole batch in one call through the two metered primitives
+:func:`answer_degrees` and :func:`answer_rand_edges`. A caller may also feed
+those a plan block by block, as long as the blocks come from a stream fixed
+before any answer, so no answer can steer a later query. Two query kinds
+are supported, the only two the estimator issues: degree lookup and uniform
+random edge (with replacement). A plan is one block of each, degree probes
+first.
 """
 
 from __future__ import annotations
@@ -143,34 +145,55 @@ class Transcript:
         return np.concatenate((np.full(self.degrees.shape[0], -1, np.int64), self.edges[:, 1]))
 
 
-def _validate_plan(graph: Graph, plan: QueryPlan) -> None:
-    if plan.provenance.n != graph.n:
-        raise ValueError(f"plan was built for n={plan.provenance.n}, graph has n={graph.n}")
-    v = plan.deg_vertices
+def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> np.ndarray:
+    """Answer ``Deg(v)`` for each of ``vertices``, in order, as int64 degrees.
+
+    A vertex outside ``0..n-1`` raises ``ValueError`` naming its position,
+    before anything is metered; otherwise ``ledger.deg`` grows by the probe
+    count.
+    """
+    v = np.asarray(vertices, dtype=np.int64)
     if v.size and (v.min() < 0 or v.max() >= graph.n):
         pos = int(np.flatnonzero((v < 0) | (v >= graph.n))[0])
         raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments")
+    degrees = graph.degree_table.take(v).astype(np.int64, copy=False)
+    ledger.deg += int(degrees.shape[0])
+    return degrees
+
+
+def answer_rand_edges(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:
+    """Answer ``count`` random-edge queries as a ``(count, 2)`` array of stored ``u < v`` rows.
+
+    The edges are i.i.d. uniform over the edge set, drawn from ``rng`` alone,
+    so consecutive calls on one generator give the same edges as one call
+    for their total. Any draw on an edgeless graph raises
+    :class:`EmptyGraphError` before anything is metered.
+    """
+    if count and graph.m == 0:
+        raise EmptyGraphError("graph has no edges; random-edge queries cannot be answered")
+    edges = graph.edges.take(rng.integers(0, graph.m, size=count), axis=0)
+    ledger.rand_edge += count
+    return edges
 
 
 def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLedger | None = None) -> Transcript:
     """Answer every query in ``plan`` against ``graph`` in one batch.
 
-    Random-edge draws are i.i.d. uniform over the edge set, driven solely by
-    ``answer_seed``. The ledger (fresh unless one is passed in to accumulate a
-    session) grows by exactly the plan's per-kind multiplicities; a plan
-    containing random-edge queries fails atomically on an edgeless graph,
-    before anything is metered.
+    Composes :func:`answer_degrees` and :func:`answer_rand_edges`, the
+    random edges drawn from a generator seeded with ``answer_seed``. The
+    ledger (fresh unless one is passed in to accumulate a session) grows by
+    exactly the plan's per-kind multiplicities; an invalid plan, or one with
+    random-edge queries on an edgeless graph, fails before anything is
+    metered.
     """
-    _validate_plan(graph, plan)
+    if plan.provenance.n != graph.n:
+        raise ValueError(f"plan was built for n={plan.provenance.n}, graph has n={graph.n}")
     if plan.n_rand and graph.m == 0:
         raise EmptyGraphError("graph has no edges; random-edge queries cannot be answered")
-    degrees = graph.degree_table.take(plan.deg_vertices).astype(np.int64, copy=False)
-    idx = np.random.default_rng(answer_seed).integers(0, graph.m, size=plan.n_rand)
-    edges = graph.edges.take(idx, axis=0)
     if ledger is None:
         ledger = QueryLedger()
-    ledger.deg += int(degrees.shape[0])
-    ledger.rand_edge += plan.n_rand
+    degrees = answer_degrees(graph, plan.deg_vertices, ledger)
+    edges = answer_rand_edges(graph, np.random.default_rng(answer_seed), plan.n_rand, ledger)
     return Transcript(plan=plan, degrees=degrees, edges=edges, answer_seed=answer_seed, ledger=ledger)
 
 

@@ -158,6 +158,23 @@ def test_unusable_estimator_parameters_exit_one_without_traceback(subprocess_env
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("c_s, shown", [("1e12", "1000000000000.0"), ("1e300", "1e+300")])
+def test_plans_above_the_query_ceiling_exit_one_naming_c_s(subprocess_env, c_s, shown):
+    result = subprocess.run(
+        [sys.executable, "-m", "edgecount.cli", "estimate", "--graph", "gnm:1000,2000", "--c-s", c_s],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: the plan at n=1000 has more than MAX_PLAN_QUERIES=4294967296 queries; "
+        f"its largest block, the degree sample, comes from c_s={shown}, epsilon=0.25\n"
+    )
+
+
 def test_closed_stdout_exits_141_quietly(subprocess_env):
     # the reader is gone before the CLI writes, like `edgecount estimate | head -0`
     read_end, write_end = os.pipe()

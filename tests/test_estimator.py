@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -12,16 +13,20 @@ from edgecount import (
     BRANCH_NON_COLLISION,
     BRANCH_ZERO_EDGES,
     BucketConfig,
-    DegenerateEstimateError,
     EstimatorParams,
     Graph,
     HeavySet,
+    QueryPlan,
+    answer_degrees,
     answer_plan,
-    bucketed_edge_estimate,
+    answer_rand_edges,
     build_graph,
     build_sample_plan,
     choose_endpoints,
     classify_heavy,
+    collision_edge_estimate,
+    collision_majority_vote,
+    count_collisions,
     derive_rng,
     derive_seed,
     estimate_edges,
@@ -30,11 +35,14 @@ from edgecount import (
     gen_clique_plus_isolated,
     gen_gnm,
     gen_path,
+    graph_from_spec,
     heavy_fraction_estimate,
     heavy_mass_estimate,
     heavy_vertex_mask,
     plan_layout,
 )
+from edgecount import estimator
+from edgecount.estimator import _DEGREE_CHUNK, MAX_PLAN_QUERIES
 from edgecount.graph import MAX_VERTICES
 from edgecount.oracle import DEG, RAND_EDGE
 
@@ -80,6 +88,45 @@ def test_plan_layout_names_the_parameters_of_an_unsizeable_block(overrides, name
         with pytest.raises(ValueError) as info:
             build(1000, params)
         assert str(info.value) == f"cannot size the {named}"
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"c_s": 1e12}, "degree sample, comes from c_s=1000000000000.0, epsilon=0.25"),
+        ({"c_s": 1e300}, "degree sample, comes from c_s=1e+300, epsilon=0.25"),
+        ({"c_t": 1e12}, "endpoint sample, comes from c_t=1000000000000.0, epsilon=0.25"),
+        ({"c_r": 1e9}, "vote, comes from c_r=1000000000.0"),
+        ({"collision_reps": 10**7}, "collision sample, comes from c_f=2.0, epsilon=0.25, collision_reps=10000000"),
+        ({"collision_reps": 10**400}, "collision sample, comes from c_f=2.0, epsilon=0.25, collision_reps=1000"),
+    ],
+)
+def test_plan_layout_rejects_plans_above_the_query_ceiling(overrides, named):
+    params = EstimatorParams(**{"epsilon": 0.25, **overrides})
+    graph = gen_gnm(1000, 2000, seed=0)
+    for build in (plan_layout, build_sample_plan, lambda n, p: estimate_edges(graph, p)):
+        # rejected before any block is drawn
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                build(1000, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = str(info.value)
+        assert message.startswith(f"the plan at n=1000 has more than MAX_PLAN_QUERIES={MAX_PLAN_QUERIES} queries; ")
+        assert f"its largest block, the {named}" in message
+        assert peak < 100_000
+
+
+def test_plan_query_ceiling_is_inclusive(monkeypatch):
+    params = EstimatorParams(epsilon=0.25)
+    total = plan_layout(1000, params).total
+    monkeypatch.setattr(estimator, "MAX_PLAN_QUERIES", total)
+    assert plan_layout(1000, params).total == total
+    monkeypatch.setattr(estimator, "MAX_PLAN_QUERIES", total - 1)
+    with pytest.raises(ValueError, match=f"has more than MAX_PLAN_QUERIES={total - 1} queries"):
+        plan_layout(1000, params)
 
 
 @pytest.mark.parametrize("bad_degree", [99, -1])
@@ -283,16 +330,13 @@ def pipeline_trials(dense_graph):
     rows = []
     for trial in range(200):
         params = EstimatorParams(epsilon=0.25, master_seed=derive_seed(99, f"trial:{trial}"))
+        report = estimate_edges(dense_graph, params)
         plan = build_sample_plan(REFERENCE_N, params)
         transcript = answer_plan(
             dense_graph, plan, derive_seed(params.master_seed, "oracle:answers")
         )
-        estimate, mass, fraction = bucketed_edge_estimate(transcript, params)
-        layout = plan_layout(REFERENCE_N, params)
-        heavy = classify_heavy(
-            transcript.ans_a[layout.degree_slice], params.bucket_config(REFERENCE_N), params.epsilon
-        )
-        rows.append((estimate, mass, fraction, heavy, params))
+        heavy = classify_heavy(transcript.degrees, params.bucket_config(REFERENCE_N), params.epsilon)
+        rows.append((report, report.d_tilde_h, report.p_tilde_h, heavy, params))
     return rows
 
 
@@ -318,17 +362,23 @@ def test_sampled_fraction_tracks_exact_heavy_fraction(dense_graph, pipeline_tria
 
 
 def test_ratio_estimate_composes_mass_and_fraction(pipeline_trials):
-    for estimate, mass, fraction, _, _ in pipeline_trials[:20]:
-        assert estimate == pytest.approx(mass / (2 * fraction))
+    for report, mass, fraction, _, _ in pipeline_trials[:20]:
+        assert report.branch == BRANCH_NON_COLLISION
+        assert report.m_hat == pytest.approx(mass / (2 * fraction))
 
 
-def test_degenerate_fraction_raises():
+def test_degenerate_fraction_takes_failed_branch():
+    # a single degree probe, on no chosen endpoint
     g = gen_clique_plus_isolated(100, 99)
     params = EstimatorParams(epsilon=0.25, master_seed=0, c_s=0.0001)
-    plan = build_sample_plan(100, params)
-    transcript = answer_plan(g, plan, derive_seed(0, "oracle:answers"))
-    with pytest.raises(DegenerateEstimateError):
-        bucketed_edge_estimate(transcript, params)
+    assert plan_layout(100, params).degree_size == 1
+    report = estimate_edges(g, params).to_json_dict()
+    assert report["branch"] == BRANCH_FAILED
+    assert report["m_hat"] is None
+    assert report["p_tilde_h"] == 0.0
+    assert report["d_tilde_h"] > 0.0
+    # the public kernels on the whole transcript see the same zero fraction
+    assert reference_report(g, params) == report
 
 
 def test_complete_graph_estimates_cluster_near_truth():
@@ -418,3 +468,114 @@ def test_estimate_report_invariants(n, density, epsilon, master_seed, graph_seed
     else:
         assert report.m_hat >= 0.0
         assert report.m_hat == pytest.approx(report.d_tilde_h / (2 * report.p_tilde_h))
+
+
+def reference_report(graph, params):
+    """``estimate_edges(graph, params).to_json_dict()`` rebuilt from the whole
+    plan and transcript with the public kernels, block by block in plan order."""
+    n = graph.n
+    layout = plan_layout(n, params)
+    plan = build_sample_plan(n, params)
+    transcript = answer_plan(graph, plan, derive_seed(params.master_seed, "oracle:answers"))
+    offset = layout.degree_size
+    blocks = {
+        name: transcript.edges[piece.start - offset : piece.stop - offset]
+        for name, piece in (
+            ("endpoint", layout.endpoint_slice),
+            ("vote", layout.vote_slice),
+            ("collision", layout.collision_slice),
+        )
+    }
+    vote = blocks["vote"]
+    k = collision_majority_vote(vote[:, 0], vote[:, 1], layout.vote_rounds, layout.vote_batch)
+    size = layout.collision_size
+    reps = sorted(count_collisions(blocks["collision"][j * size : (j + 1) * size]) for j in range(layout.collision_reps))
+    r = reps[len(reps) // 2]
+    config = params.bucket_config(n)
+    heavy = classify_heavy(transcript.degrees, config, params.epsilon)
+    mass = heavy_mass_estimate(heavy, config)
+    drawn = blocks["endpoint"]
+    endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
+    fraction = heavy_fraction_estimate(endpoints, plan.deg_vertices, transcript.degrees, heavy, config)
+    if r > 0 and k == 1:
+        m_hat, branch = collision_edge_estimate(size, r), BRANCH_COLLISION
+    elif fraction == 0.0:
+        m_hat, branch = None, BRANCH_FAILED
+    else:
+        m_hat, branch = mass / (2.0 * fraction), BRANCH_NON_COLLISION
+    return {
+        "m_hat": m_hat,
+        "branch": branch,
+        "r": r,
+        "k": k,
+        "d_tilde_h": mass,
+        "p_tilde_h": fraction,
+        "queries": transcript.ledger.as_dict(),
+    }
+
+
+# Graphs whose degree block spans several chunks at epsilon = 0.25: sparse
+# and skewed (collision branch) and dense (non-collision branch).
+STREAM_GRAPHS = ("gnm:200000,100000", "skewed:200000,2.5", "gnm:60000,600000")
+
+
+@pytest.fixture(scope="module", params=STREAM_GRAPHS)
+def stream_graph(request):
+    return graph_from_spec(request.param, 7)
+
+
+def test_stream_graphs_span_several_degree_chunks(stream_graph):
+    assert plan_layout(stream_graph.n, EstimatorParams(epsilon=0.25)).degree_size > _DEGREE_CHUNK
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_streamed_estimate_matches_the_whole_transcript(stream_graph, seed, reps):
+    params = EstimatorParams(epsilon=0.25, master_seed=seed, collision_reps=reps)
+    streamed = json.dumps(estimate_edges(stream_graph, params).to_json_dict(), sort_keys=True)
+    assert streamed == json.dumps(reference_report(stream_graph, params), sort_keys=True)
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+def test_streamed_queries_and_answers_concatenate_to_the_plan(monkeypatch, stream_graph, reps):
+    probes, degrees, rand_counts, edges = [], [], [], []
+
+    def record_degrees(graph, vertices, ledger):
+        probes.append(vertices.copy())
+        degrees.append(answer_degrees(graph, vertices, ledger))
+        return degrees[-1]
+
+    def record_rand_edges(graph, rng, count, ledger):
+        rand_counts.append(count)
+        edges.append(answer_rand_edges(graph, rng, count, ledger))
+        return edges[-1]
+
+    monkeypatch.setattr(estimator, "answer_degrees", record_degrees)
+    monkeypatch.setattr(estimator, "answer_rand_edges", record_rand_edges)
+    n = stream_graph.n
+    params = EstimatorParams(epsilon=0.25, master_seed=5, collision_reps=reps)
+    report = estimate_edges(stream_graph, params)
+
+    layout = plan_layout(n, params)
+    plan = build_sample_plan(n, params)
+    assert QueryPlan(np.concatenate(probes), sum(rand_counts), plan.provenance) == plan
+    assert len(probes) == -(-layout.degree_size // _DEGREE_CHUNK)
+    assert rand_counts == [layout.endpoint_size, layout.vote_size] + [layout.collision_size] * reps
+    assert report.queries.as_dict() == plan.counts()
+    transcript = answer_plan(stream_graph, plan, derive_seed(params.master_seed, "oracle:answers"))
+    assert np.array_equal(np.concatenate(degrees), transcript.degrees)
+    assert np.array_equal(np.concatenate(edges), transcript.edges)
+
+
+def test_estimate_peak_memory_stays_below_8_mb():
+    # the whole plan and transcript of this graph take 14 MB
+    graph = graph_from_spec("gnm:1000000,500000", 0)
+    params = EstimatorParams(epsilon=0.25, master_seed=1)
+    tracemalloc.start()
+    try:
+        report = estimate_edges(graph, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.queries.total == plan_layout(graph.n, params).total
+    assert peak < 8_000_000

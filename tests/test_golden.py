@@ -15,6 +15,9 @@ from edgecount import EstimatorParams, estimate_edges, graph_from_spec, run_dist
 
 ESTIMATE_GRAPHS = ("gnm:2000,8000", "gnm:3000,1000", "skewed:2000,3.0", "star:1500")
 
+# degree blocks of several chunks each at epsilon = 0.25
+STREAMED_GRAPHS = ("gnm:200000,100000", "skewed:200000,2.5", "gnm:60000,600000")
+
 GENERATED_GRAPHS = (
     ("gnm:10000,100000", 0),
     ("gnm:1000000,500000", 0),
@@ -40,6 +43,23 @@ def test_estimates_are_byte_identical():
                     count += 1
     assert count == 480
     assert h.hexdigest()[:16] == "0faff9878a66c508"
+
+
+def test_streamed_estimates_are_byte_identical():
+    # 3 graphs x 5 seeds x 1 or 3 collision reps; pinned on the estimator
+    # that answered the whole plan at once
+    h = hashlib.sha256()
+    count = 0
+    for spec in STREAMED_GRAPHS:
+        graph = graph_from_spec(spec, 7)
+        for seed in range(5):
+            for reps in (1, 3):
+                params = EstimatorParams(epsilon=0.25, master_seed=seed, collision_reps=reps)
+                report = estimate_edges(graph, params).to_json_dict()
+                h.update(json.dumps(report, sort_keys=True).encode())
+                count += 1
+    assert count == 30
+    assert h.hexdigest()[:16] == "b8373f51307a5da8"
 
 
 def test_lower_bound_experiment_is_byte_identical():

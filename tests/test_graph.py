@@ -60,6 +60,17 @@ def test_graph_is_immutable(triangle):
         triangle.edges[0, 0] = 5
 
 
+def test_hand_built_graph_converts_list_edges_and_degrees():
+    graph = Graph(4, [[0, 1], [1, 2]], [1, 2, 1, 0])
+    assert isinstance(graph.edges, np.ndarray) and isinstance(graph.degrees, np.ndarray)
+    assert graph.edges.shape == (2, 2)
+    assert graph.m == 2
+    assert graph.edges.flags.writeable is False
+    assert graph.degrees.flags.writeable is False
+    assert graph.degree_table.tolist() == [1, 2, 1, 0]
+    assert graph == build_graph(4, [(0, 1), (1, 2)])
+
+
 def test_graph_equality_ignores_input_order():
     a = build_graph(4, [(2, 3), (0, 1)])
     b = build_graph(4, [(1, 0), (3, 2), (0, 1)])

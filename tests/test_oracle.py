@@ -13,7 +13,9 @@ from edgecount import (
     PlanProvenance,
     QueryLedger,
     QueryPlan,
+    answer_degrees,
     answer_plan,
+    answer_rand_edges,
     audit_nonadaptive,
     build_graph,
     build_sample_plan,
@@ -101,6 +103,36 @@ def test_plan_validation_errors(triangle):
         answer_plan(triangle, _plan(3, degs=[0, -1]), answer_seed=0)
     with pytest.raises(ValueError, match="built for n=4"):
         answer_plan(triangle, _plan(4, degs=[0]), answer_seed=0)
+
+
+def test_answer_degrees_meters_and_rejects_before_metering(triangle):
+    ledger = QueryLedger()
+    degrees = answer_degrees(triangle, np.array([2, 0, 2]), ledger)
+    assert degrees.dtype == np.int64
+    assert degrees.tolist() == [2, 2, 2]
+    assert ledger.as_dict() == {"deg": 3, "rand_edge": 0}
+    with pytest.raises(ValueError, match="query 1 \\(Deg\\(3\\)\\)"):
+        answer_degrees(triangle, np.array([0, 3]), ledger)
+    assert ledger.as_dict() == {"deg": 3, "rand_edge": 0}
+
+
+def test_consecutive_rand_edge_calls_answer_like_one_plan():
+    g = gen_gnm(300, 2000, seed=1)
+    whole = answer_plan(g, _plan(300, rand_edges=1000), answer_seed=4)
+    rng = np.random.default_rng(4)
+    ledger = QueryLedger()
+    parts = [answer_rand_edges(g, rng, count, ledger) for count in (1, 0, 333, 666)]
+    assert np.array_equal(np.concatenate(parts), whole.edges)
+    assert ledger.as_dict() == {"deg": 0, "rand_edge": 1000}
+
+
+def test_rand_edges_on_empty_graph_fail_before_metering():
+    g = build_graph(4, [])
+    ledger = QueryLedger()
+    with pytest.raises(EmptyGraphError):
+        answer_rand_edges(g, np.random.default_rng(0), 1, ledger)
+    assert answer_rand_edges(g, np.random.default_rng(0), 0, ledger).shape == (0, 2)
+    assert ledger.total == 0
 
 
 def ref_columns(graph, degs, n_rand, answer_seed):
