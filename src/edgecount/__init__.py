@@ -68,6 +68,7 @@ from .oracle import (
     Transcript,
     answer_degrees,
     answer_plan,
+    answer_rand_edge_ids,
     answer_rand_edges,
     audit_nonadaptive,
     deg_block,

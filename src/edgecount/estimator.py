@@ -13,6 +13,7 @@ block by block and never holds either.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -26,6 +27,7 @@ from .oracle import (
     QueryLedger,
     QueryPlan,
     answer_degrees,
+    answer_rand_edge_ids,
     answer_rand_edges,
 )
 from .seeding import derive_rng, derive_seed
@@ -77,8 +79,13 @@ class EstimatorParams:
             raise ValueError("epsilon must be in (0, 0.8]")
         for name in ("c_s", "c_t", "c_f", "c_r"):
             _check_positive_finite(name, getattr(self, name))
-        if self.collision_reps < 1:
+        try:
+            reps = operator.index(self.collision_reps)
+        except TypeError:
+            raise ValueError(f"collision_reps must be an integer, got {self.collision_reps!r}") from None
+        if reps < 1:
             raise ValueError("collision_reps must be at least 1")
+        object.__setattr__(self, "collision_reps", reps)
         if self.gamma is None:
             object.__setattr__(self, "gamma", self.epsilon / 10.0)
         else:
@@ -379,10 +386,15 @@ def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
     arr = arr.reshape(-1, 2)
     codes = _edge_codes(arr[:, 0], arr[:, 1])
     codes.sort()
-    # a run of c equal codes repeats its code c - 1 times and holds
+    return _sorted_collisions(codes)
+
+
+def _sorted_collisions(keys: np.ndarray) -> int:
+    """Number of index pairs ``i < j`` with equal keys in a sorted 1-d array."""
+    # a run of c equal keys repeats its key c - 1 times and holds
     # c * (c - 1) / 2 colliding pairs; sorting beats numpy 2.x's hash-based
     # np.unique(return_counts=True), and only the few repeats are counted
-    repeats = codes[1:][codes[1:] == codes[:-1]]
+    repeats = keys[1:][keys[1:] == keys[:-1]]
     extra = np.diff(np.append(np.flatnonzero(run_starts(repeats)), repeats.shape[0]))
     return int((extra * (extra + 1) // 2).sum())
 
@@ -415,8 +427,23 @@ def collision_majority_vote(edge_u: np.ndarray, edge_v: np.ndarray, rounds: int,
         raise ValueError(f"vote needs {rounds} x {batch_size} = {size} edges")
     codes = _edge_codes(edge_u[:size], edge_v[:size]).reshape(rounds, batch_size)
     codes.sort(axis=1)
-    votes = int(np.count_nonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1)))
-    return 1 if 2 * votes > rounds else 0
+    return _sorted_majority_vote(codes)
+
+
+def _sorted_majority_vote(batches: np.ndarray) -> int:
+    """1 if more than half of the rows of a row-sorted 2-d array hold a repeated key, else 0."""
+    votes = int(np.count_nonzero((batches[:, 1:] == batches[:, :-1]).any(axis=1)))
+    return 1 if 2 * votes > batches.shape[0] else 0
+
+
+def _edge_id_keys(ids: np.ndarray, m: int) -> np.ndarray:
+    """Positions in an ``m``-row ``graph.edges`` as a copy in the narrowest unsigned dtype holding ``m - 1``.
+
+    Rows are distinct, so equal positions are equal edges and the keys
+    count collisions as edge codes would; uint32 keys sort about twice as
+    fast as int64 ones.
+    """
+    return ids.astype(np.min_scalar_type(m - 1))
 
 
 @dataclass(frozen=True)
@@ -476,11 +503,18 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
         )
     endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
     _check_vertex_ids("endpoints", endpoints, graph.n)
-    k = _vote(answer_rand_edges(graph, rng, layout.vote_size, ledger), layout)
-    rep_counts = [
-        count_collisions(answer_rand_edges(graph, rng, layout.collision_size, ledger))
-        for _ in range(layout.collision_reps)
-    ]
+    # the vote and the collision count only compare edges, so they read
+    # the drawn positions and never gather rows
+    votes = _edge_id_keys(answer_rand_edge_ids(graph, rng, layout.vote_size, ledger), graph.m)
+    votes = votes.reshape(layout.vote_rounds, layout.vote_batch)
+    votes.sort(axis=1)
+    k = _sorted_majority_vote(votes)
+    rep_counts = []
+    for _ in range(layout.collision_reps):
+        keys = _edge_id_keys(answer_rand_edge_ids(graph, rng, layout.collision_size, ledger), graph.m)
+        keys.sort()
+        rep_counts.append(_sorted_collisions(keys))
+    del votes, keys  # freed before the degree block streams
     r = sorted(rep_counts)[len(rep_counts) // 2]  # upper median; identity for one rep
 
     heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, ledger)
@@ -504,11 +538,6 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
         p_tilde_h=fraction,
         queries=ledger.snapshot(),
     )
-
-
-def _vote(edges: np.ndarray, layout: PlanLayout) -> int:
-    """:func:`collision_majority_vote` of the answered vote block, which is freed on return."""
-    return collision_majority_vote(edges[:, 0], edges[:, 1], layout.vote_rounds, layout.vote_batch)
 
 
 def _stream_degree_block(

@@ -42,7 +42,7 @@ class QueryBudgetError(AssertionError):
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Inputs for a batch of estimation trials on one graph."""
+    """Inputs for a batch of estimation trials on one graph; ``trials`` must be at least 1."""
 
     graph: str  # generator spec, or "file:PATH"
     epsilon: float = 0.25
@@ -54,6 +54,10 @@ class TrialConfig:
     c_f: float | None = None
     c_r: float | None = None
     collision_reps: int = 1
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
     def params_for(self, trial_seed: int) -> EstimatorParams:
         overrides = {
@@ -369,7 +373,17 @@ def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int 
     of the two expected counts. A fixed probe set (vertices ``0..q-1``) is also
     scored against each placement: how often the whole set misses the planted
     vertices, and the per-probe miss rate.
+
+    ``n`` below 7 (too small for the planted set), ``q`` below 1 or
+    ``trials`` below 1 raise ``ValueError`` naming the parameter before any
+    instance is drawn.
     """
+    if n < 7:
+        raise ValueError(f"n must be at least 7 for the lower-bound instance, got {n}")
+    if q < 1:
+        raise ValueError(f"q must be at least 1, got {q}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     expected_a = math.comb(q, 2) / n
     expected_b = math.comb(q, 2) / (n // 2 - 1)
     threshold = (expected_a + expected_b) / 2.0

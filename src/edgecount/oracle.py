@@ -1,9 +1,10 @@
 """Metered graph access through declared query plans.
 
 A :class:`QueryPlan` fixes every query up front; :func:`answer_plan` resolves
-the whole batch in one call through the two metered primitives
-:func:`answer_degrees` and :func:`answer_rand_edges`. A caller may also feed
-those a plan block by block, as long as the blocks come from a stream fixed
+the whole batch in one call through the metered primitives
+:func:`answer_degrees` and :func:`answer_rand_edges`, the rows at the
+positions :func:`answer_rand_edge_ids` draws. A caller may also feed those
+a plan block by block, as long as the blocks come from a stream fixed
 before any answer, so no answer can steer a later query. Two query kinds
 are supported, the only two the estimator issues: degree lookup and uniform
 random edge (with replacement). A plan is one block of each, degree probes
@@ -161,19 +162,28 @@ def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> n
     return degrees
 
 
-def answer_rand_edges(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:
-    """Answer ``count`` random-edge queries as a ``(count, 2)`` array of stored ``u < v`` rows.
+def answer_rand_edge_ids(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:
+    """Answer ``count`` random-edge queries as int64 positions in ``graph.edges``.
 
-    The edges are i.i.d. uniform over the edge set, drawn from ``rng`` alone,
-    so consecutive calls on one generator give the same edges as one call
-    for their total. Any draw on an edgeless graph raises
-    :class:`EmptyGraphError` before anything is metered.
+    A position identifies its edge because the rows of ``graph.edges`` are
+    distinct (the :func:`~edgecount.graph.build_graph` contract): on a
+    graph that keeps it, equal positions are equal edges, so repeats can be
+    counted on the positions alone. The positions are i.i.d. uniform over
+    ``0..m-1``, drawn from ``rng`` alone, so consecutive calls on one
+    generator give the same positions as one call for their total. Any draw
+    on an edgeless graph raises :class:`EmptyGraphError` before anything is
+    metered; otherwise ``ledger.rand_edge`` grows by ``count``.
     """
     if count and graph.m == 0:
         raise EmptyGraphError("graph has no edges; random-edge queries cannot be answered")
-    edges = graph.edges.take(rng.integers(0, graph.m, size=count), axis=0)
+    ids = rng.integers(0, graph.m, size=count)
     ledger.rand_edge += count
-    return edges
+    return ids
+
+
+def answer_rand_edges(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:
+    """:func:`answer_rand_edge_ids` as a ``(count, 2)`` array of the stored ``u < v`` rows."""
+    return graph.edges.take(answer_rand_edge_ids(graph, rng, count, ledger), axis=0)
 
 
 def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLedger | None = None) -> Transcript:

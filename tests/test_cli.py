@@ -136,11 +136,19 @@ def test_out_dir_env_var_is_honored(capsys, tmp_path, monkeypatch):
         ["estimate", "--graph", "path:100", "--eps", "1.5"],
         ["estimate", "--file", "/nonexistent/never.txt"],
         ["gen", "--graph", "gnm:10,999", "--seed", "0", "--out", "/dev/null"],
+        ["lowerbound", "--n", "10", "--q", "0"],
+        ["lowerbound", "--n", "10", "--q", "-1"],
+        ["lowerbound", "--n", "10", "--trials", "0"],
+        ["lowerbound", "--n", "3"],
+        ["bench", "--graph", "gnm:300,900", "--trials", "0"],
+        ["bench", "--graph", "gnm:300,900", "--trials", "-3"],
     ],
 )
-def test_bad_inputs_exit_one(capsys, argv):
+def test_bad_inputs_exit_one(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("EDGECOUNT_OUT_DIR", str(tmp_path))
     code, _, _ = run_cli(capsys, *argv)
     assert code == 1
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("option", ["--c-s=inf", "--c-r=inf", "--c-s=nan", "--c-f=1e308", "--eps=1e-300"])

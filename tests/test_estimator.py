@@ -19,6 +19,7 @@ from edgecount import (
     QueryPlan,
     answer_degrees,
     answer_plan,
+    answer_rand_edge_ids,
     answer_rand_edges,
     build_graph,
     build_sample_plan,
@@ -58,6 +59,9 @@ def test_params_validation():
         EstimatorParams(epsilon=0.5, c_t=0.0)
     with pytest.raises(ValueError, match="collision_reps"):
         EstimatorParams(epsilon=0.5, collision_reps=0)
+    with pytest.raises(ValueError, match="collision_reps must be an integer, got 1.5"):
+        EstimatorParams(epsilon=0.5, collision_reps=1.5)
+    assert type(EstimatorParams(epsilon=0.5, collision_reps=np.int64(3)).collision_reps) is int
     with pytest.raises(ValueError, match="gamma"):
         EstimatorParams(epsilon=0.5, gamma=-1.0)
     assert EstimatorParams(epsilon=0.4).gamma == pytest.approx(0.04)
@@ -550,8 +554,15 @@ def test_streamed_queries_and_answers_concatenate_to_the_plan(monkeypatch, strea
         edges.append(answer_rand_edges(graph, rng, count, ledger))
         return edges[-1]
 
+    def record_rand_edge_ids(graph, rng, count, ledger):
+        rand_counts.append(count)
+        ids = answer_rand_edge_ids(graph, rng, count, ledger)
+        edges.append(graph.edges.take(ids, axis=0))
+        return ids
+
     monkeypatch.setattr(estimator, "answer_degrees", record_degrees)
     monkeypatch.setattr(estimator, "answer_rand_edges", record_rand_edges)
+    monkeypatch.setattr(estimator, "answer_rand_edge_ids", record_rand_edge_ids)
     n = stream_graph.n
     params = EstimatorParams(epsilon=0.25, master_seed=5, collision_reps=reps)
     report = estimate_edges(stream_graph, params)

@@ -121,6 +121,34 @@ def test_distinguisher_reproducible():
     assert first.rows == second.rows
 
 
+@pytest.mark.parametrize(
+    "n, q, trials, message",
+    [
+        (10, 0, 5, "q must be at least 1, got 0"),
+        (10, -1, 5, "q must be at least 1, got -1"),
+        (10, 5, 0, "trials must be at least 1, got 0"),
+        (10, 5, -2, "trials must be at least 1, got -2"),
+        (3, 5, 5, "n must be at least 7 for the lower-bound instance, got 3"),
+        (0, 5, 5, "n must be at least 7 for the lower-bound instance, got 0"),
+    ],
+)
+def test_distinguisher_rejects_sizes_it_cannot_run(monkeypatch, n, q, trials, message):
+    def no_instances(*args):
+        raise AssertionError("an instance was drawn before the sizes were checked")
+
+    monkeypatch.setattr(edgecount.experiments, "gen_lowerbound_instance", no_instances)
+    with pytest.raises(ValueError) as info:
+        run_distinguishing_experiment(n, q=q, trials=trials, master_seed=0)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_trial_config_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError) as info:
+        TrialConfig(graph="gnm:500,2000", trials=trials)
+    assert str(info.value) == f"trials must be at least 1, got {trials}"
+
+
 def test_write_experiment_files(tmp_path):
     header = ["trial", "value"]
     rows = [[0, 1.5], [1, 2.5]]

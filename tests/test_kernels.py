@@ -27,6 +27,8 @@ from edgecount import (
     heavy_fraction_estimate,
     plan_layout,
 )
+from edgecount.estimator import _edge_id_keys, _sorted_collisions, _sorted_majority_vote
+from edgecount.generators import gen_path
 from edgecount.graph import sorted_unique
 
 
@@ -175,6 +177,38 @@ def test_majority_vote_matches_per_round_scan(pairs, rounds, batch_size, extra):
     assert collision_majority_vote(edges[:, 0], edges[:, 1], rounds, batch_size) == ref_vote(
         edges[:, 0], edges[:, 1], rounds, batch_size
     )
+
+
+# edge counts either side of the uint8 and uint16 key limits, with the key
+# width each must get: a key one byte too narrow aliases position 256 or
+# 65536 with position 0
+ID_KEY_BYTES = {255: 1, 256: 1, 257: 2, 65535: 2, 65536: 2, 65537: 4}
+ID_GRAPH_EDGES = {m: gen_path(m + 1).edges for m in ID_KEY_BYTES}
+
+
+@st.composite
+def drawn_edge_ids(draw):
+    """Edge positions on one of the ``ID_KEY_BYTES`` edge counts, biased to
+    both ends of the range and with repeats mixed in."""
+    m = draw(st.sampled_from(sorted(ID_KEY_BYTES)))
+    position = st.integers(0, 3) | st.integers(m - 4, m - 1) | st.integers(0, m - 1)
+    ids = draw(st.lists(position, min_size=1, max_size=60))
+    ids += draw(st.lists(st.sampled_from(ids), max_size=20))
+    return m, np.array(draw(st.permutations(ids)), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_edge_ids(), st.integers(1, 6))
+def test_id_kernels_match_the_row_kernels(drawn, rounds):
+    m, ids = drawn
+    rows = ID_GRAPH_EDGES[m].take(ids, axis=0)
+    keys = _edge_id_keys(ids, m)
+    assert keys.dtype.kind == "u"
+    assert keys.itemsize == ID_KEY_BYTES[m]
+    assert _sorted_collisions(np.sort(keys)) == count_collisions(rows)
+    batch = ids.shape[0] // rounds
+    batches = np.sort(keys[: rounds * batch].reshape(rounds, batch), axis=1)
+    assert _sorted_majority_vote(batches) == collision_majority_vote(rows[:, 0], rows[:, 1], rounds, batch)
 
 
 def test_majority_vote_rejects_too_few_edges():

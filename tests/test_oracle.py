@@ -15,6 +15,7 @@ from edgecount import (
     QueryPlan,
     answer_degrees,
     answer_plan,
+    answer_rand_edge_ids,
     answer_rand_edges,
     audit_nonadaptive,
     build_graph,
@@ -132,6 +133,31 @@ def test_rand_edges_on_empty_graph_fail_before_metering():
     with pytest.raises(EmptyGraphError):
         answer_rand_edges(g, np.random.default_rng(0), 1, ledger)
     assert answer_rand_edges(g, np.random.default_rng(0), 0, ledger).shape == (0, 2)
+    assert ledger.total == 0
+
+
+@pytest.mark.parametrize("count", [0, 1, 777])
+def test_rand_edges_are_the_rows_at_the_drawn_ids(count):
+    g = gen_gnm(300, 2000, seed=1)
+    id_ledger, row_ledger = QueryLedger(), QueryLedger()
+    ids = answer_rand_edge_ids(g, np.random.default_rng(8), count, id_ledger)
+    rows = answer_rand_edges(g, np.random.default_rng(8), count, row_ledger)
+    assert ids.dtype == np.int64
+    assert ids.shape == (count,)
+    assert np.array_equal(rows, g.edges.take(ids, axis=0))
+    assert id_ledger == row_ledger == QueryLedger(deg=0, rand_edge=count)
+
+
+def test_rand_edge_ids_on_empty_graph_fail_before_metering():
+    g = build_graph(4, [])
+    ledger = QueryLedger()
+    with pytest.raises(EmptyGraphError):
+        answer_rand_edge_ids(g, np.random.default_rng(0), 1, ledger)
+    ids = answer_rand_edge_ids(g, np.random.default_rng(0), 0, ledger)
+    assert ids.shape == (0,)
+    rows = answer_rand_edges(g, np.random.default_rng(0), 0, ledger)
+    assert np.array_equal(rows, g.edges.take(ids, axis=0))
+    assert rows.shape == (0, 2)
     assert ledger.total == 0
 
 
