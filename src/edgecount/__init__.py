@@ -71,7 +71,6 @@ from .oracle import (
     answer_rand_edge_ids,
     answer_rand_edges,
     audit_nonadaptive,
-    deg_block,
     plan_from_blocks,
     rand_edge_block,
 )

@@ -46,6 +46,11 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--collision-reps", type=int, default=1, help="median-of-reps collision samples")
 
 
+def _add_outputs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", default=_default_out_dir(), help=f"output directory (default ${OUT_DIR_ENV} or .)")
+    parser.add_argument("--format", choices=("json", "csv"), default="json", help="what to print on stdout")
+
+
 def _resolve_graph(args: argparse.Namespace):
     if args.file is not None:
         return read_edge_list(args.file)
@@ -81,34 +86,26 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 2 if report.branch == BRANCH_FAILED else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    stats = run_accuracy_trials(_trial_config(args, args.trials))
-    header, rows = stats.csv_rows()
-    summary = stats.summary_dict()
-    csv_path, json_path = write_experiment_files(
-        "bench", stats.n, args.eps, args.seed, header, rows, summary, args.out
-    )
+def _write_outputs(args: argparse.Namespace, name: str, n: int, tag: float, result) -> int:
+    """Write ``result``'s CSV and JSON files, print one as ``--format`` asks, and name both on stderr."""
+    summary = result.summary_dict()
+    csv_path, json_path = write_experiment_files(name, n, tag, args.seed, *result.csv_rows(), summary, args.out)
     if args.format == "csv":
         sys.stdout.write(csv_path.read_text(encoding="ascii"))
     else:
         print(json.dumps(summary, indent=2, sort_keys=True))
     print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
     return 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    stats = run_accuracy_trials(_trial_config(args, args.trials))
+    return _write_outputs(args, "bench", stats.n, args.eps, stats)
 
 
 def _cmd_lowerbound(args: argparse.Namespace) -> int:
     result = run_distinguishing_experiment(args.n, args.q, args.trials, args.seed)
-    header, rows = result.csv_rows()
-    summary = result.summary_dict()
-    csv_path, json_path = write_experiment_files(
-        "lowerbound", args.n, args.q, args.seed, header, rows, summary, args.out
-    )
-    if args.format == "csv":
-        sys.stdout.write(csv_path.read_text(encoding="ascii"))
-    else:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
-    return 0
+    return _write_outputs(args, "lowerbound", args.n, args.q, result)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -131,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p_bench)
     _add_params(p_bench)
     p_bench.add_argument("--trials", type=int, default=100)
-    p_bench.add_argument("--out", default=_default_out_dir(), help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    p_bench.add_argument("--format", choices=("json", "csv"), default="json", help="what to print on stdout")
+    _add_outputs(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_low = sub.add_parser("lowerbound", help="planted-support distinguishing experiment")
@@ -140,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_low.add_argument("--q", type=int, default=10, help="random-edge samples per case")
     p_low.add_argument("--trials", type=int, default=500)
     p_low.add_argument("--seed", type=int, default=0)
-    p_low.add_argument("--out", default=_default_out_dir(), help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    p_low.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_outputs(p_low)
     p_low.set_defaults(func=_cmd_lowerbound)
 
     p_gen = sub.add_parser("gen", help="write a generated graph as an edge-list file")

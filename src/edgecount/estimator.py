@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .buckets import BucketConfig
-from .graph import MAX_VERTICES, Graph, run_starts
+from .graph import MAX_VERTICES, Graph, pair_codes, run_starts
 from .oracle import (
     EmptyGraphError,
     PlanProvenance,
@@ -40,6 +40,9 @@ BRANCH_FAILED = "failed"
 # Largest plan that plan_layout sizes. Its degree probes alone would fill
 # 32 GiB as int64 vertices, so only misset constants ask for more.
 MAX_PLAN_QUERIES = 2**32
+
+# Radix of the row kernels' pair codes: their endpoints must lie below it.
+_ROW_RADIX = 2**32
 
 # Degree probes drawn, answered and folded at a time by estimate_edges: a
 # chunk's int64 vertices and degrees take 1 MiB each.
@@ -379,14 +382,25 @@ def _heavy_fraction(
 
 
 def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
-    """Number of index pairs ``i < j`` whose edges are identical."""
+    """Number of index pairs ``i < j`` whose edges are identical.
+
+    An endpoint outside ``0..2**32-1`` would alias in the pair codes: ``ValueError``.
+    """
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
     if arr.size == 0:
         return 0
     arr = arr.reshape(-1, 2)
-    codes = _edge_codes(arr[:, 0], arr[:, 1])
+    _check_vertex_ids("edge endpoints", arr, _ROW_RADIX)
+    codes = pair_codes(arr[:, 0], arr[:, 1], _ROW_RADIX)
     codes.sort()
     return _sorted_collisions(codes)
+
+
+def count_id_collisions(ids: np.ndarray, m: int) -> int:
+    """:func:`count_collisions` of the rows at positions ``ids`` of an ``m``-row ``graph.edges``."""
+    keys = _edge_id_keys(ids, m)
+    keys.sort()
+    return _sorted_collisions(keys)
 
 
 def _sorted_collisions(keys: np.ndarray) -> int:
@@ -394,17 +408,9 @@ def _sorted_collisions(keys: np.ndarray) -> int:
     # a run of c equal keys repeats its key c - 1 times and holds
     # c * (c - 1) / 2 colliding pairs; sorting beats numpy 2.x's hash-based
     # np.unique(return_counts=True), and only the few repeats are counted
-    repeats = keys[1:][keys[1:] == keys[:-1]]
+    repeats = keys[1:].take(np.flatnonzero(keys[1:] == keys[:-1]))
     extra = np.diff(np.append(np.flatnonzero(run_starts(repeats)), repeats.shape[0]))
     return int((extra * (extra + 1) // 2).sum())
-
-
-def _edge_codes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``min << 32 | max`` of each endpoint pair, built with one temporary."""
-    codes = np.minimum(u, v)
-    codes <<= 32
-    codes |= np.maximum(u, v)
-    return codes
 
 
 def collision_edge_estimate(sample_count: int, collisions: int) -> float:
@@ -418,14 +424,17 @@ def collision_majority_vote(edge_u: np.ndarray, edge_v: np.ndarray, rounds: int,
     """1 if more than half of the rounds saw any within-batch collision, else 0.
 
     Round ``j`` is the batch of edges ``j * batch_size .. (j + 1) * batch_size - 1``;
-    fewer than ``rounds * batch_size`` edges is an error.
+    fewer than ``rounds * batch_size`` edges is an error, and so is an
+    endpoint outside ``0..2**32-1``, as in :func:`count_collisions`.
     """
     size = rounds * batch_size
     edge_u = np.asarray(edge_u, dtype=np.int64)
     edge_v = np.asarray(edge_v, dtype=np.int64)
     if min(edge_u.shape[0], edge_v.shape[0]) < size:
         raise ValueError(f"vote needs {rounds} x {batch_size} = {size} edges")
-    codes = _edge_codes(edge_u[:size], edge_v[:size]).reshape(rounds, batch_size)
+    _check_vertex_ids("edge endpoints", edge_u, _ROW_RADIX)
+    _check_vertex_ids("edge endpoints", edge_v, _ROW_RADIX)
+    codes = pair_codes(edge_u[:size], edge_v[:size], _ROW_RADIX).reshape(rounds, batch_size)
     codes.sort(axis=1)
     return _sorted_majority_vote(codes)
 
@@ -509,12 +518,10 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     votes = votes.reshape(layout.vote_rounds, layout.vote_batch)
     votes.sort(axis=1)
     k = _sorted_majority_vote(votes)
+    del votes  # freed before the collision samples and the degree block
     rep_counts = []
     for _ in range(layout.collision_reps):
-        keys = _edge_id_keys(answer_rand_edge_ids(graph, rng, layout.collision_size, ledger), graph.m)
-        keys.sort()
-        rep_counts.append(_sorted_collisions(keys))
-    del votes, keys  # freed before the degree block streams
+        rep_counts.append(count_id_collisions(answer_rand_edge_ids(graph, rng, layout.collision_size, ledger), graph.m))
     r = sorted(rep_counts)[len(rep_counts) // 2]  # upper median; identity for one rep
 
     heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, ledger)

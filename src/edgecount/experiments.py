@@ -20,15 +20,15 @@ from .estimator import (
     BRANCH_COLLISION,
     BRANCH_FAILED,
     EstimatorParams,
+    build_sample_plan,
     classify_heavy,
-    count_collisions,
+    count_id_collisions,
     estimate_edges,
     plan_layout,
-    build_sample_plan,
 )
 from .exact import exact_heavy_fraction, heavy_light_decomposition
 from .generators import gen_lowerbound_instance, load_graph
-from .oracle import PlanProvenance, answer_plan, plan_from_blocks, rand_edge_block
+from .oracle import QueryLedger, answer_degrees, answer_rand_edge_ids
 from .seeding import derive_seed
 
 
@@ -165,13 +165,10 @@ def run_accuracy_trials(config: TrialConfig) -> TrialStats:
     """Estimate the same graph ``config.trials`` times with per-trial seeds."""
     graph = load_graph(config.graph, derive_seed(config.master_seed, "graph"))
     rows: list[TrialRow] = []
-    successes = 0
     for j in range(config.trials):
         params = config.params_for(derive_seed(config.master_seed, f"trial:{j}"))
         report = estimate_edges(graph, params)
         rel = _relative_error(report.m_hat, graph.m)
-        if rel is not None and rel <= config.target:
-            successes += 1
         rows.append(
             TrialRow(
                 trial=j,
@@ -185,6 +182,7 @@ def run_accuracy_trials(config: TrialConfig) -> TrialStats:
         )
 
     finite = [row.rel_error for row in rows if row.rel_error is not None]
+    successes = sum(rel <= config.target for rel in finite)
     resolved = config.resolved_params(graph.n)
     resolved["plan_total"] = plan_layout(graph.n, config.params_for(config.master_seed)).total
     return TrialStats(
@@ -192,9 +190,9 @@ def run_accuracy_trials(config: TrialConfig) -> TrialStats:
         n=graph.n,
         m_true=graph.m,
         rows=rows,
-        success_rate=successes / config.trials if config.trials else 0.0,
-        collision_branch_rate=sum(row.branch == BRANCH_COLLISION for row in rows) / max(config.trials, 1),
-        vote_one_rate=sum(row.k == 1 for row in rows) / max(config.trials, 1),
+        success_rate=successes / config.trials,
+        collision_branch_rate=sum(row.branch == BRANCH_COLLISION for row in rows) / config.trials,
+        vote_one_rate=sum(row.k == 1 for row in rows) / config.trials,
         failed_trials=sum(row.branch == BRANCH_FAILED for row in rows),
         mean_rel_error=float(np.mean(finite)) if finite else None,
         max_rel_error=float(np.max(finite)) if finite else None,
@@ -276,11 +274,14 @@ class PhBoundStats:
 def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_seed: int = 0) -> PhBoundStats:
     """Check the true heavy fraction against ``1/2 - eps/8`` across trials.
 
-    Only meaningful in the dense regime; graphs with ``m < n/2`` are rejected.
-    The heavy classification comes from metered degree probes, while the
+    Only meaningful in the dense regime; graphs with ``m < n/2`` are rejected,
+    and so is ``trials`` below 1, before the graph is loaded. The heavy
+    classification comes from the plan's metered degree probes, while the
     fraction it earns is scored by the exact oracle (which also re-checks the
     decomposition identities every trial).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     graph = load_graph(graph_source, derive_seed(master_seed, "graph"))
     if graph.m < graph.n / 2:
         raise ValueError(f"heavy-fraction bound applies to m >= n/2 (got m={graph.m}, n={graph.n})")
@@ -288,10 +289,9 @@ def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_se
     values: list[float] = []
     for j in range(trials):
         params = EstimatorParams(epsilon=epsilon, master_seed=derive_seed(master_seed, f"trial:{j}"))
-        plan = build_sample_plan(graph.n, params)
-        transcript = answer_plan(graph, plan, derive_seed(params.master_seed, "oracle:answers"))
+        degrees = answer_degrees(graph, build_sample_plan(graph.n, params).deg_vertices, QueryLedger())
         config = params.bucket_config(graph.n)
-        heavy = classify_heavy(transcript.degrees, config, epsilon)
+        heavy = classify_heavy(degrees, config, epsilon)
         heavy_light_decomposition(graph, heavy.indices, config)  # identity checks
         values.append(exact_heavy_fraction(graph, heavy.indices, config))
     meeting = sum(value >= bound for value in values)
@@ -303,7 +303,7 @@ def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_se
         trials=trials,
         master_seed=master_seed,
         bound=bound,
-        fraction_meeting_bound=meeting / trials if trials else 0.0,
+        fraction_meeting_bound=meeting / trials,
         heavy_fractions=values,
     )
 
@@ -369,10 +369,11 @@ def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int 
 
     Per trial, a new placement and slot mapping is drawn, both graphs are
     sampled with ``q`` random-edge queries each, and the decision rule guesses
-    the sparse-support case whenever the collision count exceeds the midpoint
-    of the two expected counts. A fixed probe set (vertices ``0..q-1``) is also
-    scored against each placement: how often the whole set misses the planted
-    vertices, and the per-probe miss rate.
+    the sparse-support case whenever the collision count, taken on the drawn
+    edge positions, exceeds the midpoint of the two expected counts. A fixed
+    probe set (vertices ``0..q-1``) is also scored against each placement:
+    how often the whole set misses the planted vertices, and the per-probe
+    miss rate.
 
     ``n`` below 7 (too small for the planted set), ``q`` below 1 or
     ``trials`` below 1 raise ``ValueError`` naming the parameter before any
@@ -396,11 +397,10 @@ def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int 
     probe_hit_total = 0
     for j in range(trials):
         instance = gen_lowerbound_instance(n, derive_seed(master_seed, f"instance:{j}"))
-        plan = plan_from_blocks(PlanProvenance(n=n, epsilon=None, seed=master_seed), rand_edge_block(q))
         counts = {}
         for label, graph in (("a", instance.graph_a), ("b", instance.graph_b)):
-            transcript = answer_plan(graph, plan, derive_seed(master_seed, f"answers:{label}:{j}"))
-            counts[label] = count_collisions(transcript.edges)
+            rng = np.random.default_rng(derive_seed(master_seed, f"answers:{label}:{j}"))
+            counts[label] = count_id_collisions(answer_rand_edge_ids(graph, rng, q, QueryLedger()), graph.m)
         correct_a = counts["a"] <= threshold
         correct_b = counts["b"] > threshold
         correct += int(correct_a) + int(correct_b)
@@ -441,10 +441,6 @@ def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int 
     )
 
 
-def _format_number(value: float) -> str:
-    return f"{value:g}"
-
-
 def write_experiment_files(
     name: str, n: int, tag: float, seed: int, header: list[str], rows: list[list[object]], summary: dict[str, object], out_dir: str | Path
 ) -> tuple[Path, Path]:
@@ -455,7 +451,7 @@ def write_experiment_files(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = f"{name}-{n}-{_format_number(tag)}-{seed}"
+    stem = f"{name}-{n}-{tag:g}-{seed}"
     csv_path = out / f"{stem}.csv"
     json_path = out / f"{stem}.json"
     with csv_path.open("w", newline="", encoding="ascii") as handle:

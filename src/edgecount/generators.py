@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphValidationError, build_graph, read_edge_list, run_starts
+from .graph import Graph, GraphValidationError, build_graph, pair_codes, read_edge_list, run_starts
 
 # Above this many candidate pairs we sample edges by rejection instead of
 # materializing every pair, which keeps gen_gnm cheap for large sparse graphs.
@@ -40,10 +40,7 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
         batch = max(2 * (m - distinct), 1024)
         u = rng.integers(0, n, size=batch, dtype=np.int64)
         v = rng.integers(0, n, size=batch, dtype=np.int64)
-        codes = np.minimum(u, v)
-        codes *= n
-        codes += np.maximum(u, v)
-        codes = codes[u != v]
+        codes = pair_codes(u, v, n)[u != v]
         fresh, first_pos = _first_draws(codes, n * n)
         new = ~_sorted_member(seen, fresh)
         is_first = np.zeros(codes.size, dtype=bool)

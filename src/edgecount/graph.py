@@ -10,8 +10,7 @@ from typing import Iterable
 
 import numpy as np
 
-# Largest vertex count whose ``u * n + v`` edge codes fit in int64; it also
-# keeps every endpoint below 2**32, as the ``<< 32`` collision key needs.
+# Largest vertex count whose ``pair_codes(u, v, n)`` fit in int64.
 MAX_VERTICES = math.isqrt(2**63 - 1)
 
 
@@ -89,6 +88,20 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[run_starts(ordered)]
 
 
+def pair_codes(u: np.ndarray, v: np.ndarray, radix: int) -> np.ndarray:
+    """``min(u, v) * radix + max(u, v)`` of each int64 endpoint pair, built with one temporary.
+
+    The one encoding of unordered vertex pairs; for ids in ``0..radix-1``,
+    equal codes are equal pairs. At a vertex count up to :data:`MAX_VERTICES`
+    ``divmod(code, radix)`` gives back ``(min, max)``; at ``2**32`` the array
+    product wraps modulo 2**64, without a warning, to ``min << 32 | max``.
+    """
+    codes = np.minimum(u, v)
+    codes *= radix
+    codes += np.maximum(u, v)
+    return codes
+
+
 def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Validate, normalize and deduplicate raw edges into a :class:`Graph`.
 
@@ -121,10 +134,7 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Gr
         u = first[np.flatnonzero(loops)[0]]
         raise GraphValidationError(f"self-loop ({u}, {u}) is not allowed")
 
-    codes = np.minimum(first, second)
-    codes *= n
-    codes += np.maximum(first, second)
-    codes = sorted_unique(codes)
+    codes = sorted_unique(pair_codes(first, second, n))
     edges = np.empty((codes.shape[0], 2), dtype=np.int64)
     np.divmod(codes, n, out=(edges[:, 0], edges[:, 1]))
     degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False)

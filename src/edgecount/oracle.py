@@ -1,14 +1,13 @@
-"""Metered graph access through declared query plans.
+"""Metered graph access: degree lookups and uniform random edges, with replacement.
 
-A :class:`QueryPlan` fixes every query up front; :func:`answer_plan` resolves
-the whole batch in one call through the metered primitives
-:func:`answer_degrees` and :func:`answer_rand_edges`, the rows at the
-positions :func:`answer_rand_edge_ids` draws. A caller may also feed those
-a plan block by block, as long as the blocks come from a stream fixed
-before any answer, so no answer can steer a later query. Two query kinds
-are supported, the only two the estimator issues: degree lookup and uniform
-random edge (with replacement). A plan is one block of each, degree probes
-first.
+These are the only two query kinds the estimator issues, and each has one
+metered primitive: :func:`answer_degrees`, and :func:`answer_rand_edge_ids`,
+which draws edges as positions in ``graph.edges``. Callers that only compare
+edges (the collision counts, the lower-bound distinguisher) read positions;
+:func:`answer_rand_edges` gathers rows. A :class:`QueryPlan` fixes every
+query up front, degree probes first, and :func:`answer_plan` answers it
+whole for audits; callers may feed the primitives block by block instead,
+from a stream fixed before any answer, so no answer steers a later query.
 """
 
 from __future__ import annotations
@@ -84,19 +83,15 @@ class QueryPlan:
 Block = tuple[np.ndarray, int]
 
 
-def deg_block(vertices: np.ndarray) -> Block:
-    return np.asarray(vertices, dtype=np.int64), 0
-
-
 def rand_edge_block(count: int) -> Block:
     return np.empty(0, np.int64), count
 
 
 def plan_from_blocks(provenance: PlanProvenance, *blocks: Block) -> QueryPlan:
-    """Join blocks into one plan; every degree probe must precede every random edge."""
+    """Join ``(vertices, count)`` blocks into one plan; every degree probe must precede every random edge."""
     rand_seen = False
     for vertices, count in blocks:
-        if rand_seen and vertices.shape[0]:
+        if rand_seen and len(vertices):
             raise ValueError("a degree block cannot follow a random-edge block")
         rand_seen = rand_seen or count > 0
     vertices = np.concatenate([b[0] for b in blocks]) if blocks else np.empty(0, np.int64)

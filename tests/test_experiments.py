@@ -94,6 +94,17 @@ def test_ph_bound_rejects_sparse_graphs():
         run_ph_bound_check("gnm:100,10", epsilon=0.25, trials=1)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_ph_bound_rejects_fewer_than_one_trial(monkeypatch, trials):
+    def no_graph(*args):
+        raise AssertionError("the graph was loaded before trials was checked")
+
+    monkeypatch.setattr(edgecount.experiments, "load_graph", no_graph)
+    with pytest.raises(ValueError) as info:
+        run_ph_bound_check("gnm:2000,8000", epsilon=0.25, trials=trials)
+    assert str(info.value) == f"trials must be at least 1, got {trials}"
+
+
 def test_distinguisher_is_blind_at_tiny_sample_sizes():
     result = run_distinguishing_experiment(10_000, q=2, trials=200, master_seed=0)
     assert result.accuracy <= 0.55

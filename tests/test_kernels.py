@@ -27,9 +27,9 @@ from edgecount import (
     heavy_fraction_estimate,
     plan_layout,
 )
-from edgecount.estimator import _edge_id_keys, _sorted_collisions, _sorted_majority_vote
+from edgecount.estimator import _edge_id_keys, _sorted_collisions, _sorted_majority_vote, count_id_collisions
 from edgecount.generators import gen_path
-from edgecount.graph import sorted_unique
+from edgecount.graph import MAX_VERTICES, pair_codes, sorted_unique
 
 
 def ref_bucket_indices(config: BucketConfig, degrees: np.ndarray) -> np.ndarray:
@@ -167,6 +167,46 @@ def test_count_collisions_matches_hashed_counts(pairs):
     assert count_collisions(edges) == ref_count_collisions(edges)
 
 
+@st.composite
+def pairs_below_radix(draw):
+    """A radix up to ``MAX_VERTICES`` and endpoint pairs in ``0..radix-1``,
+    biased to both ends of both ranges."""
+    radix = draw(st.integers(1, 8) | st.integers(MAX_VERTICES - 8, MAX_VERTICES) | st.integers(1, MAX_VERTICES))
+    ids = st.integers(0, min(3, radix - 1)) | st.integers(max(0, radix - 4), radix - 1) | st.integers(0, radix - 1)
+    return radix, draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(endpoint_ids, endpoint_ids), min_size=1, max_size=40), pairs_below_radix())
+def test_pair_codes_are_the_shifted_codes_and_invert_by_divmod(pairs, below_radix):
+    u, v = np.array(pairs, dtype=np.int64).T
+    shifted = (np.minimum(u, v) << np.int64(32)) | np.maximum(u, v)
+    assert np.array_equal(pair_codes(u, v, 2**32), shifted)
+    radix, pairs = below_radix
+    u, v = np.array(pairs, dtype=np.int64).T
+    high, low = np.divmod(pair_codes(u, v, radix), radix)
+    assert np.array_equal(high, np.minimum(u, v))
+    assert np.array_equal(low, np.maximum(u, v))
+
+
+# two distinct edges each, whose radix-2**32 codes are equal
+ALIASING_EDGES = [
+    [(0, 2**32), (1, 2**32)],
+    [(-1, 5), (-1, 2**32 + 5)],
+    [(3, 2**40), (3, 2**40 + 2**32)],
+    [(1, 2**32 + 2), (1, 2)],
+]
+
+
+@pytest.mark.parametrize("pairs", ALIASING_EDGES)
+def test_row_kernels_reject_endpoints_that_alias(pairs):
+    edges = np.array(pairs, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"edge endpoints must lie in 0\.\.4294967295"):
+        count_collisions(edges)
+    with pytest.raises(ValueError, match=r"edge endpoints must lie in 0\.\.4294967295"):
+        collision_majority_vote(edges[:, 0], edges[:, 1], 1, 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(pair_lists, st.integers(0, 8), st.integers(0, 6), st.integers(0, 3))
 def test_majority_vote_matches_per_round_scan(pairs, rounds, batch_size, extra):
@@ -206,6 +246,7 @@ def test_id_kernels_match_the_row_kernels(drawn, rounds):
     assert keys.dtype.kind == "u"
     assert keys.itemsize == ID_KEY_BYTES[m]
     assert _sorted_collisions(np.sort(keys)) == count_collisions(rows)
+    assert count_id_collisions(ids, m) == count_collisions(rows)
     batch = ids.shape[0] // rounds
     batches = np.sort(keys[: rounds * batch].reshape(rounds, batch), axis=1)
     assert _sorted_majority_vote(batches) == collision_majority_vote(rows[:, 0], rows[:, 1], rounds, batch)

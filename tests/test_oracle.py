@@ -20,7 +20,6 @@ from edgecount import (
     audit_nonadaptive,
     build_graph,
     build_sample_plan,
-    deg_block,
     gen_clique_plus_isolated,
     gen_gnm,
     gen_path,
@@ -33,9 +32,7 @@ from edgecount import (
 
 def _plan(n, degs=(), rand_edges=0, seed=0):
     """Degree probes at ``degs``, then ``rand_edges`` random-edge draws."""
-    return plan_from_blocks(
-        PlanProvenance(n=n, epsilon=None, seed=seed), deg_block(np.array(degs, np.int64)), rand_edge_block(rand_edges)
-    )
+    return QueryPlan(np.array(degs, np.int64), rand_edges, PlanProvenance(n=n, epsilon=None, seed=seed))
 
 
 def test_rand_edge_uniform_on_two_edge_path(path3):
@@ -196,9 +193,12 @@ def test_columnar_views_match_direct_columns(n_degs, n_rand):
 def test_plan_blocks_in_order_with_nonnegative_count():
     provenance = PlanProvenance(n=3, epsilon=None, seed=0)
     with pytest.raises(ValueError, match="cannot follow a random-edge block"):
-        plan_from_blocks(provenance, deg_block(np.array([0])), rand_edge_block(2), deg_block(np.array([1])))
+        plan_from_blocks(provenance, (np.array([0]), 0), rand_edge_block(2), (np.array([1]), 0))
+    with pytest.raises(ValueError, match="cannot follow a random-edge block"):
+        plan_from_blocks(provenance, rand_edge_block(2), ([1], 0))
     # empty blocks hold no queries, so they may sit anywhere
-    plan = plan_from_blocks(provenance, rand_edge_block(0), deg_block(np.array([1])), rand_edge_block(2), deg_block([]))
+    empty = (np.array([], np.int64), 0)
+    plan = plan_from_blocks(provenance, rand_edge_block(0), (np.array([1]), 0), rand_edge_block(2), empty)
     assert plan == QueryPlan(np.array([1]), 2, provenance)
     assert len(plan) == 3
     with pytest.raises(ValueError, match="non-negative"):
@@ -242,7 +242,7 @@ def _sample_plan_fn(graph, epsilon, seed):
 def _adaptive_plan_fn(graph, epsilon, seed):
     # cheats: aims a degree probe at the highest-degree vertex it saw
     target = int(np.argmax(graph.degrees))
-    return plan_from_blocks(PlanProvenance(graph.n, epsilon, seed), deg_block(np.array([target])))
+    return QueryPlan(np.array([target]), 0, PlanProvenance(graph.n, epsilon, seed))
 
 
 def test_audit_accepts_graph_blind_planner():
