@@ -8,7 +8,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphValidationError, build_graph, pair_codes, read_edge_list, run_starts
+from .graph import (
+    Graph,
+    GraphValidationError,
+    build_graph,
+    check_vertex_count,
+    graph_from_codes,
+    pair_codes,
+    read_edge_list,
+    sorted_unique,
+)
 
 # Above this many candidate pairs we sample edges by rejection instead of
 # materializing every pair, which keeps gen_gnm cheap for large sparse graphs.
@@ -19,6 +28,7 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform random graph with exactly ``m`` distinct edges on ``n`` vertices."""
     if n < 1:
         raise GraphValidationError("gnm requires n >= 1")
+    check_vertex_count(n)
     max_pairs = n * (n - 1) // 2
     if not 0 <= m <= max_pairs:
         raise GraphValidationError(f"gnm: m={m} outside [0, {max_pairs}] for n={n}")
@@ -28,67 +38,43 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
         chosen = rng.permutation(max_pairs)[:m]
         return build_graph(n, np.column_stack((iu[chosen], iv[chosen])))
 
-    # Draw batches of pair codes until m distinct ones have been seen, and
-    # keep the first m distinct codes in draw order so the edge set is
-    # uniform. Each pass sorts only its own batch: ``seen`` holds the sorted
-    # distinct codes of the earlier passes, and ``firsts`` each pass's codes
-    # drawn for the first time, in draw order.
+    # Draw batches of pair codes until m distinct ones have been seen; the
+    # edge set is the first m distinct codes in draw order, so it is uniform.
+    # ``seen`` holds the sorted distinct codes of the earlier passes. A pass
+    # that still needs ``need`` codes keeps the codes new to ``seen`` from
+    # the shortest prefix of its draws that holds ``need`` of them: it
+    # dedupes the first ``need`` draws, and while ``d`` are missing takes
+    # the next ``d``, each of which adds at most one new code.
     seen = np.empty(0, dtype=np.int64)
-    firsts: list[np.ndarray] = []
-    distinct = 0
-    while distinct < m:
-        batch = max(2 * (m - distinct), 1024)
+    while seen.size < m:
+        need = m - seen.size
+        batch = max(2 * need, 1024)
         u = rng.integers(0, n, size=batch, dtype=np.int64)
         v = rng.integers(0, n, size=batch, dtype=np.int64)
         codes = pair_codes(u, v, n)[u != v]
-        fresh, first_pos = _first_draws(codes, n * n)
-        new = ~_sorted_member(seen, fresh)
-        is_first = np.zeros(codes.size, dtype=bool)
-        is_first[first_pos[new]] = True
-        firsts.append(codes[is_first])
-        distinct += firsts[-1].size
-        if distinct < m:
-            added = fresh[new]
-            seen = np.insert(seen, np.searchsorted(seen, added), added)
-
-    edges = np.empty((m, 2), dtype=np.int64)
-    filled = 0
-    for codes in firsts:
-        rows = edges[filled : filled + codes.size]
-        np.divmod(codes[: rows.shape[0]], n, out=(rows[:, 0], rows[:, 1]))
-        filled += rows.shape[0]
-    return build_graph(n, edges)
+        found = _without(sorted_unique(codes[:need]), seen)
+        end = need
+        while found.size < need and end < codes.size:
+            start, end = end, end + need - found.size
+            found = _union(found, _without(sorted_unique(codes[start:end]), seen))
+        seen = _union(seen, found)
+    return graph_from_codes(n, seen)
 
 
-def _first_draws(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of ``codes`` (all in ``0..bound-1``), sorted, and the
-    position of the first draw of each.
-
-    When a code and its position fit in 63 bits together, one sort of the
-    packed ``code << shift | position`` keys yields both, at the cost of a
-    plain sort, several times cheaper than an argsort. Larger codes and
-    batches take an argsort and the least position in each run of equal
-    codes.
-    """
-    shift = codes.size.bit_length()
-    if (bound - 1).bit_length() + shift <= 63:
-        keys = codes << shift
-        keys |= np.arange(codes.size, dtype=np.int64)
-        keys.sort()
-        ordered = keys >> shift
-        starts = run_starts(ordered)
-        return ordered[starts], keys[starts] & np.int64((1 << shift) - 1)
-    order = np.argsort(codes)
-    ordered = codes[order]
-    starts = np.flatnonzero(run_starts(ordered))
-    return ordered[starts], np.minimum.reduceat(order, starts)
-
-
-def _sorted_member(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Mask of the ``values`` that occur in the sorted 1-d array ``ordered``."""
+def _union(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted 1-d arrays of distinct values."""
     if ordered.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    return ordered.take(np.searchsorted(ordered, values), mode="clip") == values
+        return values
+    slots = np.searchsorted(ordered, values)
+    new = ordered.take(slots, mode="clip") != values
+    return np.insert(ordered, slots[new], values[new])
+
+
+def _without(values: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """The ``values`` that do not occur in the sorted 1-d array ``ordered``."""
+    if ordered.size == 0:
+        return values
+    return values[ordered.take(np.searchsorted(ordered, values), mode="clip") != values]
 
 
 def gen_path(n: int) -> Graph:

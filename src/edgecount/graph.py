@@ -111,10 +111,7 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     counts above :data:`MAX_VERTICES` are rejected before anything is
     allocated.
     """
-    if n < 0:
-        raise GraphValidationError("vertex count must be non-negative")
-    if n > MAX_VERTICES:
-        raise GraphValidationError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
+    check_vertex_count(n)
     try:
         arr = np.asarray(raw_edges, dtype=np.int64)
     except OverflowError:
@@ -134,9 +131,36 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Gr
         u = first[np.flatnonzero(loops)[0]]
         raise GraphValidationError(f"self-loop ({u}, {u}) is not allowed")
 
-    codes = sorted_unique(pair_codes(first, second, n))
+    return graph_from_codes(n, sorted_unique(pair_codes(first, second, n)))
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise unless ``0 <= n <= MAX_VERTICES``, so that every pair code fits in int64."""
+    if n < 0:
+        raise GraphValidationError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphValidationError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
+
+
+def graph_from_codes(n: int, codes: np.ndarray) -> Graph:
+    """:class:`Graph` on ``n`` vertices whose edges are the 1-d int64 pair codes ``codes``.
+
+    ``n`` must already have passed :func:`check_vertex_count`. The codes
+    must be strictly increasing, lie in ``0..n*n-1`` and decode to
+    ``u < v``; anything else raises :class:`GraphValidationError`. Because
+    the codes are sorted, each check is one pass or one comparison.
+    """
+    if codes.size and not (codes[1:] > codes[:-1]).all():
+        raise GraphValidationError("pair codes must be strictly increasing")
+    if codes.size and (codes[0] < 0 or codes[-1] > n * n - 1):
+        raise GraphValidationError(f"pair codes {codes[0]}..{codes[-1]} outside 0..{n * n - 1} for n={n}")
     edges = np.empty((codes.shape[0], 2), dtype=np.int64)
     np.divmod(codes, n, out=(edges[:, 0], edges[:, 1]))
+    unordered = edges[:, 0] >= edges[:, 1]
+    if unordered.any():
+        i = np.flatnonzero(unordered)[0]
+        u, v = edges[i]
+        raise GraphValidationError(f"pair code {codes[i]} decodes to ({u}, {v}), not u < v")
     degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False)
     return Graph(n=n, edges=edges, degrees=degrees)
 

@@ -91,6 +91,8 @@ def plan_from_blocks(provenance: PlanProvenance, *blocks: Block) -> QueryPlan:
     """Join ``(vertices, count)`` blocks into one plan; every degree probe must precede every random edge."""
     rand_seen = False
     for vertices, count in blocks:
+        if count < 0:
+            raise ValueError("random-edge count must be non-negative")
         if rand_seen and len(vertices):
             raise ValueError("a degree block cannot follow a random-edge block")
         rand_seen = rand_seen or count > 0

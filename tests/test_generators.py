@@ -19,7 +19,7 @@ from edgecount import (
     graph_from_spec,
 )
 from edgecount import generators
-from edgecount.graph import run_starts, sorted_unique
+from edgecount.graph import MAX_VERTICES, run_starts, sorted_unique
 
 
 def test_gnm_complete_graph():
@@ -216,12 +216,21 @@ def test_gnm_matches_reference_selection_at_size(n, m):
     assert_same_graph(gen_gnm(n, m, 7), reference_gen_gnm(n, m, 7))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 40), max_size=300))
-def test_first_draws_agree_packed_and_unpacked(values):
-    codes = np.array(values, dtype=np.int64)
-    expected_codes, expected_first = np.unique(codes, return_index=True)
-    for bound in (41, 2**62):  # packed keys, then the argsort branch
-        distinct, first = generators._first_draws(codes, bound)
-        assert np.array_equal(distinct, expected_codes)
-        assert np.array_equal(first, expected_first)
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_gnm_rejection_matches_reference_property(data):
+    # random sizes reach the prefix-extension rounds; several passes need m
+    # near the number of pairs, so the top quarter is drawn as often as the rest
+    n = data.draw(st.integers(2, 80), label="n")
+    pairs = n * (n - 1) // 2
+    m = data.draw(st.integers(0, pairs) | st.integers(pairs * 3 // 4, pairs), label="m")
+    seed = data.draw(st.integers(0, 2**63), label="seed")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generators, "_DENSE_ENUMERATION_LIMIT", 0)
+        got = gen_gnm(n, m, seed)
+    assert_same_graph(got, reference_gen_gnm(n, m, seed))
+
+
+def test_gnm_rejects_too_many_vertices():
+    with pytest.raises(GraphValidationError, match=f"supported maximum {MAX_VERTICES}"):
+        gen_gnm(MAX_VERTICES + 1, 1, 0)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgecount import EdgeListParseError, Graph, GraphValidationError, build_graph, read_edge_list, write_edge_list
-from edgecount.graph import MAX_VERTICES, format_edges
+from edgecount.graph import MAX_VERTICES, format_edges, graph_from_codes
 
 
 @st.composite
@@ -53,6 +53,29 @@ def test_build_graph_rejects_out_of_range():
 def test_build_graph_rejects_bad_shape():
     with pytest.raises(GraphValidationError, match="pairs"):
         build_graph(3, np.array([[0, 1, 2]]))
+
+
+def test_graph_from_codes_decodes_sorted_codes():
+    g = graph_from_codes(4, np.array([1, 6, 11], dtype=np.int64))
+    assert g == build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert g.degrees.tolist() == [1, 2, 2, 1]
+    assert graph_from_codes(0, np.empty(0, dtype=np.int64)).m == 0
+
+
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        ([6, 1], "strictly increasing"),
+        ([1, 1], "strictly increasing"),
+        ([-1, 1], "outside 0..15"),
+        ([1, 16], "outside 0..15"),
+        ([1, 5], r"pair code 5 decodes to \(1, 1\)"),
+        ([4], r"pair code 4 decodes to \(1, 0\)"),
+    ],
+)
+def test_graph_from_codes_rejects_bad_codes(codes, message):
+    with pytest.raises(GraphValidationError, match=message):
+        graph_from_codes(4, np.array(codes, dtype=np.int64))
 
 
 def test_graph_is_immutable(triangle):

@@ -203,6 +203,9 @@ def test_plan_blocks_in_order_with_nonnegative_count():
     assert len(plan) == 3
     with pytest.raises(ValueError, match="non-negative"):
         QueryPlan(np.array([0]), -1, provenance)
+    # a negative block must not cancel the queries of an earlier one
+    with pytest.raises(ValueError, match="random-edge count must be non-negative"):
+        plan_from_blocks(PlanProvenance(3, None, 0), rand_edge_block(3), rand_edge_block(-2))
 
 
 @st.composite
