@@ -20,6 +20,7 @@ from .estimator import (
     heavy_fraction_estimate,
     heavy_mass_estimate,
     plan_layout,
+    resolved_params,
 )
 from .exact import (
     HeavyLightDecomposition,

@@ -12,14 +12,14 @@ import json
 import os
 import sys
 
-from .estimator import BRANCH_FAILED, estimate_edges
+from .estimator import BRANCH_FAILED, estimate_edges, resolved_params
 from .experiments import (
     TrialConfig,
     run_accuracy_trials,
     run_distinguishing_experiment,
     write_experiment_files,
 )
-from .generators import graph_from_spec, load_graph
+from .generators import load_graph
 from .graph import EdgeListParseError, GraphValidationError, read_edge_list, write_edge_list
 from .seeding import derive_seed
 
@@ -32,7 +32,7 @@ def _default_out_dir() -> str:
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", help="generator spec, e.g. gnm:10000,100000 or path:10000")
+    source.add_argument("--graph", help="generator spec, e.g. gnm:10000,100000 or path:10000, or file:PATH")
     source.add_argument("--file", help="edge-list file (first line n, then 'u v' lines)")
 
 
@@ -54,7 +54,7 @@ def _add_outputs(parser: argparse.ArgumentParser) -> None:
 def _resolve_graph(args: argparse.Namespace):
     if args.file is not None:
         return read_edge_list(args.file)
-    return graph_from_spec(args.graph, derive_seed(args.seed, "graph"))
+    return load_graph(args.graph, derive_seed(args.seed, "graph"))
 
 
 def _graph_source_string(args: argparse.Namespace) -> str:
@@ -76,12 +76,12 @@ def _trial_config(args: argparse.Namespace, trials: int = 1) -> TrialConfig:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    params = _trial_config(args).params_for(args.seed)
     graph = _resolve_graph(args)
-    config = _trial_config(args)
-    report = estimate_edges(graph, config.params_for(args.seed))
+    report = estimate_edges(graph, params)
     payload = report.to_json_dict()
     payload["n"] = graph.n
-    payload["params"] = config.resolved_params(graph.n)
+    payload["params"] = resolved_params(graph.n, params)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 2 if report.branch == BRANCH_FAILED else 0
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -94,35 +94,8 @@ class EstimatorParams:
         else:
             _check_positive_finite("gamma", self.gamma)
 
-    def degree_sample_size(self, n: int) -> int:
-        return math.ceil(self.c_s * math.sqrt(n) * math.log(n) / self.epsilon**2.5)
-
-    def endpoint_sample_size(self, n: int) -> int:
-        return math.ceil(self.c_t * math.sqrt(self.epsilon * n) * math.log(n))
-
-    def vote_rounds(self, n: int) -> int:
-        return math.ceil(self.c_r * math.log(n))
-
-    def vote_batch_size(self, n: int) -> int:
-        return math.ceil(math.sqrt(2 * n))
-
-    def collision_sample_size(self, n: int) -> int:
-        return math.ceil(self.c_f * math.sqrt(n) * math.log(n) / self.epsilon)
-
     def bucket_config(self, n: int) -> BucketConfig:
         return BucketConfig(n, self.gamma)
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "epsilon": self.epsilon,
-            "master_seed": self.master_seed,
-            "c_s": self.c_s,
-            "c_t": self.c_t,
-            "c_f": self.c_f,
-            "c_r": self.c_r,
-            "gamma": self.gamma,
-            "collision_reps": self.collision_reps,
-        }
 
 
 @dataclass(frozen=True)
@@ -141,8 +114,13 @@ class PlanLayout:
         return self.vote_rounds * self.vote_batch
 
     @property
+    def block_counts(self) -> tuple[int, int, int, int]:
+        """Queries in the degree, endpoint, vote and collision blocks, in plan order."""
+        return (self.degree_size, self.endpoint_size, self.vote_size, self.collision_reps * self.collision_size)
+
+    @property
     def total(self) -> int:
-        return self.degree_size + self.endpoint_size + self.vote_size + self.collision_reps * self.collision_size
+        return sum(self.block_counts)
 
     @property
     def degree_slice(self) -> slice:
@@ -163,14 +141,45 @@ class PlanLayout:
         return slice(start, self.total)
 
 
-def _block_size(size: Callable[[int], int], n: int, block: str, inputs: str) -> int:
-    """``size(n)``, or a ``ValueError`` naming ``inputs`` when that is no positive count."""
+@dataclass(frozen=True)
+class _Block:
+    """A row of the sizing table: how one plan block is sized, and what its errors call it."""
+
+    label: str  # the block, in the query-ceiling error
+    inputs: tuple[str, ...]  # the parameters ``size`` reads
+    size: Callable[[int, EstimatorParams], float]  # the sized count at n before rounding up
+    unit: str = ""  # the sized count in the sizing error, when it is not the whole block
+    repeats: tuple[str, ...] = ()  # the parameters counting copies of the sized count
+
+
+# The sized blocks in plan order. The vote block is its rounds times a batch
+# of ceil(sqrt(2n)) edges; the collision block is collision_reps samples.
+_BLOCKS = (
+    _Block("degree sample", ("c_s", "epsilon"), lambda n, p: p.c_s * math.sqrt(n) * math.log(n) / p.epsilon**2.5),
+    _Block("endpoint sample", ("c_t", "epsilon"), lambda n, p: p.c_t * math.sqrt(p.epsilon * n) * math.log(n)),
+    _Block("vote", ("c_r",), lambda n, p: p.c_r * math.log(n), unit="vote rounds"),
+    _Block(
+        "collision sample",
+        ("c_f", "epsilon"),
+        lambda n, p: p.c_f * math.sqrt(n) * math.log(n) / p.epsilon,
+        repeats=("collision_reps",),
+    ),
+)
+
+
+def _named(params: EstimatorParams, names: tuple[str, ...]) -> str:
+    return ", ".join(f"{name}={getattr(params, name)}" for name in names)
+
+
+def _block_size(n: int, params: EstimatorParams, block: _Block) -> int:
+    """``block.size`` at ``n`` rounded up; a ``ValueError`` naming its inputs if that is no positive count."""
     try:
-        count = size(n)
+        count = math.ceil(block.size(n, params))
     except (OverflowError, ZeroDivisionError):  # an infinite or undefined float size
         count = 0
     if count < 1:
-        raise ValueError(f"cannot size the {block} at n={n} from {inputs}")
+        unit = block.unit or block.label
+        raise ValueError(f"cannot size the {unit} at n={n} from {_named(params, block.inputs)}")
     return count
 
 
@@ -186,36 +195,31 @@ def plan_layout(n: int, params: EstimatorParams) -> PlanLayout:
         raise ValueError("estimation requires n >= 2")
     if n > MAX_VERTICES:
         raise ValueError(f"n={n} exceeds the supported maximum {MAX_VERTICES}")
-    eps = f"epsilon={params.epsilon}"
-    degree_from = f"c_s={params.c_s}, {eps}"
-    endpoint_from = f"c_t={params.c_t}, {eps}"
-    vote_from = f"c_r={params.c_r}"
-    collision_from = f"c_f={params.c_f}, {eps}"
-    layout = PlanLayout(
-        degree_size=_block_size(params.degree_sample_size, n, "degree sample", degree_from),
-        endpoint_size=_block_size(params.endpoint_sample_size, n, "endpoint sample", endpoint_from),
-        vote_rounds=_block_size(params.vote_rounds, n, "vote rounds", vote_from),
-        vote_batch=params.vote_batch_size(n),
-        collision_reps=params.collision_reps,
-        collision_size=_block_size(params.collision_sample_size, n, "collision sample", collision_from),
-    )
+    degree, endpoint, rounds, collision = (_block_size(n, params, block) for block in _BLOCKS)
+    layout = PlanLayout(degree, endpoint, rounds, math.ceil(math.sqrt(2 * n)), params.collision_reps, collision)
     if layout.total > MAX_PLAN_QUERIES:
-        blocks = [
-            (layout.degree_size, "degree sample", degree_from),
-            (layout.endpoint_size, "endpoint sample", endpoint_from),
-            (layout.vote_size, "vote", vote_from),
-            (
-                layout.collision_reps * layout.collision_size,
-                "collision sample",
-                f"{collision_from}, collision_reps={params.collision_reps}",
-            ),
-        ]
-        _, block, inputs = max(blocks)
+        _, label, inputs = max(
+            (count, block.label, _named(params, block.inputs + block.repeats))
+            for count, block in zip(layout.block_counts, _BLOCKS)
+        )
         raise ValueError(
             f"the plan at n={n} has more than MAX_PLAN_QUERIES={MAX_PLAN_QUERIES} queries; "
-            f"its largest block, the {block}, comes from {inputs}"
+            f"its largest block, the {label}, comes from {inputs}"
         )
     return layout
+
+
+def resolved_params(n: int, params: EstimatorParams) -> dict[str, object]:
+    """``params`` as a dict plus the block sizes of its plan at ``n``, as the reports print them."""
+    layout = plan_layout(n, params)
+    return {
+        **asdict(params),
+        "degree_sample_size": layout.degree_size,
+        "endpoint_sample_size": layout.endpoint_size,
+        "vote_rounds": layout.vote_rounds,
+        "vote_batch_size": layout.vote_batch,
+        "collision_sample_size": layout.collision_size,
+    }
 
 
 def _degree_vertex_chunks(n: int, params: EstimatorParams, count: int) -> Iterator[np.ndarray]:
@@ -468,15 +472,7 @@ class EstimateReport:
     queries: QueryLedger
 
     def to_json_dict(self) -> dict[str, object]:
-        return {
-            "m_hat": self.m_hat,
-            "branch": self.branch,
-            "r": self.r,
-            "k": self.k,
-            "d_tilde_h": self.d_tilde_h,
-            "p_tilde_h": self.p_tilde_h,
-            "queries": self.queries.as_dict(),
-        }
+        return asdict(self)
 
 
 def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .estimator import (
     count_id_collisions,
     estimate_edges,
     plan_layout,
+    resolved_params,
 )
 from .exact import exact_heavy_fraction, heavy_light_decomposition
 from .generators import gen_lowerbound_instance, load_graph
@@ -42,13 +43,15 @@ class QueryBudgetError(AssertionError):
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Inputs for a batch of estimation trials on one graph; ``trials`` must be at least 1."""
+    """Inputs for a batch of estimation trials on one graph.
+
+    ``trials`` below 1 and bad estimator parameters raise ``ValueError`` here.
+    """
 
     graph: str  # generator spec, or "file:PATH"
     epsilon: float = 0.25
     trials: int = 100
     master_seed: int = 0
-    success_eps: float | None = None  # accuracy target; defaults to epsilon
     c_s: float | None = None
     c_t: float | None = None
     c_f: float | None = None
@@ -58,6 +61,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        self.params_for(self.master_seed)
 
     def params_for(self, trial_seed: int) -> EstimatorParams:
         overrides = {
@@ -68,23 +72,6 @@ class TrialConfig:
         return EstimatorParams(
             epsilon=self.epsilon, master_seed=trial_seed, collision_reps=self.collision_reps, **overrides
         )
-
-    def resolved_params(self, n: int) -> dict[str, object]:
-        """``params_for(master_seed)`` plus the plan block sizes it gives at ``n``."""
-        params = self.params_for(self.master_seed)
-        layout = plan_layout(n, params)
-        return {
-            **params.as_dict(),
-            "degree_sample_size": layout.degree_size,
-            "endpoint_sample_size": layout.endpoint_size,
-            "vote_rounds": layout.vote_rounds,
-            "vote_batch_size": layout.vote_batch,
-            "collision_sample_size": layout.collision_size,
-        }
-
-    @property
-    def target(self) -> float:
-        return self.epsilon if self.success_eps is None else self.success_eps
 
 
 @dataclass(frozen=True)
@@ -124,7 +111,7 @@ class TrialStats:
             "epsilon": self.config.epsilon,
             "trials": self.config.trials,
             "master_seed": self.config.master_seed,
-            "success_target": self.config.target,
+            "success_target": self.config.epsilon,
             "success_rate": self.success_rate,
             "collision_branch_rate": self.collision_branch_rate,
             "vote_one_rate": self.vote_one_rate,
@@ -182,9 +169,9 @@ def run_accuracy_trials(config: TrialConfig) -> TrialStats:
         )
 
     finite = [row.rel_error for row in rows if row.rel_error is not None]
-    successes = sum(rel <= config.target for rel in finite)
-    resolved = config.resolved_params(graph.n)
-    resolved["plan_total"] = plan_layout(graph.n, config.params_for(config.master_seed)).total
+    successes = sum(rel <= config.epsilon for rel in finite)
+    params = config.params_for(config.master_seed)
+    resolved = {**resolved_params(graph.n, params), "plan_total": plan_layout(graph.n, params).total}
     return TrialStats(
         config=config,
         n=graph.n,
@@ -203,9 +190,7 @@ def run_accuracy_trials(config: TrialConfig) -> TrialStats:
     )
 
 
-def run_query_budget_check(
-    ns: list[int], epsilons: list[float], master_seed: int = 0, **param_overrides: float
-) -> list[dict[str, object]]:
+def run_query_budget_check(ns: list[int], epsilons: list[float], master_seed: int = 0) -> list[dict[str, object]]:
     """Measure real ledgers over an ``(n, epsilon)`` grid against the plan formula.
 
     Each cell estimates one sparse random graph and checks that the metered
@@ -217,7 +202,7 @@ def run_query_budget_check(
     for n in ns:
         graph = load_graph(f"gnm:{n},{2 * n}", derive_seed(master_seed, f"budget-graph:{n}"))
         for eps in epsilons:
-            params = EstimatorParams(epsilon=eps, master_seed=derive_seed(master_seed, f"budget:{n}:{eps}"), **param_overrides)
+            params = EstimatorParams(epsilon=eps, master_seed=derive_seed(master_seed, f"budget:{n}:{eps}"))
             layout = plan_layout(n, params)
             report = estimate_edges(graph, params)
             measured = report.queries.total
@@ -243,6 +228,11 @@ def run_query_budget_check(
     return rows
 
 
+def _summary(experiment: str, record, omit: str) -> dict[str, object]:
+    """``{"experiment": experiment}`` plus every field of the dataclass ``record`` but ``omit``."""
+    return {"experiment": experiment, **{f.name: getattr(record, f.name) for f in fields(record) if f.name != omit}}
+
+
 @dataclass(frozen=True)
 class PhBoundStats:
     """How often the sampled heavy classification kept enough degree mass."""
@@ -258,17 +248,7 @@ class PhBoundStats:
     heavy_fractions: list[float]
 
     def summary_dict(self) -> dict[str, object]:
-        return {
-            "experiment": "ph_bound",
-            "graph": self.graph,
-            "n": self.n,
-            "m": self.m,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "bound": self.bound,
-            "fraction_meeting_bound": self.fraction_meeting_bound,
-        }
+        return _summary("ph_bound", self, omit="heavy_fractions")
 
 
 def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_seed: int = 0) -> PhBoundStats:
@@ -338,22 +318,7 @@ class DistinguishResult:
     rows: list[DistinguishRow] = field(repr=False)
 
     def summary_dict(self) -> dict[str, object]:
-        return {
-            "experiment": "lowerbound",
-            "n": self.n,
-            "q": self.q,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "threshold": self.threshold,
-            "accuracy": self.accuracy,
-            "mean_collisions_a": self.mean_collisions_a,
-            "mean_collisions_b": self.mean_collisions_b,
-            "collision_ratio_b_over_a": self.collision_ratio_b_over_a,
-            "probe_size": self.probe_size,
-            "probe_set_miss_rate": self.probe_set_miss_rate,
-            "probe_per_probe_miss_rate": self.probe_per_probe_miss_rate,
-            "probe_set_miss_floor": self.probe_set_miss_floor,
-        }
+        return _summary("lowerbound", self, omit="rows")
 
     def csv_rows(self) -> tuple[list[str], list[list[object]]]:
         header = ["trial", "collisions_a", "collisions_b", "correct_a", "correct_b", "probe_hits"]
@@ -447,11 +412,12 @@ def write_experiment_files(
     """Write ``{name}-{n}-{tag}-{seed}.csv`` and ``.json`` under ``out_dir``.
 
     ``tag`` is epsilon for estimation benches and the sample size ``q`` for
-    the distinguishing experiment. Output bytes depend only on the arguments.
+    the distinguishing experiment, written as ``str(tag)`` so that distinct
+    tags name distinct files. Output bytes depend only on the arguments.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = f"{name}-{n}-{tag:g}-{seed}"
+    stem = f"{name}-{n}-{tag}-{seed}"
     csv_path = out / f"{stem}.csv"
     json_path = out / f"{stem}.json"
     with csv_path.open("w", newline="", encoding="ascii") as handle:

@@ -174,7 +174,6 @@ class LowerBoundInstance:
     graph_a: Graph
     graph_b: Graph
     planted_set: np.ndarray
-    mapping_seed: int
 
 
 def gen_lowerbound_instance(n: int, seed: int) -> LowerBoundInstance:
@@ -204,5 +203,4 @@ def gen_lowerbound_instance(n: int, seed: int) -> LowerBoundInstance:
         graph_a=build_graph(n, edges_a),
         graph_b=build_graph(n, edges_b),
         planted_set=planted,
-        mapping_seed=seed,
     )

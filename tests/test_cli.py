@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,7 +6,11 @@ import sys
 
 import pytest
 
+import edgecount.cli
+import edgecount.generators
 from edgecount.cli import main
+
+C_FLAGS = ["--c-s", "1.5", "--c-t", "2.5", "--c-f", "3", "--c-r", "4", "--collision-reps", "3"]
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +44,8 @@ def test_estimate_from_file_matches_spec_source(capsys, tmp_path):
     from_spec = run_cli(capsys, "estimate", "--graph", "gnm:400,1500", "--eps", "0.5", "--seed", "3")
     from_file = run_cli(capsys, "estimate", "--file", str(path), "--eps", "0.5", "--seed", "3")
     assert from_file == from_spec
+    from_file_spec = run_cli(capsys, "estimate", "--graph", f"file:{path}", "--eps", "0.5", "--seed", "3")
+    assert from_file_spec == from_file
 
 
 def test_estimate_empty_graph_exits_cleanly(capsys, tmp_path):
@@ -117,6 +124,51 @@ def test_lowerbound_writes_named_files(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["experiment"] == "lowerbound"
     assert summary["q"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["estimate", "--graph", "gnm:2000,8000", "--seed", "3"], "e2ab6601e0338a60"),
+        (["estimate", "--graph", "gnm:2000,8000", "--seed", "5", *C_FLAGS], "9ba1f3c31a5d2758"),
+        (["bench", "--graph", "gnm:300,900", "--eps", "0.5", "--trials", "3", "--seed", "1"], "8052af91d8510e92"),
+        (
+            ["bench", "--graph", "gnm:300,900", "--eps", "0.5", "--trials", "3", "--seed", "1", "--format", "csv", *C_FLAGS],
+            "d8edafeb6284d68d",
+        ),
+        (["lowerbound", "--n", "1000", "--q", "5", "--trials", "5", "--seed", "2"], "bfb0794af5549a19"),
+        (["lowerbound", "--n", "1000", "--q", "5", "--trials", "5", "--seed", "2", "--format", "csv"], "01e77567b19d35ab"),
+    ],
+)
+def test_cli_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    # sha256 of stdout, then of each written file's name and bytes in name order
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, *argv, *([] if argv[0] == "estimate" else ["--out", str(out_dir)]))
+    assert code == 0
+    h = hashlib.sha256(out.encode())
+    for path in sorted(out_dir.glob("*")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("command", ["estimate", "bench"])
+@pytest.mark.parametrize("source", [["--graph", "gnm:3000000,6000000"], ["--file", "never-read.txt"]])
+@pytest.mark.parametrize(
+    "option, message",
+    [("--eps=0.9", "epsilon must be in (0, 0.8]"), ("--collision-reps=0", "collision_reps must be at least 1")],
+)
+def test_bad_parameters_exit_one_before_the_graph_is_built(
+    capsys, monkeypatch, tmp_path, command, source, option, message
+):
+    def no_graph(*args):
+        raise AssertionError("the graph was built before the parameters were checked")
+
+    monkeypatch.setattr(edgecount.generators, "gen_gnm", no_graph)
+    monkeypatch.setattr(edgecount.generators, "read_edge_list", no_graph)
+    monkeypatch.setattr(edgecount.cli, "read_edge_list", no_graph)
+    monkeypatch.setenv("EDGECOUNT_OUT_DIR", str(tmp_path))
+    assert run_cli(capsys, command, *source, option) == (1, "", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_out_dir_env_var_is_honored(capsys, tmp_path, monkeypatch):

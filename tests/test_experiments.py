@@ -160,6 +160,20 @@ def test_trial_config_rejects_fewer_than_one_trial(trials):
     assert str(info.value) == f"trials must be at least 1, got {trials}"
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"epsilon": 0.9}, "epsilon must be in (0, 0.8]"),
+        ({"c_r": -1.0}, "c_r must be positive"),
+        ({"collision_reps": 0}, "collision_reps must be at least 1"),
+    ],
+)
+def test_trial_config_rejects_bad_parameters(overrides, message):
+    with pytest.raises(ValueError) as info:
+        TrialConfig(graph="gnm:500,2000", **overrides)
+    assert str(info.value) == message
+
+
 def test_write_experiment_files(tmp_path):
     header = ["trial", "value"]
     rows = [[0, 1.5], [1, 2.5]]
@@ -174,3 +188,8 @@ def test_write_experiment_files(tmp_path):
     assert again_json.read_bytes() == json_path.read_bytes()
     lb_csv, _ = write_experiment_files("lowerbound", 1000, 300, 0, header, rows, summary, tmp_path / "a")
     assert lb_csv.name == "lowerbound-1000-300-0.csv"
+    # tags that agree in their first six digits name different files
+    first, _ = write_experiment_files("lowerbound", 100, 1234567, 0, header, [[0, 1]], summary, tmp_path / "c")
+    second, _ = write_experiment_files("lowerbound", 100, 1234571, 0, header, [[0, 2]], summary, tmp_path / "c")
+    assert (first.name, second.name) == ("lowerbound-100-1234567-0.csv", "lowerbound-100-1234571-0.csv")
+    assert first.read_text() == "trial,value\n0,1\n"

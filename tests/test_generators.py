@@ -212,7 +212,8 @@ def test_gnm_rejection_matches_reference_selection(monkeypatch, n, m, seed):
 
 @pytest.mark.parametrize("n, m", [(3000, 0), (3000, 5000), (10_000, 100_000), (3_000_000, 300_000)])
 def test_gnm_matches_reference_selection_at_size(n, m):
-    # the last case's codes and draw positions do not fit one 63-bit key
+    # every case is above the dense enumeration limit, so this is the rejection
+    # path at full size; the last case's pair codes reach n * n = 9 * 10**12
     assert_same_graph(gen_gnm(n, m, 7), reference_gen_gnm(n, m, 7))
 
 
