@@ -6,6 +6,11 @@ import math
 
 import numpy as np
 
+# Degrees below this are looked up in dense per-degree tables, 512 KiB of
+# intp at most; the rare larger ones are binary-searched in ``powers``, so no
+# table is sized by the largest degree.
+DENSE_DEGREES = 2**16
+
 
 def bucket_count(n: int, gamma: float) -> int:
     """Number of geometric degree buckets needed to cover degrees up to ``n``."""
@@ -61,16 +66,25 @@ class BucketConfig:
     def bucket_indices(self, degrees: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`bucket_index`; every degree must be in ``1..n``.
 
-        Each distinct degree is searched in the boundary table once, into a
-        lookup table that the degrees then index, so a long array of repeated
-        degrees costs one gather instead of one binary search per element.
+        Each distinct degree below :data:`DENSE_DEGREES` is searched in the
+        boundary table once, into a lookup table that the degrees then index,
+        so a long array of repeated degrees costs one gather instead of one
+        binary search per element. Degrees at or above it are searched one by
+        one, so the table never outgrows the cutoff.
         """
         degrees = np.asarray(degrees)
         if degrees.size == 0:
             return np.empty(0, dtype=np.intp)
-        if degrees.min() < 1 or degrees.max() > self.n:
+        top = int(degrees.max())
+        if degrees.min() < 1 or top > self.n:
             raise ValueError("degrees must lie in 1..n")
-        present = np.zeros(int(degrees.max()) + 1, dtype=bool)
+        if top >= DENSE_DEGREES:
+            indices = np.empty(degrees.shape, dtype=np.intp)
+            dense = degrees < DENSE_DEGREES
+            indices[dense] = self.bucket_indices(degrees[dense])
+            indices[~dense] = np.searchsorted(self.powers, degrees[~dense], side="left")
+            return indices
+        present = np.zeros(top + 1, dtype=bool)
         present[degrees] = True
         distinct = np.flatnonzero(present)
         table = np.empty(present.shape[0], dtype=np.intp)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .buckets import BucketConfig
+from .buckets import DENSE_DEGREES, BucketConfig
 from .graph import MAX_VERTICES, Graph, pair_codes, run_starts
 from .oracle import (
     EmptyGraphError,
@@ -45,8 +45,8 @@ MAX_PLAN_QUERIES = 2**32
 _ROW_RADIX = 2**32
 
 # Degree probes drawn, answered and folded at a time by estimate_edges: a
-# chunk's int64 vertices and degrees take 1 MiB each.
-_DEGREE_CHUNK = 2**17
+# chunk's int64 vertices and degrees take 512 KiB each.
+_DEGREE_CHUNK = 2**16
 
 
 def _check_positive_finite(name: str, value: float) -> None:
@@ -267,10 +267,16 @@ class HeavySet:
         return mask
 
 
-def _check_degree_range(degrees: np.ndarray, n: int) -> None:
-    # before any table sized by the largest degree is allocated
-    if degrees.size and (degrees.min() < 0 or degrees.max() > n):
+def _check_degree_range(degrees: np.ndarray, n: int) -> int:
+    """The largest degree answer, -1 for none; ``ValueError`` unless every answer lies in ``0..n``."""
+    if degrees.size == 0:
+        return -1
+    # viewed unsigned, a negative integer answer exceeds n, so one pass checks both ends
+    unsigned = degrees.view(f"u{degrees.itemsize}") if degrees.dtype.kind == "i" else degrees
+    top = unsigned.max()
+    if top > n or (unsigned.dtype.kind != "u" and unsigned.min() < 0):
         raise ValueError(f"degree answers must lie in 0..{n}")
+    return int(top)
 
 
 def _check_vertex_ids(name: str, ids: np.ndarray, n: int) -> None:
@@ -288,15 +294,41 @@ def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: fl
     degree_answers = np.asarray(degree_answers)
     if degree_answers.shape[0] == 0:
         raise ValueError("cannot classify from an empty degree sample")
-    _check_degree_range(degree_answers, config.n)
-    return _heavy_set(np.bincount(degree_answers), int(degree_answers.shape[0]), config, epsilon)
+    top = _check_degree_range(degree_answers, config.n)
+    above = np.zeros(config.t, dtype=np.int64)
+    per_degree = _tally(degree_answers, top, config, np.zeros(0, dtype=np.intp), above)
+    return _heavy_set(per_degree, above, int(degree_answers.shape[0]), config, epsilon)
 
 
-def _heavy_set(per_degree: np.ndarray, sample_size: int, config: BucketConfig, epsilon: float) -> HeavySet:
-    """:func:`classify_heavy` from its tally: ``per_degree[d]`` probes of ``sample_size`` answered ``d``."""
+def _tally(
+    degrees: np.ndarray, top: int, config: BucketConfig, per_degree: np.ndarray, above: np.ndarray
+) -> np.ndarray:
+    """Add range-checked degree answers, the largest ``top``, to the running tallies.
+
+    Returns ``per_degree`` plus the per-degree counts of the answers below
+    :data:`~edgecount.buckets.DENSE_DEGREES`, so it never outgrows that
+    cutoff. The rare answers at or above it are added to ``above``, a
+    per-bucket count, in place.
+    """
+    if top >= DENSE_DEGREES:
+        dense = degrees < DENSE_DEGREES
+        above += np.bincount(np.searchsorted(config.powers, degrees[~dense], side="left"), minlength=config.t)
+        degrees = degrees[dense]
+    tally = np.bincount(degrees, minlength=per_degree.shape[0])
+    tally[: per_degree.shape[0]] += per_degree
+    return tally
+
+
+def _heavy_set(
+    per_degree: np.ndarray, counts: np.ndarray, sample_size: int, config: BucketConfig, epsilon: float
+) -> HeavySet:
+    """:func:`classify_heavy` from the :func:`_tally` of its ``sample_size`` probes.
+
+    ``counts`` holds the per-bucket count of the answers above the dense
+    cutoff; the dense ones are added to it in place.
+    """
     # one bucket lookup per distinct degree
     distinct = np.flatnonzero(per_degree[1:]) + 1
-    counts = np.zeros(config.t, dtype=np.int64)
     np.add.at(counts, config.bucket_indices(distinct), per_degree[distinct])
     threshold = math.sqrt(epsilon / (6.0 * config.n)) / config.t
     indices = np.flatnonzero(counts / sample_size >= threshold)
@@ -362,7 +394,7 @@ def _endpoint_hits(
     Only these few probes can match an endpoint draw, and degree 0 is in no
     bucket.
     """
-    hit = np.flatnonzero(is_endpoint[sampled_vertices])
+    hit = np.flatnonzero(is_endpoint.take(sampled_vertices))  # take gathers faster than indexing
     hit = hit[sampled_degrees[hit] >= 1]
     return sampled_vertices[hit], sampled_degrees[hit]
 
@@ -375,13 +407,14 @@ def _heavy_fraction(
     config: BucketConfig,
 ) -> float:
     """:func:`heavy_fraction_estimate` from the :func:`_endpoint_hits` of its checked inputs."""
-    # count each heavy probe once per endpoint draw of its vertex; sorted
-    # keys make the binary searches several times faster than random ones
+    # count each heavy probe once per endpoint draw of its vertex: every hit
+    # is an endpoint, so one search into the distinct endpoints finds its
+    # draw count; sorted keys make the search several times faster
     hits = np.sort(hit_vertices[heavy.heavy_mask()[config.bucket_indices(hit_degrees)]])
     ordered = np.sort(endpoints)
-    matched_pairs = int(
-        (np.searchsorted(ordered, hits, side="right") - np.searchsorted(ordered, hits, side="left")).sum()
-    )
+    starts = np.flatnonzero(run_starts(ordered))
+    draws = np.diff(np.append(starts, ordered.shape[0]))
+    matched_pairs = int(draws[np.searchsorted(ordered[starts], hits)].sum())
     return float(config.n / heavy.sample_size * matched_pairs / endpoints.shape[0])
 
 
@@ -508,6 +541,7 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
         )
     endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
     _check_vertex_ids("endpoints", endpoints, graph.n)
+    del drawn  # only the chosen endpoints are read from here on
     # the vote and the collision count only compare edges, so they read
     # the drawn positions and never gather rows
     votes = _edge_id_keys(answer_rand_edge_ids(graph, rng, layout.vote_size, ledger), graph.m)
@@ -558,15 +592,13 @@ def _stream_degree_block(
     """
     is_endpoint = _endpoint_mask(endpoints, graph.n)
     per_degree = np.zeros(0, dtype=np.intp)
+    above = np.zeros(config.t, dtype=np.int64)
     hits = []
     for vertices in _degree_vertex_chunks(graph.n, params, layout.degree_size):
         degrees = answer_degrees(graph, vertices, ledger)
-        _check_degree_range(degrees, graph.n)
-        tally = np.bincount(degrees, minlength=per_degree.shape[0])
-        tally[: per_degree.shape[0]] += per_degree
-        per_degree = tally
+        per_degree = _tally(degrees, _check_degree_range(degrees, graph.n), config, per_degree, above)
         hits.append(_endpoint_hits(is_endpoint, vertices, degrees))
         del vertices, degrees  # freed before the next chunk is drawn
-    heavy = _heavy_set(per_degree, layout.degree_size, config, params.epsilon)
+    heavy = _heavy_set(per_degree, above, layout.degree_size, config, params.epsilon)
     hit_vertices, hit_degrees = (np.concatenate(column) for column in zip(*hits))
     return heavy, hit_vertices, hit_degrees

@@ -43,20 +43,22 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     # ``seen`` holds the sorted distinct codes of the earlier passes. A pass
     # that still needs ``need`` codes keeps the codes new to ``seen`` from
     # the shortest prefix of its draws that holds ``need`` of them: it
-    # dedupes the first ``need`` draws, and while ``d`` are missing takes
-    # the next ``d``, each of which adds at most one new code.
+    # encodes and dedupes its first ``need`` draws, self-loops dropped, and
+    # while ``d`` codes are missing the next ``d`` draws, each of which adds
+    # at most one new code. Draws past that prefix are never encoded.
     seen = np.empty(0, dtype=np.int64)
     while seen.size < m:
         need = m - seen.size
         batch = max(2 * need, 1024)
         u = rng.integers(0, n, size=batch, dtype=np.int64)
         v = rng.integers(0, n, size=batch, dtype=np.int64)
-        codes = pair_codes(u, v, n)[u != v]
-        found = _without(sorted_unique(codes[:need]), seen)
-        end = need
-        while found.size < need and end < codes.size:
-            start, end = end, end + need - found.size
-            found = _union(found, _without(sorted_unique(codes[start:end]), seen))
+        found = np.empty(0, dtype=np.int64)
+        read = 0
+        while found.size < need and read < batch:
+            us, vs = u[read : read + need - found.size], v[read : read + need - found.size]
+            read += us.shape[0]
+            codes = pair_codes(us, vs, n)[us != vs]
+            found = _union(found, _without(sorted_unique(codes), seen))
         seen = _union(seen, found)
     return graph_from_codes(n, seen)
 

@@ -151,7 +151,8 @@ def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> n
     count.
     """
     v = np.asarray(vertices, dtype=np.int64)
-    if v.size and (v.min() < 0 or v.max() >= graph.n):
+    # viewed unsigned, a negative vertex is at least n, so one pass checks both ends
+    if v.size and v.view(np.uint64).max() >= graph.n:
         pos = int(np.flatnonzero((v < 0) | (v >= graph.n))[0])
         raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments")
     degrees = graph.degree_table.take(v).astype(np.int64, copy=False)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -15,9 +16,17 @@ def derive_seed(master_seed: int, label: str) -> int:
     Distinct labels yield unrelated streams, so a plan's sampling randomness,
     an oracle's answer randomness, and per-trial randomness never alias even
     when they start from the same master seed. The derivation is a hash, so it
-    is stable across platforms and sessions.
+    is stable across platforms and sessions. ``master_seed`` must be an
+    integer in ``0..2**64-1``: a ``ValueError`` names it otherwise, so two
+    seeds that a report prints differently never share a stream.
     """
-    payload = f"{master_seed & _MASK64}:{label}".encode()
+    try:
+        seed = operator.index(master_seed)
+    except TypeError:
+        raise ValueError(f"master_seed must be an integer, got {master_seed!r}") from None
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"master_seed must lie in 0..{_MASK64}, got {seed}")
+    payload = f"{seed}:{label}".encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 

@@ -203,6 +203,31 @@ def test_bad_inputs_exit_one(capsys, monkeypatch, tmp_path, argv):
     assert not any(tmp_path.iterdir())
 
 
+SEED_ARGV = {
+    "estimate": ["--graph", "gnm:2000,8000"],
+    "bench": ["--graph", "gnm:300,900", "--eps", "0.5", "--trials", "1"],
+    "gen": ["--graph", "gnm:300,900"],
+    "lowerbound": ["--n", "100", "--q", "5", "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_ARGV))
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_exit_one(capsys, monkeypatch, tmp_path, command, seed):
+    # --seed -1 used to print the same estimate as --seed 18446744073709551615
+    monkeypatch.setenv("EDGECOUNT_OUT_DIR", str(tmp_path))
+    out = ["--out", str(tmp_path / "g.txt")] if command == "gen" else []
+    message = f"error: master_seed must lie in 0..{2**64 - 1}, got {seed}\n"
+    assert run_cli(capsys, command, *SEED_ARGV[command], *out, "--seed", str(seed)) == (1, "", message)
+    assert not any(tmp_path.iterdir())
+
+
+def test_seeds_at_both_ends_of_64_bits_estimate_differently(capsys):
+    low, high = (run_cli(capsys, "estimate", *SEED_ARGV["estimate"], "--seed", str(seed)) for seed in (0, 2**64 - 1))
+    assert low[0] == high[0] == 0
+    assert json.loads(low[1])["m_hat"] != json.loads(high[1])["m_hat"]
+
+
 @pytest.mark.parametrize("option", ["--c-s=inf", "--c-r=inf", "--c-s=nan", "--c-f=1e308", "--eps=1e-300"])
 def test_unusable_estimator_parameters_exit_one_without_traceback(subprocess_env, option):
     result = subprocess.run(

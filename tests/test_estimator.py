@@ -590,3 +590,33 @@ def test_estimate_peak_memory_stays_below_8_mb():
         tracemalloc.stop()
     assert report.queries.total == plan_layout(graph.n, params).total
     assert peak < 8_000_000
+
+
+def test_estimate_peak_memory_on_gnm_stays_within_2_6_mb():
+    # half-size degree chunks, no per-degree table beyond the dense cutoff
+    # and the endpoint rows freed once the endpoints are chosen: 2.42 MB
+    graph = graph_from_spec("gnm:1000000,500000", 0)
+    params = EstimatorParams(epsilon=0.25, master_seed=1)
+    tracemalloc.start()
+    try:
+        estimate_edges(graph, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_600_000
+
+
+def test_estimate_peak_memory_stays_below_10_mb_when_the_hub_is_probed():
+    # the hub's degree n - 1 used to size an intp tally and a bucket lookup
+    # table, 24 MB each at this n
+    graph = graph_from_spec("star:3000000", 0)
+    params = EstimatorParams(epsilon=0.25, master_seed=2)
+    assert np.count_nonzero(build_sample_plan(graph.n, params).deg_vertices == 0) >= 1
+    tracemalloc.start()
+    try:
+        report = estimate_edges(graph, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.queries.total == plan_layout(graph.n, params).total
+    assert peak < 10_000_000

@@ -232,6 +232,20 @@ def test_gnm_rejection_matches_reference_property(data):
     assert_same_graph(got, reference_gen_gnm(n, m, seed))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_gnm_rejection_walks_past_self_loops(n, data):
+    # a sixth to a half of the draws at n <= 6 are self-loops, so they cut
+    # into the prefix of draws a pass encodes, often more than once
+    pairs = n * (n - 1) // 2
+    m = data.draw(st.integers(0, pairs), label="m")
+    seed = data.draw(st.integers(0, 2**63), label="seed")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generators, "_DENSE_ENUMERATION_LIMIT", 0)
+        got = gen_gnm(n, m, seed)
+    assert_same_graph(got, reference_gen_gnm(n, m, seed))
+
+
 def test_gnm_rejects_too_many_vertices():
     with pytest.raises(GraphValidationError, match=f"supported maximum {MAX_VERTICES}"):
         gen_gnm(MAX_VERTICES + 1, 1, 0)

@@ -3,7 +3,7 @@
 Each reference below is the straightforward version of a kernel: a binary
 search per degree, length-n tallies and masks, one collision count per vote
 round, hashed run counts for collisions. The kernels must give exactly the same results, with memory that grows
-with the sample and its largest degree, plus one length-n boolean mask.
+with the sample, plus one length-n boolean mask; per-degree tables stop at ``DENSE_DEGREES``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from edgecount import (
     BucketConfig,
     EstimatorParams,
     HeavySet,
+    build_sample_plan,
     classify_heavy,
     collision_majority_vote,
     count_collisions,
@@ -27,9 +28,17 @@ from edgecount import (
     heavy_fraction_estimate,
     plan_layout,
 )
-from edgecount.estimator import _edge_id_keys, _sorted_collisions, _sorted_majority_vote, count_id_collisions
+from edgecount.buckets import DENSE_DEGREES
+from edgecount.estimator import (
+    _edge_id_keys,
+    _sorted_collisions,
+    _sorted_majority_vote,
+    _stream_degree_block,
+    count_id_collisions,
+)
 from edgecount.generators import gen_path
-from edgecount.graph import MAX_VERTICES, pair_codes, sorted_unique
+from edgecount.graph import MAX_VERTICES, Graph, pair_codes, sorted_unique
+from edgecount.oracle import QueryLedger
 
 
 def ref_bucket_indices(config: BucketConfig, degrees: np.ndarray) -> np.ndarray:
@@ -122,6 +131,55 @@ def test_heavy_fraction_matches_reference(sample, epsilon, rnd):
     for heavy in (classified, arbitrary):
         got = heavy_fraction_estimate(endpoints, sampled, degrees, heavy, config)
         assert got == ref_heavy_fraction(endpoints, sampled, degrees, heavy, config)
+
+
+@st.composite
+def degrees_across_the_dense_cutoff(draw):
+    """A bucket table on ``n > DENSE_DEGREES`` and degrees biased to both
+    sides of the cutoff and to ``n``."""
+    n = draw(st.integers(DENSE_DEGREES + 1, 4 * DENSE_DEGREES))
+    config = BucketConfig(n, draw(st.floats(0.01, 1.0)))
+    degree = st.sampled_from((1, DENSE_DEGREES - 1, DENSE_DEGREES, n)) | st.integers(1, n)
+    return config, np.array(draw(st.lists(degree, min_size=1, max_size=40)), dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degrees_across_the_dense_cutoff())
+def test_bucket_indices_across_the_dense_cutoff_match_binary_search(sample):
+    config, degrees = sample
+    assert np.array_equal(config.bucket_indices(degrees), ref_bucket_indices(config, degrees))
+    two_rows = np.resize(degrees, (2, degrees.shape[0]))
+    assert np.array_equal(config.bucket_indices(two_rows), ref_bucket_indices(config, two_rows))
+    for bad in (0, config.n + 1):
+        with pytest.raises(ValueError, match="degrees must lie in 1..n"):
+            config.bucket_indices(np.append(degrees, bad))
+
+
+@settings(max_examples=25, deadline=None)
+@given(degrees_across_the_dense_cutoff(), st.sampled_from((0.25, 0.5)), st.integers(0, 2**32 - 1))
+def test_streamed_heavy_set_across_the_dense_cutoff_matches_reference(sample, epsilon, seed):
+    # a hand-built graph whose vertices take the drawn degrees (and 0), so
+    # probes land on both sides of the cutoff in chunk after chunk
+    config, palette = sample
+    n = config.n
+    rng = np.random.default_rng(seed)
+    degree_of = np.append(palette, 0)[rng.integers(0, palette.shape[0] + 1, size=n)]
+    graph = Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
+    params = EstimatorParams(epsilon=epsilon, master_seed=seed, gamma=config.gamma)
+    layout = plan_layout(n, params)
+    endpoints = rng.integers(0, n, size=50)
+    heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, QueryLedger())
+
+    sampled = build_sample_plan(n, params).deg_vertices
+    degrees = degree_of[sampled]
+    expected = ref_bucket_counts(degrees, config)
+    assert np.array_equal(heavy.bucket_counts, expected)
+    assert heavy.sample_size == layout.degree_size
+    assert np.array_equal(heavy.indices, np.flatnonzero(expected / degrees.shape[0] >= heavy.threshold))
+    assert np.array_equal(classify_heavy(degrees, config, epsilon).bucket_counts, expected)
+    hit = np.isin(sampled, endpoints) & (degrees >= 1)
+    assert np.array_equal(hit_vertices, sampled[hit])
+    assert np.array_equal(hit_degrees, degrees[hit])
 
 
 def test_heavy_fraction_counts_duplicates_on_both_sides():
