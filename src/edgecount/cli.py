@@ -20,7 +20,7 @@ from .experiments import (
     write_experiment_files,
 )
 from .generators import load_graph
-from .graph import EdgeListParseError, GraphValidationError, read_edge_list, write_edge_list
+from .graph import read_edge_list, write_edge_list
 from .seeding import derive_seed
 
 OUT_DIR_ENV = "EDGECOUNT_OUT_DIR"
@@ -164,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         # the flush at exit, to devnull so nothing is reported
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (GraphValidationError, EdgeListParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,6 @@ import numpy as np
 from .buckets import DENSE_DEGREES, BucketConfig
 from .graph import MAX_VERTICES, Graph, pair_codes, run_starts
 from .oracle import (
-    EmptyGraphError,
     PlanProvenance,
     QueryLedger,
     QueryPlan,
@@ -30,7 +29,7 @@ from .oracle import (
     answer_rand_edge_ids,
     answer_rand_edges,
 )
-from .seeding import derive_rng, derive_seed
+from .seeding import check_master_seed, derive_rng
 
 BRANCH_COLLISION = "collision"
 BRANCH_NON_COLLISION = "non_collision"
@@ -80,6 +79,7 @@ class EstimatorParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon <= 0.8:
             raise ValueError("epsilon must be in (0, 0.8]")
+        object.__setattr__(self, "master_seed", check_master_seed(self.master_seed))
         for name in ("c_s", "c_t", "c_f", "c_r"):
             _check_positive_finite(name, getattr(self, name))
         try:
@@ -122,23 +122,25 @@ class PlanLayout:
     def total(self) -> int:
         return sum(self.block_counts)
 
+    def _slice(self, block: int) -> slice:
+        start = sum(self.block_counts[:block])
+        return slice(start, start + self.block_counts[block])
+
     @property
     def degree_slice(self) -> slice:
-        return slice(0, self.degree_size)
+        return self._slice(0)
 
     @property
     def endpoint_slice(self) -> slice:
-        return slice(self.degree_size, self.degree_size + self.endpoint_size)
+        return self._slice(1)
 
     @property
     def vote_slice(self) -> slice:
-        start = self.degree_size + self.endpoint_size
-        return slice(start, start + self.vote_size)
+        return self._slice(2)
 
     @property
     def collision_slice(self) -> slice:
-        start = self.degree_size + self.endpoint_size + self.vote_size
-        return slice(start, self.total)
+        return self._slice(3)
 
 
 @dataclass(frozen=True)
@@ -267,22 +269,17 @@ class HeavySet:
         return mask
 
 
-def _check_degree_range(degrees: np.ndarray, n: int) -> int:
-    """The largest degree answer, -1 for none; ``ValueError`` unless every answer lies in ``0..n``."""
-    if degrees.size == 0:
+def _check_range(values: np.ndarray, top: int, what: str) -> int:
+    """The largest of ``values``, -1 for none; ``ValueError`` unless every one lies in ``0..top``."""
+    if values.size == 0:
         return -1
-    # viewed unsigned, a negative integer answer exceeds n, so one pass checks both ends
-    unsigned = degrees.view(f"u{degrees.itemsize}") if degrees.dtype.kind == "i" else degrees
-    top = unsigned.max()
-    if top > n or (unsigned.dtype.kind != "u" and unsigned.min() < 0):
-        raise ValueError(f"degree answers must lie in 0..{n}")
-    return int(top)
-
-
-def _check_vertex_ids(name: str, ids: np.ndarray, n: int) -> None:
-    # a negative id would index the endpoint mask from its end
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ValueError(f"{name} must lie in 0..{n - 1}")
+    # a negative vertex id would index the endpoint mask from its end; viewed
+    # unsigned, a negative integer exceeds top, so one pass checks both ends
+    unsigned = values.view(f"u{values.itemsize}") if values.dtype.kind == "i" else values
+    largest = unsigned.max()
+    if largest > top or (unsigned.dtype.kind != "u" and unsigned.min() < 0):
+        raise ValueError(f"{what} must lie in 0..{top}")
+    return int(largest)
 
 
 def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: float) -> HeavySet:
@@ -294,7 +291,7 @@ def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: fl
     degree_answers = np.asarray(degree_answers)
     if degree_answers.shape[0] == 0:
         raise ValueError("cannot classify from an empty degree sample")
-    top = _check_degree_range(degree_answers, config.n)
+    top = _check_range(degree_answers, config.n, "degree answers")
     above = np.zeros(config.t, dtype=np.int64)
     per_degree = _tally(degree_answers, top, config, np.zeros(0, dtype=np.intp), above)
     return _heavy_set(per_degree, above, int(degree_answers.shape[0]), config, epsilon)
@@ -312,7 +309,7 @@ def _tally(
     """
     if top >= DENSE_DEGREES:
         dense = degrees < DENSE_DEGREES
-        above += np.bincount(np.searchsorted(config.powers, degrees[~dense], side="left"), minlength=config.t)
+        above += np.bincount(config.bucket_indices(degrees[~dense]), minlength=config.t)
         degrees = degrees[dense]
     tally = np.bincount(degrees, minlength=per_degree.shape[0])
     tally[: per_degree.shape[0]] += per_degree
@@ -373,9 +370,9 @@ def heavy_fraction_estimate(
     sampled_degrees = np.asarray(sampled_degrees)
     if sampled_vertices.shape != sampled_degrees.shape:
         raise ValueError("sampled vertices and degrees must align one to one")
-    _check_degree_range(sampled_degrees, config.n)
-    _check_vertex_ids("endpoints", endpoints, config.n)
-    _check_vertex_ids("sampled vertices", sampled_vertices, config.n)
+    _check_range(sampled_degrees, config.n, "degree answers")
+    _check_range(endpoints, config.n - 1, "endpoints")
+    _check_range(sampled_vertices, config.n - 1, "sampled vertices")
     hit_vertices, hit_degrees = _endpoint_hits(_endpoint_mask(endpoints, config.n), sampled_vertices, sampled_degrees)
     return _heavy_fraction(endpoints, hit_vertices, hit_degrees, heavy, config)
 
@@ -427,7 +424,7 @@ def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
     if arr.size == 0:
         return 0
     arr = arr.reshape(-1, 2)
-    _check_vertex_ids("edge endpoints", arr, _ROW_RADIX)
+    _check_range(arr, _ROW_RADIX - 1, "edge endpoints")
     codes = pair_codes(arr[:, 0], arr[:, 1], _ROW_RADIX)
     codes.sort()
     return _sorted_collisions(codes)
@@ -469,8 +466,8 @@ def collision_majority_vote(edge_u: np.ndarray, edge_v: np.ndarray, rounds: int,
     edge_v = np.asarray(edge_v, dtype=np.int64)
     if min(edge_u.shape[0], edge_v.shape[0]) < size:
         raise ValueError(f"vote needs {rounds} x {batch_size} = {size} edges")
-    _check_vertex_ids("edge endpoints", edge_u, _ROW_RADIX)
-    _check_vertex_ids("edge endpoints", edge_v, _ROW_RADIX)
+    _check_range(edge_u, _ROW_RADIX - 1, "edge endpoints")
+    _check_range(edge_v, _ROW_RADIX - 1, "edge endpoints")
     codes = pair_codes(edge_u[:size], edge_v[:size], _ROW_RADIX).reshape(rounds, batch_size)
     codes.sort(axis=1)
     return _sorted_majority_vote(codes)
@@ -511,11 +508,11 @@ class EstimateReport:
 def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     """Run the full non-adaptive estimator against ``graph``.
 
-    Branches: ``zero_edges`` when the graph reports no edges; ``collision``
-    when the sparse-regime vote fires and collisions were observed, giving
-    the inverse-collision estimate; ``non_collision`` for the bucketed ratio
-    estimate; ``failed`` when that ratio is degenerate. The ledger in the
-    report accounts for every issued query.
+    Branches: ``zero_edges``, before any query, when the graph reports no
+    edges; ``collision`` when the sparse-regime vote fires and collisions
+    were observed, giving the inverse-collision estimate; ``non_collision``
+    for the bucketed ratio estimate; ``failed`` when that ratio is
+    degenerate. The ledger in the report accounts for every issued query.
 
     Issues the queries of :func:`build_sample_plan` as
     :func:`~edgecount.oracle.answer_plan` would answer them, one block or
@@ -524,23 +521,16 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     streams past and only its tally and endpoint hits are kept.
     """
     layout = plan_layout(graph.n, params)
-    config = params.bucket_config(graph.n)
     ledger = QueryLedger()
-    rng = np.random.default_rng(derive_seed(params.master_seed, "oracle:answers"))
-    try:
-        drawn = answer_rand_edges(graph, rng, layout.endpoint_size, ledger)
-    except EmptyGraphError:
+    if graph.m == 0:
         return EstimateReport(
-            m_hat=0.0,
-            branch=BRANCH_ZERO_EDGES,
-            r=0,
-            k=0,
-            d_tilde_h=0.0,
-            p_tilde_h=0.0,
-            queries=ledger.snapshot(),
+            m_hat=0.0, branch=BRANCH_ZERO_EDGES, r=0, k=0, d_tilde_h=0.0, p_tilde_h=0.0, queries=ledger
         )
+    config = params.bucket_config(graph.n)
+    rng = derive_rng(params.master_seed, "oracle:answers")
+    drawn = answer_rand_edges(graph, rng, layout.endpoint_size, ledger)
     endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
-    _check_vertex_ids("endpoints", endpoints, graph.n)
+    _check_range(endpoints, graph.n - 1, "endpoints")
     del drawn  # only the chosen endpoints are read from here on
     # the vote and the collision count only compare edges, so they read
     # the drawn positions and never gather rows
@@ -566,15 +556,7 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     else:
         m_hat = mass / (2.0 * fraction)
         branch = BRANCH_NON_COLLISION
-    return EstimateReport(
-        m_hat=m_hat,
-        branch=branch,
-        r=int(r),
-        k=int(k),
-        d_tilde_h=mass,
-        p_tilde_h=fraction,
-        queries=ledger.snapshot(),
-    )
+    return EstimateReport(m_hat=m_hat, branch=branch, r=r, k=k, d_tilde_h=mass, p_tilde_h=fraction, queries=ledger)
 
 
 def _stream_degree_block(
@@ -596,7 +578,7 @@ def _stream_degree_block(
     hits = []
     for vertices in _degree_vertex_chunks(graph.n, params, layout.degree_size):
         degrees = answer_degrees(graph, vertices, ledger)
-        per_degree = _tally(degrees, _check_degree_range(degrees, graph.n), config, per_degree, above)
+        per_degree = _tally(degrees, _check_range(degrees, graph.n, "degree answers"), config, per_degree, above)
         hits.append(_endpoint_hits(is_endpoint, vertices, degrees))
         del vertices, degrees  # freed before the next chunk is drawn
     heavy = _heavy_set(per_degree, above, layout.degree_size, config, params.epsilon)

@@ -356,37 +356,22 @@ def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int 
     probe_set = np.arange(min(q, n), dtype=np.int64)
 
     rows: list[DistinguishRow] = []
-    correct = 0
-    sum_a = sum_b = 0
-    set_misses = 0
-    probe_hit_total = 0
     for j in range(trials):
         instance = gen_lowerbound_instance(n, derive_seed(master_seed, f"instance:{j}"))
         counts = {}
         for label, graph in (("a", instance.graph_a), ("b", instance.graph_b)):
             rng = np.random.default_rng(derive_seed(master_seed, f"answers:{label}:{j}"))
             counts[label] = count_id_collisions(answer_rand_edge_ids(graph, rng, q, QueryLedger()), graph.m)
-        correct_a = counts["a"] <= threshold
-        correct_b = counts["b"] > threshold
-        correct += int(correct_a) + int(correct_b)
-        sum_a += counts["a"]
-        sum_b += counts["b"]
         probe_hits = int(np.isin(probe_set, instance.planted_set).sum())
-        probe_hit_total += probe_hits
-        set_misses += probe_hits == 0
         rows.append(
-            DistinguishRow(
-                trial=j,
-                collisions_a=counts["a"],
-                collisions_b=counts["b"],
-                correct_a=correct_a,
-                correct_b=correct_b,
-                probe_hits=probe_hits,
-            )
+            DistinguishRow(j, counts["a"], counts["b"], counts["a"] <= threshold, counts["b"] > threshold, probe_hits)
         )
 
-    mean_a = sum_a / trials
-    mean_b = sum_b / trials
+    correct = sum(row.correct_a + row.correct_b for row in rows)
+    mean_a = sum(row.collisions_a for row in rows) / trials
+    mean_b = sum(row.collisions_b for row in rows) / trials
+    set_misses = sum(row.probe_hits == 0 for row in rows)
+    probe_hit_total = sum(row.probe_hits for row in rows)
     side = 2 * math.ceil(math.sqrt(n)) + 1
     return DistinguishResult(
         n=n,

@@ -111,9 +111,6 @@ class QueryLedger:
     def total(self) -> int:
         return self.deg + self.rand_edge
 
-    def snapshot(self) -> "QueryLedger":
-        return QueryLedger(self.deg, self.rand_edge)
-
     def as_dict(self) -> dict[str, int]:
         return {"deg": self.deg, "rand_edge": self.rand_edge}
 

@@ -62,6 +62,13 @@ def test_params_validation():
     with pytest.raises(ValueError, match="collision_reps must be an integer, got 1.5"):
         EstimatorParams(epsilon=0.5, collision_reps=1.5)
     assert type(EstimatorParams(epsilon=0.5, collision_reps=np.int64(3)).collision_reps) is int
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"master_seed must lie in 0..{2**64 - 1}, got {seed}"):
+            EstimatorParams(epsilon=0.5, master_seed=seed)
+    with pytest.raises(ValueError, match="master_seed must be an integer, got 1.5"):
+        EstimatorParams(epsilon=0.5, master_seed=1.5)
+    seeded = EstimatorParams(epsilon=0.5, master_seed=np.int64(3))
+    assert type(seeded.master_seed) is int and seeded.master_seed == 3
     with pytest.raises(ValueError, match="gamma"):
         EstimatorParams(epsilon=0.5, gamma=-1.0)
     assert EstimatorParams(epsilon=0.4).gamma == pytest.approx(0.04)
@@ -141,6 +148,16 @@ def test_estimate_checks_degree_answers_once_before_tallying(bad_degree):
     with pytest.raises(ValueError) as info:
         estimate_edges(graph, EstimatorParams(epsilon=0.25))
     assert str(info.value) == "degree answers must lie in 0..4"
+
+
+@pytest.mark.parametrize("row", [[0, 7], [-1, 2]])
+def test_estimate_checks_the_chosen_endpoints(row):
+    # hand-built graph whose one edge has an endpoint outside 0..n-1; a
+    # negative one would index the endpoint mask from its end
+    graph = Graph(4, [row], [1, 0, 1, 0])
+    with pytest.raises(ValueError) as info:
+        estimate_edges(graph, EstimatorParams(epsilon=0.25))
+    assert str(info.value) == "endpoints must lie in 0..3"
 
 
 def test_sample_sizes_frozen_at_reference_scale():

@@ -166,6 +166,7 @@ def test_trial_config_rejects_fewer_than_one_trial(trials):
         ({"epsilon": 0.9}, "epsilon must be in (0, 0.8]"),
         ({"c_r": -1.0}, "c_r must be positive"),
         ({"collision_reps": 0}, "collision_reps must be at least 1"),
+        ({"master_seed": -1}, f"master_seed must lie in 0..{2**64 - 1}, got -1"),
     ],
 )
 def test_trial_config_rejects_bad_parameters(overrides, message):
