@@ -62,11 +62,14 @@ from .graph import (
     write_edge_list,
 )
 from .oracle import (
+    DegreeAnswers,
+    DegreeCodes,
     EmptyGraphError,
     PlanProvenance,
     QueryLedger,
     QueryPlan,
     Transcript,
+    answer_degree_codes,
     answer_degrees,
     answer_plan,
     answer_rand_edge_ids,

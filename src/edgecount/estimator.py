@@ -22,10 +22,12 @@ import numpy as np
 from .buckets import DENSE_DEGREES, BucketConfig
 from .graph import MAX_VERTICES, Graph, pair_codes, run_starts
 from .oracle import (
+    DegreeAnswers,
+    DegreeCodes,
     PlanProvenance,
     QueryLedger,
     QueryPlan,
-    answer_degrees,
+    answer_degree_codes,
     answer_rand_edge_ids,
     answer_rand_edges,
 )
@@ -44,7 +46,7 @@ MAX_PLAN_QUERIES = 2**32
 _ROW_RADIX = 2**32
 
 # Degree probes drawn, answered and folded at a time by estimate_edges: a
-# chunk's int64 vertices and degrees take 512 KiB each.
+# chunk's int64 vertices take 512 KiB.
 _DEGREE_CHUNK = 2**16
 
 
@@ -332,6 +334,18 @@ def _heavy_set(
     return HeavySet(indices=indices, bucket_counts=counts, sample_size=sample_size, threshold=threshold)
 
 
+def sampled_heavy_set(graph: Graph, params: EstimatorParams, ledger: QueryLedger) -> HeavySet:
+    """:func:`classify_heavy` of the plan's degree probes, answered from ``graph`` one chunk at a time.
+
+    The heavy set that classifying the degree block of
+    :func:`~edgecount.oracle.answer_plan` gives, without holding the probes
+    or their answers; ``ledger.deg`` grows by the block's size.
+    """
+    layout = plan_layout(graph.n, params)
+    no_endpoints = np.empty(0, dtype=np.int64)
+    return _stream_degree_block(graph, params, layout, params.bucket_config(graph.n), no_endpoints, ledger)[0]
+
+
 def heavy_mass_estimate(heavy: HeavySet, config: BucketConfig) -> float:
     """Scale sampled bucket tallies up to a degree-mass estimate for the heavy part."""
     per_bucket = heavy.bucket_counts[heavy.indices] * config.powers[heavy.indices]
@@ -373,27 +387,22 @@ def heavy_fraction_estimate(
     _check_range(sampled_degrees, config.n, "degree answers")
     _check_range(endpoints, config.n - 1, "endpoints")
     _check_range(sampled_vertices, config.n - 1, "sampled vertices")
-    hit_vertices, hit_degrees = _endpoint_hits(_endpoint_mask(endpoints, config.n), sampled_vertices, sampled_degrees)
-    return _heavy_fraction(endpoints, hit_vertices, hit_degrees, heavy, config)
-
-
-def _endpoint_mask(endpoints: np.ndarray, n: int) -> np.ndarray:
-    is_endpoint = np.zeros(n, dtype=bool)
+    is_endpoint = np.zeros(config.n, dtype=bool)
     is_endpoint[endpoints] = True
-    return is_endpoint
+    hit = np.flatnonzero(is_endpoint.take(sampled_vertices) & (sampled_degrees >= 1))
+    return _heavy_fraction(endpoints, sampled_vertices[hit], sampled_degrees[hit], heavy, config)
 
 
-def _endpoint_hits(
-    is_endpoint: np.ndarray, sampled_vertices: np.ndarray, sampled_degrees: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices and degrees of the probes on a chosen endpoint, degree 0 left out.
+def _endpoint_hits(vertices: np.ndarray, answers: DegreeAnswers) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and degrees of the probes on a marked endpoint, degree 0 left out.
 
     Only these few probes can match an endpoint draw, and degree 0 is in no
     bucket.
     """
-    hit = np.flatnonzero(is_endpoint.take(sampled_vertices))  # take gathers faster than indexing
-    hit = hit[sampled_degrees[hit] >= 1]
-    return sampled_vertices[hit], sampled_degrees[hit]
+    codes = answers.codes
+    hit = np.flatnonzero(np.bitwise_and(codes, 1).astype(bool))
+    hit = hit[codes[hit] >= 2]
+    return vertices[hit], answers.degrees(hit)
 
 
 def _heavy_fraction(
@@ -569,18 +578,36 @@ def _stream_degree_block(
 ) -> tuple[HeavySet, np.ndarray, np.ndarray]:
     """Draw, answer and fold the degree block one chunk at a time.
 
-    Returns the heavy set of the whole block and its :func:`_endpoint_hits`.
-    Each chunk's degree answers are range-checked before they are tallied.
+    Returns the heavy set of the whole block and the vertices and degrees of
+    the probes on one of ``endpoints``, degree 0 left out. Each chunk is
+    answered from one :class:`~edgecount.oracle.DegreeCodes` table, whose
+    codes mark the endpoints, and its degrees are range-checked before they
+    are tallied.
     """
-    is_endpoint = _endpoint_mask(endpoints, graph.n)
-    per_degree = np.zeros(0, dtype=np.intp)
+    table = DegreeCodes(graph, endpoints)
+    code_counts = np.zeros(0, dtype=np.intp)
+    per_degree = np.zeros(0, dtype=np.intp)  # of the escaped probes' exact degrees
     above = np.zeros(config.t, dtype=np.int64)
     hits = []
     for vertices in _degree_vertex_chunks(graph.n, params, layout.degree_size):
-        degrees = answer_degrees(graph, vertices, ledger)
-        per_degree = _tally(degrees, _check_range(degrees, graph.n, "degree answers"), config, per_degree, above)
-        hits.append(_endpoint_hits(is_endpoint, vertices, degrees))
-        del vertices, degrees  # freed before the next chunk is drawn
-    heavy = _heavy_set(per_degree, above, layout.degree_size, config, params.epsilon)
+        answers = answer_degree_codes(table, vertices, ledger)
+        counts = np.bincount(answers.codes, minlength=code_counts.shape[0])
+        # a field above n, short of the escape, is an out-of-range degree
+        if counts[2 * (graph.n + 1) : None if table.escape is None else 2 * table.escape].any():
+            raise ValueError(f"degree answers must lie in 0..{graph.n}")
+        counts[: code_counts.shape[0]] += code_counts
+        code_counts = counts
+        if answers.escaped.size:
+            exact = answers.exact
+            per_degree = _tally(exact, _check_range(exact, graph.n, "degree answers"), config, per_degree, above)
+        hits.append(_endpoint_hits(vertices, answers))
+        del vertices, answers  # freed before the next chunk is drawn
+    # a degree's two codes, marked and not, are adjacent; the escaped
+    # probes are tallied from their exact degrees instead
+    folded = np.add.reduceat(code_counts, np.arange(0, code_counts.shape[0], 2))[: table.escape]
+    if folded.shape[0] < per_degree.shape[0]:
+        folded, per_degree = per_degree, folded
+    folded[: per_degree.shape[0]] += per_degree
+    heavy = _heavy_set(folded, above, layout.degree_size, config, params.epsilon)
     hit_vertices, hit_degrees = (np.concatenate(column) for column in zip(*hits))
     return heavy, hit_vertices, hit_degrees

@@ -20,16 +20,15 @@ from .estimator import (
     BRANCH_COLLISION,
     BRANCH_FAILED,
     EstimatorParams,
-    build_sample_plan,
-    classify_heavy,
     count_id_collisions,
     estimate_edges,
     plan_layout,
     resolved_params,
+    sampled_heavy_set,
 )
 from .exact import exact_heavy_fraction, heavy_light_decomposition
 from .generators import gen_lowerbound_instance, load_graph
-from .oracle import QueryLedger, answer_degrees, answer_rand_edge_ids
+from .oracle import QueryLedger, answer_rand_edge_ids
 from .seeding import derive_seed
 
 
@@ -256,9 +255,10 @@ def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_se
 
     Only meaningful in the dense regime; graphs with ``m < n/2`` are rejected,
     and so is ``trials`` below 1, before the graph is loaded. The heavy
-    classification comes from the plan's metered degree probes, while the
-    fraction it earns is scored by the exact oracle (which also re-checks the
-    decomposition identities every trial).
+    classification comes from the plan's metered degree probes, streamed as
+    :func:`estimate_edges` streams them, while the fraction it earns is
+    scored by the exact oracle (which also re-checks the decomposition
+    identities every trial).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -269,9 +269,8 @@ def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_se
     values: list[float] = []
     for j in range(trials):
         params = EstimatorParams(epsilon=epsilon, master_seed=derive_seed(master_seed, f"trial:{j}"))
-        degrees = answer_degrees(graph, build_sample_plan(graph.n, params).deg_vertices, QueryLedger())
+        heavy = sampled_heavy_set(graph, params, QueryLedger())
         config = params.bucket_config(graph.n)
-        heavy = classify_heavy(degrees, config, epsilon)
         heavy_light_decomposition(graph, heavy.indices, config)  # identity checks
         values.append(exact_heavy_fraction(graph, heavy.indices, config))
     meeting = sum(value >= bound for value in values)

@@ -1,8 +1,10 @@
 """Metered graph access: degree lookups and uniform random edges, with replacement.
 
 These are the only two query kinds the estimator issues, and each has one
-metered primitive: :func:`answer_degrees`, and :func:`answer_rand_edge_ids`,
-which draws edges as positions in ``graph.edges``. Callers that only compare
+metered primitive: :func:`answer_degree_codes`, which answers degrees as
+codes of a :class:`DegreeCodes` table, and :func:`answer_rand_edge_ids`,
+which draws edges as positions in ``graph.edges``. :func:`answer_degrees`
+decodes the first into plain degrees. Callers that only compare
 edges (the collision counts, the lower-bound distinguisher) read positions;
 :func:`answer_rand_edges` gathers rows. A :class:`QueryPlan` fixes every
 query up front, degree probes first, and :func:`answer_plan` answers it
@@ -140,21 +142,113 @@ class Transcript:
         return np.concatenate((np.full(self.degrees.shape[0], -1, np.int64), self.edges[:, 1]))
 
 
-def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> np.ndarray:
-    """Answer ``Deg(v)`` for each of ``vertices``, in order, as int64 degrees.
+def _outside(vertices: np.ndarray, n: int) -> bool:
+    """Whether any of the int64 ``vertices`` lies outside ``0..n-1``.
+
+    Viewed unsigned, a negative vertex is at least n, so one pass checks both ends.
+    """
+    return bool(vertices.size) and bool(vertices.view(np.uint64).max() >= n)
+
+
+class DegreeCodes:
+    """Each vertex's degree and one mark bit, packed into one code per vertex.
+
+    The code of ``v`` is ``field << 1 | marked(v)``, where the field is
+    ``deg(v)`` when it fits, so one gather per probe answers both the degree
+    and whether the probe hit a marked vertex. The width comes from the
+    graph's degree table:
+
+    - uint8 codes when every degree lies in ``0..126``;
+    - uint16 codes when every degree lies in ``0..2^15-1``;
+    - otherwise uint8 codes whose field :attr:`escape` = 127 stands for a
+      degree of 127 or more, or a negative one;
+      :func:`answer_degree_codes` answers those probes with their exact
+      degree as well.
+
+    ``escape`` is ``None`` for the two exact widths. Building the table is
+    not a query: it is the oracle's own index, and its codes are read only
+    through the metered :func:`answer_degree_codes`. A ``marked`` vertex
+    outside ``0..n-1`` raises ``ValueError``.
+    """
+
+    __slots__ = ("graph", "escape", "_codes")
+
+    def __init__(self, graph: Graph, marked: np.ndarray | None = None):
+        table = graph.degree_table
+        if table.dtype.kind not in "iu":
+            raise ValueError(f"degrees must be integers, got dtype {table.dtype}")
+        # an unsigned table is narrowed to its largest degree, so one wider
+        # than 2 bytes holds a degree of at least 2^16
+        top = int(table.max()) if table.dtype.kind == "u" and table.itemsize <= 2 and table.size else None
+        if top is not None and top < 2**15:
+            codes = np.add(table, table, dtype=np.uint8 if top < 127 else np.uint16)
+            escape = None
+        else:
+            # viewed unsigned, a negative degree exceeds 127 and saturates too
+            codes = np.empty(table.shape[0], dtype=np.uint8)
+            np.minimum(table.view(f"u{table.itemsize}"), 127, out=codes, casting="unsafe")
+            np.add(codes, codes, out=codes)  # the shift; np.left_shift is several times slower on uint8
+            escape = 127
+        if marked is not None:
+            marked = np.asarray(marked, dtype=np.int64)
+            if _outside(marked, graph.n):  # -1 would mark the last vertex
+                raise ValueError(f"marked vertices must lie in 0..{graph.n - 1}")
+            codes[marked] |= 1
+        codes.setflags(write=False)
+        self.graph = graph
+        self.escape = escape
+        self._codes = codes
+
+
+@dataclass(frozen=True)
+class DegreeAnswers:
+    """Answers to a run of degree probes: one code each, plus the exact degrees behind the escape.
+
+    ``escaped`` holds the sorted positions of the probes whose code field is
+    the table's escape, and ``exact`` their degrees as the graph stores them.
+    """
+
+    codes: np.ndarray
+    escaped: np.ndarray
+    exact: np.ndarray
+
+    def degrees(self, positions: np.ndarray | None = None) -> np.ndarray:
+        """The int64 degrees of the probes at sorted ``positions``, or of every probe."""
+        codes = self.codes if positions is None else self.codes[positions]
+        degrees = (codes >> 1).astype(np.int64)
+        if self.escaped.size:
+            if positions is None:
+                degrees[self.escaped] = self.exact
+            else:
+                at = np.searchsorted(self.escaped, positions)
+                found = self.escaped.take(at, mode="clip") == positions
+                degrees[found] = self.exact[at[found]]
+        return degrees
+
+
+def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryLedger) -> DegreeAnswers:
+    """Answer ``Deg(v)`` for each of ``vertices``, in order, as codes of ``table``.
 
     A vertex outside ``0..n-1`` raises ``ValueError`` naming its position,
     before anything is metered; otherwise ``ledger.deg`` grows by the probe
     count.
     """
+    n = table.graph.n
     v = np.asarray(vertices, dtype=np.int64)
-    # viewed unsigned, a negative vertex is at least n, so one pass checks both ends
-    if v.size and v.view(np.uint64).max() >= graph.n:
-        pos = int(np.flatnonzero((v < 0) | (v >= graph.n))[0])
+    if _outside(v, n):
+        pos = int(np.flatnonzero((v < 0) | (v >= n))[0])
         raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments")
-    degrees = graph.degree_table.take(v).astype(np.int64, copy=False)
-    ledger.deg += int(degrees.shape[0])
-    return degrees
+    codes = table._codes.take(v)  # take gathers faster than indexing
+    escaped = np.empty(0, dtype=np.intp)
+    if table.escape is not None:
+        escaped = np.flatnonzero(codes >= 2 * table.escape)
+    ledger.deg += int(codes.shape[0])
+    return DegreeAnswers(codes, escaped, table.graph.degree_table.take(v.take(escaped)))
+
+
+def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> np.ndarray:
+    """:func:`answer_degree_codes` on an unmarked table, decoded to int64 degrees."""
+    return answer_degree_codes(DegreeCodes(graph), vertices, ledger).degrees()
 
 
 def answer_rand_edge_ids(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:

@@ -17,7 +17,7 @@ from edgecount import (
     Graph,
     HeavySet,
     QueryPlan,
-    answer_degrees,
+    answer_degree_codes,
     answer_plan,
     answer_rand_edge_ids,
     answer_rand_edges,
@@ -561,10 +561,11 @@ def test_streamed_estimate_matches_the_whole_transcript(stream_graph, seed, reps
 def test_streamed_queries_and_answers_concatenate_to_the_plan(monkeypatch, stream_graph, reps):
     probes, degrees, rand_counts, edges = [], [], [], []
 
-    def record_degrees(graph, vertices, ledger):
+    def record_degree_codes(table, vertices, ledger):
         probes.append(vertices.copy())
-        degrees.append(answer_degrees(graph, vertices, ledger))
-        return degrees[-1]
+        answers = answer_degree_codes(table, vertices, ledger)
+        degrees.append(answers.degrees())
+        return answers
 
     def record_rand_edges(graph, rng, count, ledger):
         rand_counts.append(count)
@@ -577,7 +578,7 @@ def test_streamed_queries_and_answers_concatenate_to_the_plan(monkeypatch, strea
         edges.append(graph.edges.take(ids, axis=0))
         return ids
 
-    monkeypatch.setattr(estimator, "answer_degrees", record_degrees)
+    monkeypatch.setattr(estimator, "answer_degree_codes", record_degree_codes)
     monkeypatch.setattr(estimator, "answer_rand_edges", record_rand_edges)
     monkeypatch.setattr(estimator, "answer_rand_edge_ids", record_rand_edge_ids)
     n = stream_graph.n
@@ -637,3 +638,19 @@ def test_estimate_peak_memory_stays_below_10_mb_when_the_hub_is_probed():
         tracemalloc.stop()
     assert report.queries.total == plan_layout(graph.n, params).total
     assert peak < 10_000_000
+
+
+def test_estimate_peak_memory_stays_below_6_mb_when_the_hub_is_probed():
+    # one n-byte table of degree codes, saturated at the hub, replaces the
+    # n-byte endpoint mask and the gathers from the 4-byte degree table
+    graph = graph_from_spec("star:3000000", 0)
+    params = EstimatorParams(epsilon=0.25, master_seed=2)
+    assert np.count_nonzero(build_sample_plan(graph.n, params).deg_vertices == 0) >= 1
+    tracemalloc.start()
+    try:
+        report = estimate_edges(graph, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.queries.total == plan_layout(graph.n, params).total
+    assert peak < 6_000_000

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,15 @@ def test_ph_bound_on_skewed_degrees():
     stats = run_ph_bound_check("skewed:10000,4.0", epsilon=0.25, trials=25)
     assert stats.m >= stats.n / 2
     assert stats.fraction_meeting_bound >= 0.9
+
+
+@pytest.mark.parametrize(
+    "spec, trials, digest", [("gnm:10000,100000", 100, "7f3636a2668e4fb2"), ("skewed:10000,4.0", 25, "192fb528a0e4c618")]
+)
+def test_ph_bound_heavy_fractions_are_byte_identical(spec, trials, digest):
+    # pinned when each trial classified the degree block of a whole plan
+    stats = run_ph_bound_check(spec, epsilon=0.25, trials=trials, master_seed=0)
+    assert hashlib.sha256(json.dumps(stats.heavy_fractions).encode()).hexdigest()[:16] == digest
 
 
 def test_ph_bound_rejects_sparse_graphs():

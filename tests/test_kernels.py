@@ -3,7 +3,7 @@
 Each reference below is the straightforward version of a kernel: a binary
 search per degree, length-n tallies and masks, one collision count per vote
 round, hashed run counts for collisions. The kernels must give exactly the same results, with memory that grows
-with the sample, plus one length-n boolean mask; per-degree tables stop at ``DENSE_DEGREES``.
+with the sample, plus one n-entry degree code table; per-degree tables stop at ``DENSE_DEGREES``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from edgecount.estimator import (
 )
 from edgecount.generators import gen_path
 from edgecount.graph import MAX_VERTICES, Graph, pair_codes, sorted_unique
-from edgecount.oracle import QueryLedger
+from edgecount.oracle import DegreeCodes, QueryLedger, answer_degree_codes
 
 
 def ref_bucket_indices(config: BucketConfig, degrees: np.ndarray) -> np.ndarray:
@@ -180,6 +180,78 @@ def test_streamed_heavy_set_across_the_dense_cutoff_matches_reference(sample, ep
     hit = np.isin(sampled, endpoints) & (degrees >= 1)
     assert np.array_equal(hit_vertices, sampled[hit])
     assert np.array_equal(hit_degrees, degrees[hit])
+
+
+# the largest degree of each graph below, its degree table's dtype, and the
+# width and escape field of its degree codes
+WIDTH_CASES = [
+    (126, np.uint8, np.uint8, None),
+    (127, np.uint8, np.uint16, None),
+    (128, np.uint8, np.uint16, None),
+    (2**15 - 1, np.uint16, np.uint16, None),
+    (2**15, np.uint16, np.uint8, 127),
+    (DENSE_DEGREES + 5, np.uint32, np.uint8, 127),
+]
+
+
+def _width_graph(largest: int, negative: bool, sampled: np.ndarray, n: int) -> Graph:
+    """Degrees from 0 up to ``largest`` on ``n`` vertices, ``largest`` on the first probes,
+    and ``-1`` on a vertex no probe reaches when ``negative``."""
+    rng = np.random.default_rng(largest)
+    palette = [d for d in (0, 1, 2, 5, 126, 127, 128, 2**15 - 1, 2**15, DENSE_DEGREES, largest) if d <= largest]
+    degree_of = rng.choice(np.array(palette, dtype=np.int64), size=n)
+    degree_of[sampled[:5]] = largest
+    if negative:
+        degree_of[np.setdiff1d(np.arange(n), sampled)[0]] = -1
+    return Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
+
+
+@pytest.mark.parametrize("negative", [False, True], ids=["unsigned", "negative"])
+@pytest.mark.parametrize(
+    "largest, table_dtype, code_dtype, escape", WIDTH_CASES, ids=["126", "127", "128", "32767", "32768", "dense"]
+)
+def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table_dtype, code_dtype, escape, negative):
+    n = DENSE_DEGREES + 7
+    params = EstimatorParams(epsilon=0.25, master_seed=3)
+    layout = plan_layout(n, params)
+    config = params.bucket_config(n)
+    sampled = build_sample_plan(n, params).deg_vertices
+    graph = _width_graph(largest, negative, sampled, n)
+    if negative:  # no unsigned table holds -1, and the codes saturate
+        table_dtype, code_dtype, escape = np.int64, np.uint8, 127
+    assert graph.degree_table.dtype == table_dtype
+    degrees = graph.degrees[sampled]
+    answers = answer_degree_codes(DegreeCodes(graph), sampled, QueryLedger())
+    assert answers.codes.dtype == code_dtype
+    assert DegreeCodes(graph).escape == escape
+    assert np.array_equal(answers.degrees(), degrees)
+
+    # endpoints on the largest-degree probes and elsewhere
+    endpoints = np.concatenate((sampled[:3], sampled[7:40], np.arange(0, n, 997)))
+    heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, QueryLedger())
+    expected = classify_heavy(degrees, config, params.epsilon)
+    assert np.array_equal(heavy.bucket_counts, expected.bucket_counts)
+    assert np.array_equal(heavy.indices, expected.indices)
+    assert heavy.sample_size == expected.sample_size == layout.degree_size
+    hit = np.isin(sampled, endpoints) & (degrees >= 1)
+    assert hit[:3].all()
+    assert np.array_equal(hit_vertices, sampled[hit])
+    assert np.array_equal(hit_degrees, degrees[hit])
+
+
+@pytest.mark.parametrize("bad_degree", [-1, DENSE_DEGREES + 8, 2**40])
+def test_streamed_degree_answers_outside_zero_to_n_rejected_behind_the_escape(bad_degree):
+    # a probed vertex whose degree the uint8 codes saturate is checked from its exact degree
+    n = DENSE_DEGREES + 7
+    params = EstimatorParams(epsilon=0.25, master_seed=3)
+    sampled = build_sample_plan(n, params).deg_vertices
+    degree_of = _width_graph(2**15, False, sampled, n).degrees.copy()
+    degree_of[sampled[-1]] = bad_degree
+    graph = Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
+    assert DegreeCodes(graph).escape == 127
+    with pytest.raises(ValueError) as info:
+        _stream_degree_block(graph, params, plan_layout(n, params), params.bucket_config(n), sampled[:9], QueryLedger())
+    assert str(info.value) == f"degree answers must lie in 0..{n}"
 
 
 def test_heavy_fraction_counts_duplicates_on_both_sides():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgecount import (
+    DegreeCodes,
     EmptyGraphError,
     EstimatorParams,
     Graph,
@@ -319,3 +320,19 @@ def test_degree_table_falls_back_to_degrees_with_a_negative_degree():
     vertices, transcript = _answer_every_vertex(graph)
     assert transcript.degrees.dtype == np.int64
     assert np.array_equal(transcript.degrees, graph.degrees.take(vertices))
+
+
+def test_degree_answers_reject_a_table_that_is_not_integer():
+    # hand-built: float degrees would be truncated by the packed codes
+    graph = Graph(4, np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0, 1.0, 0.0]))
+    ledger = QueryLedger()
+    with pytest.raises(ValueError, match="degrees must be integers, got dtype float64"):
+        answer_degrees(graph, np.array([0, 1]), ledger)
+    assert ledger.as_dict() == {"deg": 0, "rand_edge": 0}
+
+
+@pytest.mark.parametrize("marked", [[0, 3], [-1]])
+def test_degree_codes_reject_marks_outside_the_graph(triangle, marked):
+    # -1 would otherwise mark the last vertex
+    with pytest.raises(ValueError, match="marked vertices must lie in 0..2"):
+        DegreeCodes(triangle, np.array(marked))
