@@ -49,6 +49,11 @@ _ROW_RADIX = 2**32
 # chunk's int64 vertices take 512 KiB.
 _DEGREE_CHUNK = 2**16
 
+# Largest code of a uint8 degree-code table whose probes are tallied two
+# codes at a time: the pair tally has 256 bins per code up to the table's
+# top code, and above this it costs more than counting codes one at a time.
+_PAIR_TOP_CODE = 63
+
 
 def _check_positive_finite(name: str, value: float) -> None:
     # NaN compares false with everything, so it is caught here, not by "<= 0"
@@ -400,7 +405,9 @@ def _endpoint_hits(vertices: np.ndarray, answers: DegreeAnswers) -> tuple[np.nda
     bucket.
     """
     codes = answers.codes
-    hit = np.flatnonzero(np.bitwise_and(codes, 1).astype(bool))
+    marked = np.bitwise_and(codes, 1)
+    # a 1-byte 0 or 1 is a valid bool, so the scan needs no cast
+    hit = np.flatnonzero(marked.view(bool) if marked.itemsize == 1 else marked)
     hit = hit[codes[hit] >= 2]
     return vertices[hit], answers.degrees(hit)
 
@@ -412,15 +419,21 @@ def _heavy_fraction(
     heavy: HeavySet,
     config: BucketConfig,
 ) -> float:
-    """:func:`heavy_fraction_estimate` from the :func:`_endpoint_hits` of its checked inputs."""
-    # count each heavy probe once per endpoint draw of its vertex: every hit
-    # is an endpoint, so one search into the distinct endpoints finds its
-    # draw count; sorted keys make the search several times faster
-    hits = np.sort(hit_vertices[heavy.heavy_mask()[config.bucket_indices(hit_degrees)]])
+    """:func:`heavy_fraction_estimate` from the :func:`_endpoint_hits` of its checked inputs.
+
+    Every hit vertex must be one of ``endpoints``. A heavy hit then matches
+    each draw of its vertex: once for the first draw, plus once for each
+    repeated entry of the sorted draws on that vertex.
+    """
+    hits = hit_vertices[heavy.heavy_mask()[config.bucket_indices(hit_degrees)]]
     ordered = np.sort(endpoints)
-    starts = np.flatnonzero(run_starts(ordered))
-    draws = np.diff(np.append(starts, ordered.shape[0]))
-    matched_pairs = int(draws[np.searchsorted(ordered[starts], hits)].sum())
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+    matched_pairs = hits.shape[0]
+    if repeats.size:
+        # the few repeats are searched into the sorted hits, not the hits
+        # into the draws: unsorted keys make a search several times slower
+        hits.sort()
+        matched_pairs += int((np.searchsorted(hits, repeats, "right") - np.searchsorted(hits, repeats, "left")).sum())
     return float(config.n / heavy.sample_size * matched_pairs / endpoints.shape[0])
 
 
@@ -581,27 +594,45 @@ def _stream_degree_block(
     Returns the heavy set of the whole block and the vertices and degrees of
     the probes on one of ``endpoints``, degree 0 left out. Each chunk is
     answered from one :class:`~edgecount.oracle.DegreeCodes` table, whose
-    codes mark the endpoints, and its degrees are range-checked before they
-    are tallied.
+    codes mark the endpoints; the degrees are range-checked before any
+    reaches the heavy set.
     """
     table = DegreeCodes(graph, endpoints)
-    code_counts = np.zeros(0, dtype=np.intp)
+    # only an exact uint8 table has codes this small; it is tallied two codes
+    # at a time, as uint16 pairs: half the increments, into bins too many to
+    # contend
+    paired = table.top_code <= _PAIR_TOP_CODE
+    code_counts = np.zeros(256 * (table.top_code + 1) if paired else 0, dtype=np.intp)
+    leftover = []  # the last code of each odd-length chunk, which has no pair
     per_degree = np.zeros(0, dtype=np.intp)  # of the escaped probes' exact degrees
     above = np.zeros(config.t, dtype=np.int64)
     hits = []
     for vertices in _degree_vertex_chunks(graph.n, params, layout.degree_size):
         answers = answer_degree_codes(table, vertices, ledger)
-        counts = np.bincount(answers.codes, minlength=code_counts.shape[0])
-        # a field above n, short of the escape, is an out-of-range degree
-        if counts[2 * (graph.n + 1) : None if table.escape is None else 2 * table.escape].any():
-            raise ValueError(f"degree answers must lie in 0..{graph.n}")
-        counts[: code_counts.shape[0]] += code_counts
-        code_counts = counts
+        codes = answers.codes
+        if paired:
+            even = codes.shape[0] & ~1
+            code_counts += np.bincount(codes[:even].view(np.uint16), minlength=code_counts.shape[0])
+            if even < codes.shape[0]:
+                leftover.append(codes[-1])
+        else:
+            counts = np.bincount(codes, minlength=code_counts.shape[0])
+            counts[: code_counts.shape[0]] += code_counts
+            code_counts = counts
         if answers.escaped.size:
             exact = answers.exact
             per_degree = _tally(exact, _check_range(exact, graph.n, "degree answers"), config, per_degree, above)
         hits.append(_endpoint_hits(vertices, answers))
-        del vertices, answers  # freed before the next chunk is drawn
+        del vertices, answers, codes  # freed before the next chunk is drawn
+    if paired:
+        # a pair holds one code in each byte: its row and its column, in
+        # either byte order
+        pairs = code_counts.reshape(-1, 256)
+        top = pairs.shape[0]
+        code_counts = pairs.sum(axis=0)[:top] + pairs.sum(axis=1) + np.bincount(leftover, minlength=top)
+    # a field above n, short of the escape, is an out-of-range degree
+    if code_counts[2 * (graph.n + 1) : None if table.escape is None else 2 * table.escape].any():
+        raise ValueError(f"degree answers must lie in 0..{graph.n}")
     # a degree's two codes, marked and not, are adjacent; the escaped
     # probes are tallied from their exact degrees instead
     folded = np.add.reduceat(code_counts, np.arange(0, code_counts.shape[0], 2))[: table.escape]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -32,6 +33,17 @@ from .oracle import QueryLedger, answer_rand_edge_ids
 from .seeding import derive_seed
 
 
+def _check_trials(trials: int) -> int:
+    """``trials`` as an ``int``; ``ValueError`` naming it unless it is an integer of at least 1."""
+    try:
+        count = operator.index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    if count < 1:
+        raise ValueError(f"trials must be at least 1, got {count}")
+    return count
+
+
 class QueryBudgetError(AssertionError):
     """A metered query total broke the plan formula or its budget bound.
 
@@ -44,7 +56,8 @@ class QueryBudgetError(AssertionError):
 class TrialConfig:
     """Inputs for a batch of estimation trials on one graph.
 
-    ``trials`` below 1 and bad estimator parameters raise ``ValueError`` here.
+    ``trials`` that is no integer or is below 1, and bad estimator
+    parameters, raise ``ValueError`` here.
     """
 
     graph: str  # generator spec, or "file:PATH"
@@ -58,8 +71,7 @@ class TrialConfig:
     collision_reps: int = 1
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        object.__setattr__(self, "trials", _check_trials(self.trials))
         self.params_for(self.master_seed)
 
     def params_for(self, trial_seed: int) -> EstimatorParams:
@@ -254,14 +266,13 @@ def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_se
     """Check the true heavy fraction against ``1/2 - eps/8`` across trials.
 
     Only meaningful in the dense regime; graphs with ``m < n/2`` are rejected,
-    and so is ``trials`` below 1, before the graph is loaded. The heavy
-    classification comes from the plan's metered degree probes, streamed as
-    :func:`estimate_edges` streams them, while the fraction it earns is
-    scored by the exact oracle (which also re-checks the decomposition
-    identities every trial).
+    and so is ``trials`` that is no integer or is below 1, before the graph
+    is loaded. The heavy classification comes from the plan's metered degree
+    probes, streamed as :func:`estimate_edges` streams them, while the
+    fraction it earns is scored by the exact oracle (which also re-checks
+    the decomposition identities every trial).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = _check_trials(trials)
     graph = load_graph(graph_source, derive_seed(master_seed, "graph"))
     if graph.m < graph.n / 2:
         raise ValueError(f"heavy-fraction bound applies to m >= n/2 (got m={graph.m}, n={graph.n})")
@@ -340,15 +351,14 @@ def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int 
     miss rate.
 
     ``n`` below 7 (too small for the planted set), ``q`` below 1 or
-    ``trials`` below 1 raise ``ValueError`` naming the parameter before any
-    instance is drawn.
+    ``trials`` that is no integer or is below 1 raise ``ValueError`` naming
+    the parameter before any instance is drawn.
     """
     if n < 7:
         raise ValueError(f"n must be at least 7 for the lower-bound instance, got {n}")
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = _check_trials(trials)
     expected_a = math.comb(q, 2) / n
     expected_b = math.comb(q, 2) / (n // 2 - 1)
     threshold = (expected_a + expected_b) / 2.0

@@ -165,13 +165,15 @@ class DegreeCodes:
       :func:`answer_degree_codes` answers those probes with their exact
       degree as well.
 
-    ``escape`` is ``None`` for the two exact widths. Building the table is
+    ``escape`` is ``None`` for the two exact widths. No code exceeds
+    :attr:`top_code`, ``2 * largest degree + 1`` for the exact widths and
+    ``2 * escape + 1`` otherwise. Building the table is
     not a query: it is the oracle's own index, and its codes are read only
     through the metered :func:`answer_degree_codes`. A ``marked`` vertex
     outside ``0..n-1`` raises ``ValueError``.
     """
 
-    __slots__ = ("graph", "escape", "_codes")
+    __slots__ = ("graph", "escape", "top_code", "_codes")
 
     def __init__(self, graph: Graph, marked: np.ndarray | None = None):
         table = graph.degree_table
@@ -188,7 +190,7 @@ class DegreeCodes:
             codes = np.empty(table.shape[0], dtype=np.uint8)
             np.minimum(table.view(f"u{table.itemsize}"), 127, out=codes, casting="unsafe")
             np.add(codes, codes, out=codes)  # the shift; np.left_shift is several times slower on uint8
-            escape = 127
+            escape = top = 127
         if marked is not None:
             marked = np.asarray(marked, dtype=np.int64)
             if _outside(marked, graph.n):  # -1 would mark the last vertex
@@ -197,6 +199,7 @@ class DegreeCodes:
         codes.setflags(write=False)
         self.graph = graph
         self.escape = escape
+        self.top_code = 2 * top + 1
         self._codes = codes
 
 

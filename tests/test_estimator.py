@@ -624,6 +624,21 @@ def test_estimate_peak_memory_on_gnm_stays_within_2_6_mb():
     assert peak <= 2_600_000
 
 
+def test_estimate_peak_memory_on_gnm_stays_within_2_3_mb():
+    # its uint8 degree codes top out below 64, so each chunk is tallied as
+    # half as many uint16 pairs, whose intp cast in bincount is half the
+    # size: 2.25 MB
+    graph = graph_from_spec("gnm:1000000,500000", 0)
+    params = EstimatorParams(epsilon=0.25, master_seed=1)
+    tracemalloc.start()
+    try:
+        estimate_edges(graph, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_300_000
+
+
 def test_estimate_peak_memory_stays_below_10_mb_when_the_hub_is_probed():
     # the hub's degree n - 1 used to size an intp tally and a bucket lookup
     # table, 24 MB each at this n

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import edgecount.experiments
@@ -168,6 +169,41 @@ def test_trial_config_rejects_fewer_than_one_trial(trials):
     with pytest.raises(ValueError) as info:
         TrialConfig(graph="gnm:500,2000", trials=trials)
     assert str(info.value) == f"trials must be at least 1, got {trials}"
+
+
+@pytest.mark.parametrize("trials", [2.5, "3", None])
+def test_trial_config_rejects_a_trial_count_that_is_no_integer(trials):
+    with pytest.raises(ValueError) as info:
+        TrialConfig(graph="gnm:100,200", trials=trials)
+    assert str(info.value) == f"trials must be an integer, got {trials!r}"
+
+
+def test_trial_config_takes_any_integer_trial_count():
+    config = TrialConfig(graph="gnm:100,200", epsilon=0.5, trials=np.int64(2))
+    assert type(config.trials) is int
+    assert len(run_accuracy_trials(config).rows) == 2
+
+
+@pytest.mark.parametrize("trials", [2.5, "3"])
+def test_ph_bound_rejects_a_trial_count_that_is_no_integer(monkeypatch, trials):
+    def no_graph(*args):
+        raise AssertionError("the graph was loaded before trials was checked")
+
+    monkeypatch.setattr(edgecount.experiments, "load_graph", no_graph)
+    with pytest.raises(ValueError) as info:
+        run_ph_bound_check("gnm:2000,8000", epsilon=0.25, trials=trials)
+    assert str(info.value) == f"trials must be an integer, got {trials!r}"
+
+
+@pytest.mark.parametrize("trials", [2.5, "3"])
+def test_distinguisher_rejects_a_trial_count_that_is_no_integer(monkeypatch, trials):
+    def no_instances(*args):
+        raise AssertionError("an instance was drawn before trials was checked")
+
+    monkeypatch.setattr(edgecount.experiments, "gen_lowerbound_instance", no_instances)
+    with pytest.raises(ValueError) as info:
+        run_distinguishing_experiment(100, q=5, trials=trials, master_seed=0)
+    assert str(info.value) == f"trials must be an integer, got {trials!r}"
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,11 @@ with the sample, plus one n-entry degree code table; per-degree tables stop at `
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgecount import (
@@ -28,17 +29,19 @@ from edgecount import (
     heavy_fraction_estimate,
     plan_layout,
 )
+from edgecount import estimator
 from edgecount.buckets import DENSE_DEGREES
 from edgecount.estimator import (
     _edge_id_keys,
+    _heavy_fraction,
     _sorted_collisions,
     _sorted_majority_vote,
     _stream_degree_block,
     count_id_collisions,
 )
 from edgecount.generators import gen_path
-from edgecount.graph import MAX_VERTICES, Graph, pair_codes, sorted_unique
-from edgecount.oracle import DegreeCodes, QueryLedger, answer_degree_codes
+from edgecount.graph import MAX_VERTICES, Graph, pair_codes, run_starts, sorted_unique
+from edgecount.oracle import DegreeCodes, QueryLedger, answer_degree_codes, answer_degrees
 
 
 def ref_bucket_indices(config: BucketConfig, degrees: np.ndarray) -> np.ndarray:
@@ -252,6 +255,142 @@ def test_streamed_degree_answers_outside_zero_to_n_rejected_behind_the_escape(ba
     with pytest.raises(ValueError) as info:
         _stream_degree_block(graph, params, plan_layout(n, params), params.bucket_config(n), sampled[:9], QueryLedger())
     assert str(info.value) == f"degree answers must lie in 0..{n}"
+
+
+@st.composite
+def small_code_tables(draw):
+    """A hand-built graph whose probed codes top out at a drawn code near the
+    pair rule, its endpoints, and a degree chunk size.
+
+    The largest degree sits on the plan's first probe and is marked for an
+    odd top code; every other vertex has a smaller degree. An escape table
+    comes from a -1 degree on a vertex no probe reaches. Chunk sizes are
+    small and often odd, or leave one probe in the last chunk.
+    """
+    n = draw(st.integers(33, 120))
+    top_code = draw(st.sampled_from((62, 63, 64, 65)))
+    params = EstimatorParams(epsilon=0.8, master_seed=draw(st.integers(0, 2**32 - 1)))
+    sampled = build_sample_plan(n, params).deg_vertices
+    rng = np.random.default_rng(params.master_seed)
+    largest = top_code // 2
+    degree_of = rng.integers(0, largest, size=n)
+    degree_of[sampled[0]] = largest
+    endpoints = rng.choice(np.flatnonzero(degree_of < largest), size=draw(st.integers(1, 12)))
+    if top_code % 2:
+        endpoints = np.append(endpoints, sampled[0])
+    if draw(st.booleans()):
+        unprobed = np.setdiff1d(np.arange(n), sampled)
+        assume(unprobed.size > 0)
+        degree_of[unprobed[0]] = -1
+    size = sampled.shape[0]
+    chunk = draw(st.integers(1, 40) | st.sampled_from((size - 1, (size - 1) // 2)).filter(lambda c: c >= 1))
+    return Graph(n, np.empty((0, 2), dtype=np.int64), degree_of), params, endpoints, top_code, chunk
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_code_tables())
+def test_pair_tally_matches_classify_heavy_on_both_sides_of_the_rule(table_case):
+    graph, params, endpoints, top_code, chunk = table_case
+    n = graph.n
+    layout = plan_layout(n, params)
+    config = params.bucket_config(n)
+    sampled = build_sample_plan(n, params).deg_vertices
+    table = DegreeCodes(graph, endpoints)
+    escape = bool((graph.degrees < 0).any())
+    assert table.escape == (127 if escape else None)
+    assert int(answer_degree_codes(table, sampled, QueryLedger()).codes.max()) == top_code
+    assert (table.top_code <= estimator._PAIR_TOP_CODE) == (top_code < 64 and not escape)
+    degrees = answer_degrees(graph, sampled, QueryLedger())
+    with mock.patch.object(estimator, "_DEGREE_CHUNK", chunk):
+        heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, QueryLedger())
+    expected = classify_heavy(degrees, config, params.epsilon)
+    assert np.array_equal(heavy.bucket_counts, expected.bucket_counts)
+    assert np.array_equal(heavy.indices, expected.indices)
+    assert heavy.sample_size == expected.sample_size == layout.degree_size
+    hit = np.isin(sampled, endpoints) & (degrees >= 1)
+    assert np.array_equal(hit_vertices, sampled[hit])
+    assert np.array_equal(hit_degrees, degrees[hit])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(4, 60),
+    st.integers(1, 126),
+    st.booleans(),
+    st.sampled_from((1, 2, 7, 8, 9)),
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_tally_rejects_a_field_above_n(n, excess, escape, chunk, seed):
+    # a probe of the last chunk answers a field above n that the codes hold
+    # exactly, on both sides of the pair rule and behind an escape table
+    params = EstimatorParams(epsilon=0.8, master_seed=seed)
+    sampled = build_sample_plan(n, params).deg_vertices
+    degree_of = np.random.default_rng(seed).integers(0, n + 1, size=n)
+    degree_of[sampled[-1]] = min(n + excess, 126)
+    if escape:
+        unprobed = np.setdiff1d(np.arange(n), sampled)
+        assume(unprobed.size > 0)
+        degree_of[unprobed[0]] = -1
+    graph = Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
+    layout = plan_layout(n, params)
+    with mock.patch.object(estimator, "_DEGREE_CHUNK", chunk), pytest.raises(ValueError) as info:
+        _stream_degree_block(graph, params, layout, params.bucket_config(n), sampled[:3], QueryLedger())
+    assert str(info.value) == f"degree answers must lie in 0..{n}"
+
+
+def ref_searchsorted_match(endpoints, hit_vertices, hit_degrees, heavy: HeavySet, config: BucketConfig) -> float:
+    """The heavy-fraction match as one search of every heavy hit into the distinct endpoint draws."""
+    hits = np.sort(hit_vertices[heavy.heavy_mask()[config.bucket_indices(hit_degrees)]])
+    ordered = np.sort(endpoints)
+    starts = np.flatnonzero(run_starts(ordered))
+    draws = np.diff(np.append(starts, ordered.shape[0]))
+    matched_pairs = int(draws[np.searchsorted(ordered[starts], hits)].sum())
+    return float(config.n / heavy.sample_size * matched_pairs / endpoints.shape[0])
+
+
+@st.composite
+def endpoint_draws_with_hits(draw):
+    """Distinct endpoints drawn once, twice or three to five times, each with
+    heavy and light hits, on a bucket table whose heavy set is drawn too."""
+    n = draw(st.integers(8, 2000))
+    config = BucketConfig(n, draw(st.floats(0.05, 1.0)))
+    assume(config.t >= 2)
+    # the top bucket is heavy and the bottom one light, so both kinds of hit exist
+    heavy_buckets = {config.t - 1} | set(draw(st.lists(st.integers(1, config.t - 2), max_size=5)))
+    bucket_of = config.bucket_indices(np.arange(1, n + 1))
+    is_heavy = np.isin(bucket_of, sorted(heavy_buckets))
+    heavy_degrees = np.flatnonzero(is_heavy) + 1
+    light_degrees = np.flatnonzero(~is_heavy) + 1
+    vertices = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30, unique=True))
+    endpoints, hit_vertices, hit_degrees = [], [], []
+    for vertex in vertices:
+        endpoints += [vertex] * draw(st.sampled_from((1, 2, 3, 4, 5)))
+        for degrees, count in ((heavy_degrees, draw(st.integers(0, 3))), (light_degrees, draw(st.integers(0, 3)))):
+            hit_vertices += [vertex] * count
+            hit_degrees += [int(degrees[draw(st.integers(0, degrees.shape[0] - 1))]) for _ in range(count)]
+    order = draw(st.permutations(range(len(hit_vertices))))
+    heavy = HeavySet(
+        indices=np.array(sorted(heavy_buckets), dtype=np.int64),
+        bucket_counts=np.zeros(config.t, dtype=np.int64),
+        sample_size=draw(st.integers(max(1, len(hit_vertices)), 10**6)),
+        threshold=0.0,
+    )
+    return (
+        np.array(draw(st.permutations(endpoints)), dtype=np.int64),
+        np.array(hit_vertices, dtype=np.int64)[order],
+        np.array(hit_degrees, dtype=np.int64)[order],
+        heavy,
+        config,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(endpoint_draws_with_hits())
+def test_repeat_only_match_equals_the_search_into_distinct_draws(case):
+    endpoints, hit_vertices, hit_degrees, heavy, config = case
+    assert _heavy_fraction(endpoints, hit_vertices, hit_degrees, heavy, config) == ref_searchsorted_match(
+        endpoints, hit_vertices, hit_degrees, heavy, config
+    )
 
 
 def test_heavy_fraction_counts_duplicates_on_both_sides():

@@ -14,6 +14,7 @@ from edgecount import (
     PlanProvenance,
     QueryLedger,
     QueryPlan,
+    answer_degree_codes,
     answer_degrees,
     answer_plan,
     answer_rand_edge_ids,
@@ -336,3 +337,23 @@ def test_degree_codes_reject_marks_outside_the_graph(triangle, marked):
     # -1 would otherwise mark the last vertex
     with pytest.raises(ValueError, match="marked vertices must lie in 0..2"):
         DegreeCodes(triangle, np.array(marked))
+
+
+@pytest.mark.parametrize(
+    "degrees, top_code",
+    [
+        ([0, 31, 5], 63),  # exact uint8
+        ([0, 32, 5], 65),
+        ([0, 126, 5], 253),
+        ([0, 127, 5], 255),  # exact uint16
+        ([0, 2**15 - 1, 5], 2**16 - 1),
+        ([0, 2**15, 5], 255),  # uint8 with the escape
+        ([0, -1, 5], 255),
+    ],
+)
+def test_degree_codes_top_code_is_the_largest_code_a_mark_can_make(degrees, top_code):
+    graph = Graph(3, np.empty((0, 2), dtype=np.int64), np.array(degrees))
+    vertices = np.arange(3)
+    assert DegreeCodes(graph).top_code == top_code
+    assert answer_degree_codes(DegreeCodes(graph, [1]), vertices, QueryLedger()).codes.max() == top_code
+    assert answer_degree_codes(DegreeCodes(graph), vertices, QueryLedger()).codes.max() == top_code - 1
