@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -67,8 +67,8 @@ def _check_positive_finite(name: str, value: float) -> None:
 class EstimatorParams:
     """Accuracy target, seed, and the tunable sample-size constants.
 
-    ``epsilon`` must lie in ``(0, 0.8]``. ``gamma`` (the bucket growth rate)
-    defaults to ``epsilon / 10``. The ``c_*`` constants scale the four sample
+    ``epsilon`` must lie in ``(0, 0.8]``; ``gamma``, the bucket growth rate,
+    is set to ``epsilon / 10``. The ``c_*`` constants scale the four sample
     blocks; the defaults are calibrated for the acceptance targets at
     ``n = 10**4, epsilon = 0.25``. ``collision_reps`` > 1 switches the
     collision estimate to the median over that many independent samples.
@@ -80,7 +80,7 @@ class EstimatorParams:
     c_t: float = 2.0
     c_f: float = 2.0
     c_r: float = 5.0
-    gamma: float | None = None
+    gamma: float = field(init=False)
     collision_reps: int = 1
 
     def __post_init__(self) -> None:
@@ -96,10 +96,8 @@ class EstimatorParams:
         if reps < 1:
             raise ValueError("collision_reps must be at least 1")
         object.__setattr__(self, "collision_reps", reps)
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", self.epsilon / 10.0)
-        else:
-            _check_positive_finite("gamma", self.gamma)
+        # not epsilon * 0.1, which rounds differently at some epsilon
+        object.__setattr__(self, "gamma", self.epsilon / 10.0)
 
     def bucket_config(self, n: int) -> BucketConfig:
         return BucketConfig(n, self.gamma)
@@ -600,9 +598,9 @@ def _stream_degree_block(
     table = DegreeCodes(graph, endpoints)
     # only an exact uint8 table has codes this small; it is tallied two codes
     # at a time, as uint16 pairs: half the increments, into bins too many to
-    # contend
+    # contend. Either tally is sized once: top_code bounds every code
     paired = table.top_code <= _PAIR_TOP_CODE
-    code_counts = np.zeros(256 * (table.top_code + 1) if paired else 0, dtype=np.intp)
+    code_counts = np.zeros((256 if paired else 1) * (table.top_code + 1), dtype=np.intp)
     leftover = []  # the last code of each odd-length chunk, which has no pair
     per_degree = np.zeros(0, dtype=np.intp)  # of the escaped probes' exact degrees
     above = np.zeros(config.t, dtype=np.int64)
@@ -616,9 +614,7 @@ def _stream_degree_block(
             if even < codes.shape[0]:
                 leftover.append(codes[-1])
         else:
-            counts = np.bincount(codes, minlength=code_counts.shape[0])
-            counts[: code_counts.shape[0]] += code_counts
-            code_counts = counts
+            code_counts += np.bincount(codes, minlength=code_counts.shape[0])
         if answers.escaped.size:
             exact = answers.exact
             per_degree = _tally(exact, _check_range(exact, graph.n, "degree answers"), config, per_degree, above)

@@ -27,20 +27,23 @@ from .estimator import (
     resolved_params,
     sampled_heavy_set,
 )
-from .exact import exact_heavy_fraction, heavy_light_decomposition
+from .exact import heavy_light_decomposition
 from .generators import gen_lowerbound_instance, load_graph
 from .oracle import QueryLedger, answer_rand_edge_ids
 from .seeding import derive_seed
 
 
-def _check_trials(trials: int) -> int:
-    """``trials`` as an ``int``; ``ValueError`` naming it unless it is an integer of at least 1."""
+def _check_count(name: str, value: int, minimum: int = 1, purpose: str = "") -> int:
+    """``value`` as an ``int``; ``ValueError`` naming it unless it is an integer of at least ``minimum``.
+
+    ``purpose`` follows the minimum in the error, as in ``n must be at least 7 for ...``.
+    """
     try:
-        count = operator.index(trials)
+        count = operator.index(value)
     except TypeError:
-        raise ValueError(f"trials must be an integer, got {trials!r}") from None
-    if count < 1:
-        raise ValueError(f"trials must be at least 1, got {count}")
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be at least {minimum}{purpose}, got {count}")
     return count
 
 
@@ -71,7 +74,7 @@ class TrialConfig:
     collision_reps: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trials", _check_trials(self.trials))
+        object.__setattr__(self, "trials", _check_count("trials", self.trials))
         self.params_for(self.master_seed)
 
     def params_for(self, trial_seed: int) -> EstimatorParams:
@@ -272,7 +275,7 @@ def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_se
     fraction it earns is scored by the exact oracle (which also re-checks
     the decomposition identities every trial).
     """
-    trials = _check_trials(trials)
+    trials = _check_count("trials", trials)
     graph = load_graph(graph_source, derive_seed(master_seed, "graph"))
     if graph.m < graph.n / 2:
         raise ValueError(f"heavy-fraction bound applies to m >= n/2 (got m={graph.m}, n={graph.n})")
@@ -282,8 +285,8 @@ def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_se
         params = EstimatorParams(epsilon=epsilon, master_seed=derive_seed(master_seed, f"trial:{j}"))
         heavy = sampled_heavy_set(graph, params, QueryLedger())
         config = params.bucket_config(graph.n)
-        heavy_light_decomposition(graph, heavy.indices, config)  # identity checks
-        values.append(exact_heavy_fraction(graph, heavy.indices, config))
+        decomposition = heavy_light_decomposition(graph, heavy.indices, config)  # checks the identities
+        values.append(decomposition.heavy_degree_mass / (2.0 * graph.m))
     meeting = sum(value >= bound for value in values)
     return PhBoundStats(
         graph=graph_source,
@@ -350,15 +353,13 @@ def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int 
     how often the whole set misses the planted vertices, and the per-probe
     miss rate.
 
-    ``n`` below 7 (too small for the planted set), ``q`` below 1 or
-    ``trials`` that is no integer or is below 1 raise ``ValueError`` naming
-    the parameter before any instance is drawn.
+    ``n``, ``q`` or ``trials`` that is no integer, ``n`` below 7 (too small
+    for the planted set), or ``q`` or ``trials`` below 1 raise ``ValueError``
+    naming the parameter before any instance is drawn.
     """
-    if n < 7:
-        raise ValueError(f"n must be at least 7 for the lower-bound instance, got {n}")
-    if q < 1:
-        raise ValueError(f"q must be at least 1, got {q}")
-    trials = _check_trials(trials)
+    n = _check_count("n", n, 7, " for the lower-bound instance")
+    q = _check_count("q", q)
+    trials = _check_count("trials", trials)
     expected_a = math.comb(q, 2) / n
     expected_b = math.comb(q, 2) / (n // 2 - 1)
     threshold = (expected_a + expected_b) / 2.0

@@ -69,13 +69,15 @@ def test_params_validation():
         EstimatorParams(epsilon=0.5, master_seed=1.5)
     seeded = EstimatorParams(epsilon=0.5, master_seed=np.int64(3))
     assert type(seeded.master_seed) is int and seeded.master_seed == 3
-    with pytest.raises(ValueError, match="gamma"):
-        EstimatorParams(epsilon=0.5, gamma=-1.0)
     assert EstimatorParams(epsilon=0.4).gamma == pytest.approx(0.04)
-    assert EstimatorParams(epsilon=0.4, gamma=0.07).gamma == 0.07
+    # gamma is derived, not set, and bit-equal to epsilon / 10 (not epsilon * 0.1)
+    with pytest.raises(TypeError):
+        EstimatorParams(epsilon=0.25, gamma=0.1)
+    for epsilon in (0.1, 0.25, 0.8):
+        assert EstimatorParams(epsilon=epsilon).gamma == epsilon / 10.0
 
 
-@pytest.mark.parametrize("name", ["c_s", "c_t", "c_f", "c_r", "gamma"])
+@pytest.mark.parametrize("name", ["c_s", "c_t", "c_f", "c_r"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_params_reject_non_finite_constants(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):

@@ -152,6 +152,8 @@ def test_distinguisher_reproducible():
         (10, 5, -2, "trials must be at least 1, got -2"),
         (3, 5, 5, "n must be at least 7 for the lower-bound instance, got 3"),
         (0, 5, 5, "n must be at least 7 for the lower-bound instance, got 0"),
+        (1000, 2.5, 5, "q must be an integer, got 2.5"),
+        (1000.5, 10, 5, "n must be an integer, got 1000.5"),
     ],
 )
 def test_distinguisher_rejects_sizes_it_cannot_run(monkeypatch, n, q, trials, message):

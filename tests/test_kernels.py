@@ -168,7 +168,7 @@ def test_streamed_heavy_set_across_the_dense_cutoff_matches_reference(sample, ep
     rng = np.random.default_rng(seed)
     degree_of = np.append(palette, 0)[rng.integers(0, palette.shape[0] + 1, size=n)]
     graph = Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
-    params = EstimatorParams(epsilon=epsilon, master_seed=seed, gamma=config.gamma)
+    params = EstimatorParams(epsilon=epsilon, master_seed=seed)
     layout = plan_layout(n, params)
     endpoints = rng.integers(0, n, size=50)
     heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, QueryLedger())
@@ -263,9 +263,11 @@ def small_code_tables(draw):
     pair rule, its endpoints, and a degree chunk size.
 
     The largest degree sits on the plan's first probe and is marked for an
-    odd top code; every other vertex has a smaller degree. An escape table
-    comes from a -1 degree on a vertex no probe reaches. Chunk sizes are
-    small and often odd, or leave one probe in the last chunk.
+    odd top code; every other probed vertex has a smaller degree. An escape
+    table comes from a -1 degree on a vertex no probe reaches, and a table
+    whose top code lies above every probed code from a degree above the
+    largest on another such vertex. Chunk sizes are small and often odd, or
+    leave one probe in the last chunk.
     """
     n = draw(st.integers(33, 120))
     top_code = draw(st.sampled_from((62, 63, 64, 65)))
@@ -278,10 +280,14 @@ def small_code_tables(draw):
     endpoints = rng.choice(np.flatnonzero(degree_of < largest), size=draw(st.integers(1, 12)))
     if top_code % 2:
         endpoints = np.append(endpoints, sampled[0])
-    if draw(st.booleans()):
+    escape, above = draw(st.booleans()), draw(st.booleans())
+    if escape or above:
         unprobed = np.setdiff1d(np.arange(n), sampled)
-        assume(unprobed.size > 0)
-        degree_of[unprobed[0]] = -1
+        assume(unprobed.size >= escape + above)
+        if escape:
+            degree_of[unprobed[0]] = -1
+        if above:
+            degree_of[unprobed[-1]] = draw(st.integers(largest + 1, n))
     size = sampled.shape[0]
     chunk = draw(st.integers(1, 40) | st.sampled_from((size - 1, (size - 1) // 2)).filter(lambda c: c >= 1))
     return Graph(n, np.empty((0, 2), dtype=np.int64), degree_of), params, endpoints, top_code, chunk
@@ -297,9 +303,11 @@ def test_pair_tally_matches_classify_heavy_on_both_sides_of_the_rule(table_case)
     sampled = build_sample_plan(n, params).deg_vertices
     table = DegreeCodes(graph, endpoints)
     escape = bool((graph.degrees < 0).any())
+    above = bool((graph.degrees > top_code // 2).any())  # only on a vertex no probe reaches
     assert table.escape == (127 if escape else None)
     assert int(answer_degree_codes(table, sampled, QueryLedger()).codes.max()) == top_code
-    assert (table.top_code <= estimator._PAIR_TOP_CODE) == (top_code < 64 and not escape)
+    assert (table.top_code > (top_code | 1)) == (escape or above)
+    assert (table.top_code <= estimator._PAIR_TOP_CODE) == (top_code < 64 and not escape and not above)
     degrees = answer_degrees(graph, sampled, QueryLedger())
     with mock.patch.object(estimator, "_DEGREE_CHUNK", chunk):
         heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, QueryLedger())
