@@ -13,6 +13,7 @@ block by block and never holds either.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .buckets import DENSE_DEGREES, BucketConfig
-from .graph import MAX_VERTICES, Graph, pair_codes, run_starts
+from .graph import MAX_VERTICES, Graph, checked_ints, pair_codes, run_starts
 from .oracle import (
     DegreeAnswers,
     DegreeCodes,
@@ -72,6 +73,7 @@ class EstimatorParams:
     blocks; the defaults are calibrated for the acceptance targets at
     ``n = 10**4, epsilon = 0.25``. ``collision_reps`` > 1 switches the
     collision estimate to the median over that many independent samples.
+    A real ``epsilon`` or ``c_*``, a numpy scalar too, is stored as a ``float``.
     """
 
     epsilon: float
@@ -84,6 +86,9 @@ class EstimatorParams:
     collision_reps: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "c_s", "c_t", "c_f", "c_r"):
+            if isinstance(getattr(self, name), numbers.Real):
+                object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.epsilon <= 0.8:
             raise ValueError("epsilon must be in (0, 0.8]")
         object.__setattr__(self, "master_seed", check_master_seed(self.master_seed))
@@ -274,48 +279,33 @@ class HeavySet:
         return mask
 
 
-def _check_range(values: np.ndarray, top: int, what: str) -> int:
-    """The largest of ``values``, -1 for none; ``ValueError`` unless every one lies in ``0..top``."""
-    if values.size == 0:
-        return -1
-    # a negative vertex id would index the endpoint mask from its end; viewed
-    # unsigned, a negative integer exceeds top, so one pass checks both ends
-    unsigned = values.view(f"u{values.itemsize}") if values.dtype.kind == "i" else values
-    largest = unsigned.max()
-    if largest > top or (unsigned.dtype.kind != "u" and unsigned.min() < 0):
-        raise ValueError(f"{what} must lie in 0..{top}")
-    return int(largest)
-
-
 def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: float) -> HeavySet:
     """Mark buckets whose sampled frequency clears ``sqrt(eps / 6n) / t``.
 
     Degree-0 answers stay in the sample size but join no bucket, matching how
     isolated vertices carry no edge mass.
     """
-    degree_answers = np.asarray(degree_answers)
+    degree_answers = checked_ints(degree_answers, config.n, "degree answers")
     if degree_answers.shape[0] == 0:
         raise ValueError("cannot classify from an empty degree sample")
-    top = _check_range(degree_answers, config.n, "degree answers")
     above = np.zeros(config.t, dtype=np.int64)
-    per_degree = _tally(degree_answers, top, config, np.zeros(0, dtype=np.intp), above)
+    per_degree = _tally(degree_answers, config, np.zeros(0, dtype=np.intp), above)
     return _heavy_set(per_degree, above, int(degree_answers.shape[0]), config, epsilon)
 
 
-def _tally(
-    degrees: np.ndarray, top: int, config: BucketConfig, per_degree: np.ndarray, above: np.ndarray
-) -> np.ndarray:
-    """Add range-checked degree answers, the largest ``top``, to the running tallies.
+def _tally(degrees: np.ndarray, config: BucketConfig, per_degree: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Add range-checked degree answers to the running tallies.
 
     Returns ``per_degree`` plus the per-degree counts of the answers below
     :data:`~edgecount.buckets.DENSE_DEGREES`, so it never outgrows that
     cutoff. The rare answers at or above it are added to ``above``, a
-    per-bucket count, in place.
+    per-bucket count, in place; none is looked for below ``n`` and the dtype's top.
     """
-    if top >= DENSE_DEGREES:
+    if min(config.n, np.iinfo(degrees.dtype).max) >= DENSE_DEGREES:
         dense = degrees < DENSE_DEGREES
-        above += np.bincount(config.bucket_indices(degrees[~dense]), minlength=config.t)
-        degrees = degrees[dense]
+        if not dense.all():
+            above += np.bincount(config.bucket_indices(degrees[~dense]), minlength=config.t)
+            degrees = degrees[dense]
     tally = np.bincount(degrees, minlength=per_degree.shape[0])
     tally[: per_degree.shape[0]] += per_degree
     return tally
@@ -380,16 +370,13 @@ def heavy_fraction_estimate(
     endpoint draws makes the estimate unbiased for the true heavy fraction,
     using transcript data only.
     """
-    endpoints = np.asarray(endpoints)
-    if endpoints.size == 0:
+    if np.size(endpoints) == 0:
         raise ValueError("heavy fraction needs at least one endpoint draw")
-    sampled_vertices = np.asarray(sampled_vertices)
-    sampled_degrees = np.asarray(sampled_degrees)
-    if sampled_vertices.shape != sampled_degrees.shape:
+    if np.shape(sampled_vertices) != np.shape(sampled_degrees):
         raise ValueError("sampled vertices and degrees must align one to one")
-    _check_range(sampled_degrees, config.n, "degree answers")
-    _check_range(endpoints, config.n - 1, "endpoints")
-    _check_range(sampled_vertices, config.n - 1, "sampled vertices")
+    sampled_degrees = checked_ints(sampled_degrees, config.n, "degree answers")
+    endpoints = checked_ints(endpoints, config.n - 1, "endpoints")
+    sampled_vertices = checked_ints(sampled_vertices, config.n - 1, "sampled vertices")
     is_endpoint = np.zeros(config.n, dtype=bool)
     is_endpoint[endpoints] = True
     hit = np.flatnonzero(is_endpoint.take(sampled_vertices) & (sampled_degrees >= 1))
@@ -440,11 +427,10 @@ def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
 
     An endpoint outside ``0..2**32-1`` would alias in the pair codes: ``ValueError``.
     """
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+    arr = checked_ints(list(edges) if not isinstance(edges, np.ndarray) else edges, _ROW_RADIX - 1, "edge endpoints")
     if arr.size == 0:
         return 0
-    arr = arr.reshape(-1, 2)
-    _check_range(arr, _ROW_RADIX - 1, "edge endpoints")
+    arr = arr.reshape(-1, 2).astype(np.int64, copy=False)
     codes = pair_codes(arr[:, 0], arr[:, 1], _ROW_RADIX)
     codes.sort()
     return _sorted_collisions(codes)
@@ -482,12 +468,10 @@ def collision_majority_vote(edge_u: np.ndarray, edge_v: np.ndarray, rounds: int,
     endpoint outside ``0..2**32-1``, as in :func:`count_collisions`.
     """
     size = rounds * batch_size
-    edge_u = np.asarray(edge_u, dtype=np.int64)
-    edge_v = np.asarray(edge_v, dtype=np.int64)
+    edge_u = checked_ints(edge_u, _ROW_RADIX - 1, "edge endpoints").astype(np.int64, copy=False)
+    edge_v = checked_ints(edge_v, _ROW_RADIX - 1, "edge endpoints").astype(np.int64, copy=False)
     if min(edge_u.shape[0], edge_v.shape[0]) < size:
         raise ValueError(f"vote needs {rounds} x {batch_size} = {size} edges")
-    _check_range(edge_u, _ROW_RADIX - 1, "edge endpoints")
-    _check_range(edge_v, _ROW_RADIX - 1, "edge endpoints")
     codes = pair_codes(edge_u[:size], edge_v[:size], _ROW_RADIX).reshape(rounds, batch_size)
     codes.sort(axis=1)
     return _sorted_majority_vote(codes)
@@ -550,7 +534,7 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     rng = derive_rng(params.master_seed, "oracle:answers")
     drawn = answer_rand_edges(graph, rng, layout.endpoint_size, ledger)
     endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
-    _check_range(endpoints, graph.n - 1, "endpoints")
+    endpoints = checked_ints(endpoints, graph.n - 1, "endpoints")
     del drawn  # only the chosen endpoints are read from here on
     # the vote and the collision count only compare edges, so they read
     # the drawn positions and never gather rows
@@ -616,8 +600,7 @@ def _stream_degree_block(
         else:
             code_counts += np.bincount(codes, minlength=code_counts.shape[0])
         if answers.escaped.size:
-            exact = answers.exact
-            per_degree = _tally(exact, _check_range(exact, graph.n, "degree answers"), config, per_degree, above)
+            per_degree = _tally(checked_ints(answers.exact, graph.n, "degree answers"), config, per_degree, above)
         hits.append(_endpoint_hits(vertices, answers))
         del vertices, answers, codes  # freed before the next chunk is drawn
     if paired:

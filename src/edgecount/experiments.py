@@ -75,7 +75,11 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", _check_count("trials", self.trials))
-        self.params_for(self.master_seed)
+        params = self.params_for(self.master_seed)
+        # store the values as the params normalised them, so reports print plain numbers
+        for name in ("epsilon", "master_seed", "collision_reps", "c_s", "c_t", "c_f", "c_r"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, getattr(params, name))
 
     def params_for(self, trial_seed: int) -> EstimatorParams:
         overrides = {

@@ -48,10 +48,7 @@ class Graph:
     def __post_init__(self) -> None:
         for name in ("edges", "degrees"):
             arr = np.asarray(getattr(self, name))
-            try:
-                arr.setflags(write=False)
-            except ValueError:
-                pass  # views of caller-owned memory stay as they are
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         table = self.degrees
         if table.dtype.kind in "iu" and table.size and table.min() >= 0:
@@ -67,6 +64,24 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.edges, other.edges)
+
+
+def checked_ints(values: np.ndarray, top: int | None, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
+    """``np.asarray(values)`` in its own integer dtype, without a copy; empty input as empty int64.
+
+    The one rule for the vertex ids and degrees the library is handed: raises
+    ``error`` naming ``what`` unless the dtype is an integer one (bool is not),
+    and unless every value lies in ``0..top`` when ``top`` is not None.
+    """
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, got dtype {arr.dtype}")
+    # viewed unsigned, a negative value exceeds top, so one pass checks both ends
+    if top is not None and arr.view(arr.dtype.str.replace("i", "u")).max() > top:
+        raise error(f"{what} must lie in 0..{top}")
+    return arr
 
 
 def run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -107,15 +122,19 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Gr
 
     Pairs may arrive in either endpoint order and may repeat; both are
     normalized away. Self-loops and out-of-range endpoints are errors that
-    name the offending pair; so are endpoints beyond the int64 range. Vertex
-    counts above :data:`MAX_VERTICES` are rejected before anything is
-    allocated.
+    name the offending pair; so are endpoints beyond the int64 range, and
+    endpoints that are not integers. Vertex counts above :data:`MAX_VERTICES`
+    are rejected before anything is allocated.
     """
     check_vertex_count(n)
-    try:
-        arr = np.asarray(raw_edges, dtype=np.int64)
-    except OverflowError:
-        raise GraphValidationError(f"edge endpoint beyond the int64 range: out of range for n={n}") from None
+    arr = np.asarray(raw_edges)
+    if arr.dtype.kind != "i" and not isinstance(raw_edges, np.ndarray):
+        # numpy infers float64, uint64 or object for Python ints beyond int64
+        try:
+            np.asarray(raw_edges, dtype=np.int64)
+        except OverflowError:
+            raise GraphValidationError(f"edge endpoint beyond the int64 range: out of range for n={n}") from None
+    arr = checked_ints(arr, None, "edge endpoints", GraphValidationError)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -125,6 +144,7 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Gr
         bad = (arr < 0) | (arr >= n)
         u, v = arr[np.flatnonzero(bad.any(axis=1))[0]]
         raise GraphValidationError(f"edge ({u}, {v}): endpoint out of range for n={n}")
+    arr = arr.astype(np.int64, copy=False)
     first, second = arr[:, 0], arr[:, 1]
     loops = first == second
     if loops.any():

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, checked_ints
 
 # kind codes of the columnar views
 DEG, RAND_EDGE = 0, 1
@@ -53,7 +53,7 @@ class QueryPlan:
         n_rand = operator.index(n_rand)
         if n_rand < 0:
             raise ValueError("random-edge count must be non-negative")
-        self.deg_vertices = np.ascontiguousarray(deg_vertices, dtype=np.int64)
+        self.deg_vertices = np.ascontiguousarray(checked_ints(deg_vertices, None, "degree-probe vertices"), np.int64)
         self.deg_vertices.setflags(write=False)
         self.n_rand = n_rand
         self.provenance = provenance
@@ -142,14 +142,6 @@ class Transcript:
         return np.concatenate((np.full(self.degrees.shape[0], -1, np.int64), self.edges[:, 1]))
 
 
-def _outside(vertices: np.ndarray, n: int) -> bool:
-    """Whether any of the int64 ``vertices`` lies outside ``0..n-1``.
-
-    Viewed unsigned, a negative vertex is at least n, so one pass checks both ends.
-    """
-    return bool(vertices.size) and bool(vertices.view(np.uint64).max() >= n)
-
-
 class DegreeCodes:
     """Each vertex's degree and one mark bit, packed into one code per vertex.
 
@@ -176,9 +168,7 @@ class DegreeCodes:
     __slots__ = ("graph", "escape", "top_code", "_codes")
 
     def __init__(self, graph: Graph, marked: np.ndarray | None = None):
-        table = graph.degree_table
-        if table.dtype.kind not in "iu":
-            raise ValueError(f"degrees must be integers, got dtype {table.dtype}")
+        table = checked_ints(graph.degree_table, None, "degrees")
         # an unsigned table is narrowed to its largest degree, so one wider
         # than 2 bytes holds a degree of at least 2^16
         top = int(table.max()) if table.dtype.kind == "u" and table.itemsize <= 2 and table.size else None
@@ -192,10 +182,7 @@ class DegreeCodes:
             np.add(codes, codes, out=codes)  # the shift; np.left_shift is several times slower on uint8
             escape = top = 127
         if marked is not None:
-            marked = np.asarray(marked, dtype=np.int64)
-            if _outside(marked, graph.n):  # -1 would mark the last vertex
-                raise ValueError(f"marked vertices must lie in 0..{graph.n - 1}")
-            codes[marked] |= 1
+            codes[checked_ints(marked, graph.n - 1, "marked vertices")] |= 1
         codes.setflags(write=False)
         self.graph = graph
         self.escape = escape
@@ -232,15 +219,17 @@ class DegreeAnswers:
 def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryLedger) -> DegreeAnswers:
     """Answer ``Deg(v)`` for each of ``vertices``, in order, as codes of ``table``.
 
-    A vertex outside ``0..n-1`` raises ``ValueError`` naming its position,
-    before anything is metered; otherwise ``ledger.deg`` grows by the probe
-    count.
+    Vertices that are not integers, or one outside ``0..n-1``, named by its
+    position, raise ``ValueError`` before anything is metered; otherwise
+    ``ledger.deg`` grows by the probe count.
     """
     n = table.graph.n
-    v = np.asarray(vertices, dtype=np.int64)
-    if _outside(v, n):
+    v = checked_ints(vertices, None, "vertices")
+    try:
+        checked_ints(v, n - 1, "vertices")
+    except ValueError:
         pos = int(np.flatnonzero((v < 0) | (v >= n))[0])
-        raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments")
+        raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments") from None
     codes = table._codes.take(v)  # take gathers faster than indexing
     escaped = np.empty(0, dtype=np.intp)
     if table.escape is not None:
