@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .graph import checked_int
+
 # Degrees below this are looked up in dense per-degree tables, 512 KiB of
 # intp at most; the rare larger ones are binary-searched in ``powers``, so no
 # table is sized by the largest degree.
@@ -14,6 +16,7 @@ DENSE_DEGREES = 2**16
 
 def bucket_count(n: int, gamma: float) -> int:
     """Number of geometric degree buckets needed to cover degrees up to ``n``."""
+    n = checked_int(n, "n")
     if n < 2:
         raise ValueError("bucket_count requires n >= 2")
     if gamma <= 0:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .buckets import DENSE_DEGREES, BucketConfig
-from .graph import MAX_VERTICES, Graph, checked_ints, pair_codes, run_starts
+from .graph import MAX_VERTICES, Graph, checked_int, checked_ints, pair_codes, run_starts
 from .oracle import (
     DegreeAnswers,
     DegreeCodes,
@@ -94,10 +93,7 @@ class EstimatorParams:
         object.__setattr__(self, "master_seed", check_master_seed(self.master_seed))
         for name in ("c_s", "c_t", "c_f", "c_r"):
             _check_positive_finite(name, getattr(self, name))
-        try:
-            reps = operator.index(self.collision_reps)
-        except TypeError:
-            raise ValueError(f"collision_reps must be an integer, got {self.collision_reps!r}") from None
+        reps = checked_int(self.collision_reps, "collision_reps")
         if reps < 1:
             raise ValueError("collision_reps must be at least 1")
         object.__setattr__(self, "collision_reps", reps)
@@ -203,6 +199,7 @@ def plan_layout(n: int, params: EstimatorParams) -> PlanLayout:
     from, and so does a plan of more than :data:`MAX_PLAN_QUERIES` queries,
     naming those of its largest block.
     """
+    n = checked_int(n, "n")
     if n < 2:
         raise ValueError("estimation requires n >= 2")
     if n > MAX_VERTICES:
@@ -335,8 +332,7 @@ def sampled_heavy_set(graph: Graph, params: EstimatorParams, ledger: QueryLedger
     or their answers; ``ledger.deg`` grows by the block's size.
     """
     layout = plan_layout(graph.n, params)
-    no_endpoints = np.empty(0, dtype=np.int64)
-    return _stream_degree_block(graph, params, layout, params.bucket_config(graph.n), no_endpoints, ledger)[0]
+    return _stream_degree_block(graph, params, layout, params.bucket_config(graph.n), np.empty(0, np.int64), ledger)[0]
 
 
 def heavy_mass_estimate(heavy: HeavySet, config: BucketConfig) -> float:
@@ -576,8 +572,7 @@ def _stream_degree_block(
     Returns the heavy set of the whole block and the vertices and degrees of
     the probes on one of ``endpoints``, degree 0 left out. Each chunk is
     answered from one :class:`~edgecount.oracle.DegreeCodes` table, whose
-    codes mark the endpoints; the degrees are range-checked before any
-    reaches the heavy set.
+    codes mark the endpoints.
     """
     table = DegreeCodes(graph, endpoints)
     # only an exact uint8 table has codes this small; it is tallied two codes
@@ -600,7 +595,7 @@ def _stream_degree_block(
         else:
             code_counts += np.bincount(codes, minlength=code_counts.shape[0])
         if answers.escaped.size:
-            per_degree = _tally(checked_ints(answers.exact, graph.n, "degree answers"), config, per_degree, above)
+            per_degree = _tally(answers.exact, config, per_degree, above)
         hits.append(_endpoint_hits(vertices, answers))
         del vertices, answers, codes  # freed before the next chunk is drawn
     if paired:
@@ -609,9 +604,6 @@ def _stream_degree_block(
         pairs = code_counts.reshape(-1, 256)
         top = pairs.shape[0]
         code_counts = pairs.sum(axis=0)[:top] + pairs.sum(axis=1) + np.bincount(leftover, minlength=top)
-    # a field above n, short of the escape, is an out-of-range degree
-    if code_counts[2 * (graph.n + 1) : None if table.escape is None else 2 * table.escape].any():
-        raise ValueError(f"degree answers must lie in 0..{graph.n}")
     # a degree's two codes, marked and not, are adjacent; the escaped
     # probes are tallied from their exact degrees instead
     folded = np.add.reduceat(code_counts, np.arange(0, code_counts.shape[0], 2))[: table.escape]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .buckets import BucketConfig
-from .graph import Graph
+from .graph import Graph, checked_ints
 
 
 def exact_bucket_sizes(graph: Graph, config: BucketConfig) -> np.ndarray:
@@ -33,7 +33,7 @@ class HeavyLightDecomposition:
 
 def heavy_vertex_mask(graph: Graph, heavy_indices: np.ndarray, config: BucketConfig) -> np.ndarray:
     bucket_is_heavy = np.zeros(config.t, dtype=bool)
-    bucket_is_heavy[np.asarray(heavy_indices, dtype=np.int64)] = True
+    bucket_is_heavy[checked_ints(heavy_indices, config.t - 1, "heavy bucket indices")] = True
     mask = np.zeros(graph.n, dtype=bool)
     nonzero = graph.degrees >= 1
     mask[nonzero] = bucket_is_heavy[config.bucket_indices(graph.degrees[nonzero])]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from .estimator import (
 )
 from .exact import heavy_light_decomposition
 from .generators import gen_lowerbound_instance, load_graph
+from .graph import checked_int
 from .oracle import QueryLedger, answer_rand_edge_ids
 from .seeding import derive_seed
 
@@ -38,10 +38,7 @@ def _check_count(name: str, value: int, minimum: int = 1, purpose: str = "") -> 
 
     ``purpose`` follows the minimum in the error, as in ``n must be at least 7 for ...``.
     """
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    count = checked_int(value, name)
     if count < minimum:
         raise ValueError(f"{name} must be at least {minimum}{purpose}, got {count}")
     return count

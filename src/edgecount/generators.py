@@ -28,7 +28,7 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform random graph with exactly ``m`` distinct edges on ``n`` vertices."""
     if n < 1:
         raise GraphValidationError("gnm requires n >= 1")
-    check_vertex_count(n)
+    n = check_vertex_count(n)
     max_pairs = n * (n - 1) // 2
     if not 0 <= m <= max_pairs:
         raise GraphValidationError(f"gnm: m={m} outside [0, {max_pairs}] for n={n}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -30,14 +31,15 @@ class Graph:
     deduplicated and sorted lexicographically, so equal edge sets always have
     identical bytes. Isolated vertices are allowed. Instances never change
     after construction and can be shared freely across concurrent trials.
-    A hand-built instance gets ``edges`` and ``degrees`` through
-    ``np.asarray``, so nested lists work; nothing else is checked.
+    A hand-built instance gets ``edges`` and ``degrees`` through ``np.asarray``,
+    so nested lists work. It raises :class:`GraphValidationError` for an ``n``
+    that :func:`check_vertex_count` refuses, which otherwise stores it as an
+    ``int``, and for ``degrees`` that are not integers of shape ``(n,)`` in
+    ``0..n``; only :func:`build_graph` checks ``edges``.
 
-    ``degree_table`` holds the same values as ``degrees`` in the narrowest
-    unsigned dtype that fits the largest degree (uint8 up to 255), so random
-    degree lookups gather from a table small enough to stay in cache. When
-    ``degrees`` is empty, not integer or has a negative entry, the table is
-    ``degrees`` itself.
+    ``degree_table`` holds ``degrees`` in the narrowest unsigned dtype that
+    fits the largest degree (uint8 up to 255, or when empty), so random degree
+    lookups gather from a table small enough to stay in cache.
     """
 
     n: int
@@ -46,15 +48,15 @@ class Graph:
     degree_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("edges", "degrees"):
-            arr = np.asarray(getattr(self, name))
+        n = check_vertex_count(self.n)
+        degrees = checked_ints(self.degrees, n, "degrees", GraphValidationError)
+        if degrees.shape != (n,):
+            raise GraphValidationError(f"degrees must have shape ({n},), got {degrees.shape}")
+        table = degrees.astype(np.min_scalar_type(degrees.max(initial=0)))
+        object.__setattr__(self, "n", n)
+        for name, arr in (("edges", np.asarray(self.edges)), ("degrees", degrees), ("degree_table", table)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        table = self.degrees
-        if table.dtype.kind in "iu" and table.size and table.min() >= 0:
-            table = table.astype(np.min_scalar_type(table.max()))
-            table.setflags(write=False)
-        object.__setattr__(self, "degree_table", table)
 
     @property
     def m(self) -> int:
@@ -82,6 +84,14 @@ def checked_ints(values: np.ndarray, top: int | None, what: str, error: type[Val
     if top is not None and arr.view(arr.dtype.str.replace("i", "u")).max() > top:
         raise error(f"{what} must lie in 0..{top}")
     return arr
+
+
+def checked_int(value: object, what: str, error: type[ValueError] = ValueError) -> int:
+    """``operator.index(value)``, so numpy integers pass; anything else raises ``error`` naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -126,7 +136,7 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     endpoints that are not integers. Vertex counts above :data:`MAX_VERTICES`
     are rejected before anything is allocated.
     """
-    check_vertex_count(n)
+    n = check_vertex_count(n)
     arr = np.asarray(raw_edges)
     if arr.dtype.kind != "i" and not isinstance(raw_edges, np.ndarray):
         # numpy infers float64, uint64 or object for Python ints beyond int64
@@ -154,12 +164,14 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     return graph_from_codes(n, sorted_unique(pair_codes(first, second, n)))
 
 
-def check_vertex_count(n: int) -> None:
-    """Raise unless ``0 <= n <= MAX_VERTICES``, so that every pair code fits in int64."""
+def check_vertex_count(n: int) -> int:
+    """``n`` as an ``int``, unless it is no integer in ``0..MAX_VERTICES``, where pair codes overflow int64."""
+    n = checked_int(n, "vertex count", GraphValidationError)
     if n < 0:
         raise GraphValidationError("vertex count must be non-negative")
     if n > MAX_VERTICES:
         raise GraphValidationError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
+    return n
 
 
 def graph_from_codes(n: int, codes: np.ndarray) -> Graph:

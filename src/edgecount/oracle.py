@@ -14,13 +14,12 @@ from a stream fixed before any answer, so no answer steers a later query.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, checked_ints
+from .graph import Graph, checked_int, checked_ints
 
 # kind codes of the columnar views
 DEG, RAND_EDGE = 0, 1
@@ -42,18 +41,19 @@ class PlanProvenance:
 class QueryPlan:
     """Degree probes of ``deg_vertices``, in order, then ``n_rand`` random edges.
 
-    Equality compares the query sequence only, which is what a
-    non-adaptivity audit needs; provenance is bookkeeping. The three columnar
-    properties give one row per query, built on each access.
+    Probed vertices are refused as :func:`answer_degree_codes` refuses them,
+    at ``n = provenance.n``. Equality compares the query sequence only, which
+    is what a non-adaptivity audit needs; provenance is bookkeeping. The three
+    columnar properties give one row per query, built on each access.
     """
 
     __slots__ = ("deg_vertices", "n_rand", "provenance")
 
     def __init__(self, deg_vertices: np.ndarray, n_rand: int, provenance: PlanProvenance):
-        n_rand = operator.index(n_rand)
+        n_rand = checked_int(n_rand, "random-edge count")
         if n_rand < 0:
             raise ValueError("random-edge count must be non-negative")
-        self.deg_vertices = np.ascontiguousarray(checked_ints(deg_vertices, None, "degree-probe vertices"), np.int64)
+        self.deg_vertices = _checked_probes(deg_vertices, provenance.n, "degree-probe vertices")
         self.deg_vertices.setflags(write=False)
         self.n_rand = n_rand
         self.provenance = provenance
@@ -153,32 +153,27 @@ class DegreeCodes:
     - uint8 codes when every degree lies in ``0..126``;
     - uint16 codes when every degree lies in ``0..2^15-1``;
     - otherwise uint8 codes whose field :attr:`escape` = 127 stands for a
-      degree of 127 or more, or a negative one;
-      :func:`answer_degree_codes` answers those probes with their exact
-      degree as well.
+      degree of 127 or more, which :func:`answer_degree_codes` answers exactly.
 
     ``escape`` is ``None`` for the two exact widths. No code exceeds
     :attr:`top_code`, ``2 * largest degree + 1`` for the exact widths and
-    ``2 * escape + 1`` otherwise. Building the table is
-    not a query: it is the oracle's own index, and its codes are read only
-    through the metered :func:`answer_degree_codes`. A ``marked`` vertex
-    outside ``0..n-1`` raises ``ValueError``.
+    ``2 * escape + 1`` otherwise. Building the table is not a query: it is
+    the oracle's own index, and its codes are read only through the metered
+    :func:`answer_degree_codes`. A ``marked`` vertex outside ``0..n-1``
+    raises ``ValueError``.
     """
 
     __slots__ = ("graph", "escape", "top_code", "_codes")
 
     def __init__(self, graph: Graph, marked: np.ndarray | None = None):
-        table = checked_ints(graph.degree_table, None, "degrees")
-        # an unsigned table is narrowed to its largest degree, so one wider
-        # than 2 bytes holds a degree of at least 2^16
-        top = int(table.max()) if table.dtype.kind == "u" and table.itemsize <= 2 and table.size else None
-        if top is not None and top < 2**15:
+        table = graph.degree_table
+        top = int(table.max(initial=0))
+        if top < 2**15:
             codes = np.add(table, table, dtype=np.uint8 if top < 127 else np.uint16)
             escape = None
         else:
-            # viewed unsigned, a negative degree exceeds 127 and saturates too
             codes = np.empty(table.shape[0], dtype=np.uint8)
-            np.minimum(table.view(f"u{table.itemsize}"), 127, out=codes, casting="unsafe")
+            np.minimum(table, 127, out=codes, casting="unsafe")
             np.add(codes, codes, out=codes)  # the shift; np.left_shift is several times slower on uint8
             escape = top = 127
         if marked is not None:
@@ -216,6 +211,17 @@ class DegreeAnswers:
         return degrees
 
 
+def _checked_probes(vertices: np.ndarray, n: int, what: str) -> np.ndarray:
+    """Degree-probe ``vertices`` as contiguous int64 ids; one outside ``0..n-1`` is named with its position."""
+    v = checked_ints(vertices, None, what)
+    try:
+        checked_ints(v, n - 1, what)
+    except ValueError:
+        pos = int(np.flatnonzero((v < 0) | (v >= n))[0])
+        raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments") from None
+    return np.ascontiguousarray(v, np.int64)
+
+
 def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryLedger) -> DegreeAnswers:
     """Answer ``Deg(v)`` for each of ``vertices``, in order, as codes of ``table``.
 
@@ -223,17 +229,9 @@ def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryL
     position, raise ``ValueError`` before anything is metered; otherwise
     ``ledger.deg`` grows by the probe count.
     """
-    n = table.graph.n
-    v = checked_ints(vertices, None, "vertices")
-    try:
-        checked_ints(v, n - 1, "vertices")
-    except ValueError:
-        pos = int(np.flatnonzero((v < 0) | (v >= n))[0])
-        raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments") from None
+    v = _checked_probes(vertices, table.graph.n, "vertices")
     codes = table._codes.take(v)  # take gathers faster than indexing
-    escaped = np.empty(0, dtype=np.intp)
-    if table.escape is not None:
-        escaped = np.flatnonzero(codes >= 2 * table.escape)
+    escaped = np.empty(0, dtype=np.intp) if table.escape is None else np.flatnonzero(codes >= 2 * table.escape)
     ledger.deg += int(codes.shape[0])
     return DegreeAnswers(codes, escaped, table.graph.degree_table.take(v.take(escaped)))
 
@@ -281,8 +279,7 @@ def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLe
         raise ValueError(f"plan was built for n={plan.provenance.n}, graph has n={graph.n}")
     if plan.n_rand and graph.m == 0:
         raise EmptyGraphError("graph has no edges; random-edge queries cannot be answered")
-    if ledger is None:
-        ledger = QueryLedger()
+    ledger = QueryLedger() if ledger is None else ledger
     degrees = answer_degrees(graph, plan.deg_vertices, ledger)
     edges = answer_rand_edges(graph, np.random.default_rng(answer_seed), plan.n_rand, ledger)
     return Transcript(plan=plan, degrees=degrees, edges=edges, answer_seed=answer_seed, ledger=ledger)

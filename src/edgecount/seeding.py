@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-import operator
 
 import numpy as np
+
+from .graph import checked_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -15,10 +16,7 @@ def check_master_seed(master_seed: int) -> int:
 
     Two seeds that a report prints differently therefore never share a stream.
     """
-    try:
-        seed = operator.index(master_seed)
-    except TypeError:
-        raise ValueError(f"master_seed must be an integer, got {master_seed!r}") from None
+    seed = checked_int(master_seed, "master_seed")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"master_seed must lie in 0..{_MASK64}, got {seed}")
     return seed

@@ -15,6 +15,7 @@ from edgecount import (
     BucketConfig,
     EstimatorParams,
     Graph,
+    GraphValidationError,
     HeavySet,
     QueryPlan,
     answer_degree_codes,
@@ -144,12 +145,11 @@ def test_plan_query_ceiling_is_inclusive(monkeypatch):
 
 @pytest.mark.parametrize("bad_degree", [99, -1])
 def test_estimate_checks_degree_answers_once_before_tallying(bad_degree):
-    # hand-built graph whose vertex 3 claims a degree outside 0..n; -1 also
-    # leaves the compact degree table as the int64 degrees
-    graph = Graph(4, np.array([[0, 1], [1, 2]]), np.array([1, 2, 1, bad_degree]))
-    with pytest.raises(ValueError) as info:
-        estimate_edges(graph, EstimatorParams(epsilon=0.25))
-    assert str(info.value) == "degree answers must lie in 0..4"
+    # a hand-built graph whose vertex 3 claims a degree outside 0..n is
+    # refused when it is built, so no estimate ever answers that degree
+    with pytest.raises(GraphValidationError) as info:
+        Graph(4, np.array([[0, 1], [1, 2]]), np.array([1, 2, 1, bad_degree]))
+    assert str(info.value) == "degrees must lie in 0..4"
 
 
 @pytest.mark.parametrize("row", [[0, 7], [-1, 2]])

@@ -13,6 +13,7 @@ from edgecount import (
     exact_heavy_degree_mass,
     exact_heavy_fraction,
     gen_clique_plus_isolated,
+    gen_path,
     gen_star,
     heavy_light_decomposition,
     heavy_vertex_mask,
@@ -143,3 +144,22 @@ def test_identity_checks_survive_optimized_mode(subprocess_env):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "identity broken: heavy degree mass != 2 * edges_heavy + edges_cross"
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([0.9], "heavy bucket indices must be integers, got dtype float64"),
+        ([-1], "heavy bucket indices must lie in 0..{top}"),
+        ([0, "t"], "heavy bucket indices must lie in 0..{top}"),
+    ],
+    ids=["float", "negative", "t"],
+)
+def test_heavy_vertex_mask_refuses_bucket_indices_outside_0_to_t_minus_1(indices, message):
+    # a float index would be truncated, and -1 would mark the top bucket
+    config = BucketConfig(5, 0.5)
+    indices = [config.t if i == "t" else i for i in indices]
+    with pytest.raises(ValueError) as info:
+        heavy_vertex_mask(gen_path(5), indices, config)
+    assert str(info.value) == message.format(top=config.t - 1)
+    assert heavy_vertex_mask(gen_path(5), [0], config).tolist() == [True, False, False, False, True]

@@ -94,6 +94,33 @@ def test_hand_built_graph_converts_list_edges_and_degrees():
     assert graph == build_graph(4, [(0, 1), (1, 2)])
 
 
+@pytest.mark.parametrize(
+    "n, degrees, message",
+    [
+        (4, [1.0, 2.0, 1.0, 0.0], "degrees must be integers, got dtype float64"),
+        (4, [True, True, True, False], "degrees must be integers, got dtype bool"),
+        (4, [1, 2, 1, -1], "degrees must lie in 0..4"),
+        (4, [1, 2, 1, 5], "degrees must lie in 0..4"),
+        (4, [1, 2, 1], "degrees must have shape (4,), got (3,)"),
+        (4, [1, 2, 1, 0, 1, 1], "degrees must have shape (4,), got (6,)"),
+        (4, [[1, 2], [1, 0]], "degrees must have shape (4,), got (2, 2)"),
+        (4.0, [1, 2, 1, 0], "vertex count must be an integer, got 4.0"),
+    ],
+    ids=["float", "bool", "negative", "n+1", "short", "long", "2-d", "float-n"],
+)
+def test_hand_built_graph_refuses_degrees_outside_the_contract(n, degrees, message):
+    with pytest.raises(GraphValidationError) as info:
+        Graph(n, [[0, 1], [1, 2]], degrees)
+    assert str(info.value) == message
+
+
+def test_hand_built_graph_stores_a_numpy_integer_n_as_an_int():
+    graph = Graph(np.int64(4), [[0, 1], [1, 2]], np.array([1, 2, 1, 0], dtype=np.int32))
+    assert type(graph.n) is int and graph.n == 4
+    assert graph.degrees.dtype == np.int32
+    assert graph.degree_table.dtype == np.uint8 and graph.degree_table is not graph.degrees
+
+
 def test_graph_equality_ignores_input_order():
     a = build_graph(4, [(2, 3), (0, 1)])
     b = build_graph(4, [(1, 0), (3, 2), (0, 1)])

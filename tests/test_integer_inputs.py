@@ -19,6 +19,7 @@ from edgecount import (
     answer_degree_codes,
     answer_degrees,
     answer_plan,
+    bucket_count,
     build_graph,
     classify_heavy,
     collision_majority_vote,
@@ -27,6 +28,7 @@ from edgecount import (
     gen_gnm,
     gen_path,
     heavy_fraction_estimate,
+    plan_layout,
     resolved_params,
     run_accuracy_trials,
 )
@@ -171,6 +173,44 @@ def test_empty_ids_pass_the_dtype_rule(entry):
 def test_build_graph_refuses_listed_non_integer_endpoints(pairs):
     with pytest.raises(GraphValidationError, match="^edge endpoints must be integers, got dtype"):
         build_graph(4, pairs)
+
+
+def test_query_plan_names_a_uint64_vertex_as_the_caller_passed_it():
+    ledger = QueryLedger()
+    with pytest.raises(ValueError) as info:
+        answer_plan(gen_path(3), QueryPlan(np.array([2**63], np.uint64), 0, PlanProvenance(3, None, 0)), 0, ledger)
+    assert str(info.value) == "query 0 (Deg(9223372036854775808)) has invalid arguments"
+    assert ledger.total == 0
+
+
+@pytest.mark.parametrize(
+    "call, error, what",
+    [
+        (lambda n: plan_layout(n, EstimatorParams(epsilon=0.25)), ValueError, "n"),
+        (lambda n: bucket_count(n, 0.025), ValueError, "n"),
+        (lambda n: BucketConfig(n, 0.025), ValueError, "n"),
+        (lambda n: build_graph(n, [(0, 1)]), GraphValidationError, "vertex count"),
+        (lambda n: gen_path(n), GraphValidationError, "vertex count"),
+        (lambda n: gen_gnm(n, 10, 0), GraphValidationError, "vertex count"),
+    ],
+    ids=["plan_layout", "bucket_count", "BucketConfig", "build_graph", "gen_path", "gen_gnm"],
+)
+@pytest.mark.parametrize("n", [100.5, 4.0], ids=["fraction", "whole-float"])
+def test_vertex_counts_must_be_integers(call, error, what, n):
+    with pytest.raises(error) as info:
+        call(n)
+    assert type(info.value) is error
+    assert str(info.value) == f"{what} must be an integer, got {n!r}"
+
+
+def test_numpy_integer_vertex_counts_keep_working():
+    params = EstimatorParams(epsilon=0.25)
+    assert plan_layout(np.int64(10000), params) == plan_layout(10000, params)
+    assert bucket_count(np.uint32(10000), 0.025) == bucket_count(10000, 0.025)
+    assert BucketConfig(np.int32(10000), 0.025).t == BucketConfig(10000, 0.025).t
+    assert build_graph(np.int64(4), [(0, 1)]) == build_graph(4, [(0, 1)])
+    assert gen_gnm(np.int64(100), 10, 0) == gen_gnm(100, 10, 0)
+    assert type(gen_path(np.uint8(10)).n) is int
 
 
 def test_narrow_integer_ids_answer_as_int64_ones():

@@ -40,7 +40,7 @@ from edgecount.estimator import (
     count_id_collisions,
 )
 from edgecount.generators import gen_path
-from edgecount.graph import MAX_VERTICES, Graph, pair_codes, run_starts, sorted_unique
+from edgecount.graph import MAX_VERTICES, Graph, GraphValidationError, pair_codes, run_starts, sorted_unique
 from edgecount.oracle import DegreeCodes, QueryLedger, answer_degree_codes, answer_degrees
 
 
@@ -197,31 +197,25 @@ WIDTH_CASES = [
 ]
 
 
-def _width_graph(largest: int, negative: bool, sampled: np.ndarray, n: int) -> Graph:
-    """Degrees from 0 up to ``largest`` on ``n`` vertices, ``largest`` on the first probes,
-    and ``-1`` on a vertex no probe reaches when ``negative``."""
+def _width_degrees(largest: int, sampled: np.ndarray, n: int) -> np.ndarray:
+    """Degrees from 0 up to ``largest`` on ``n`` vertices, ``largest`` on the first probes."""
     rng = np.random.default_rng(largest)
     palette = [d for d in (0, 1, 2, 5, 126, 127, 128, 2**15 - 1, 2**15, DENSE_DEGREES, largest) if d <= largest]
     degree_of = rng.choice(np.array(palette, dtype=np.int64), size=n)
     degree_of[sampled[:5]] = largest
-    if negative:
-        degree_of[np.setdiff1d(np.arange(n), sampled)[0]] = -1
-    return Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
+    return degree_of
 
 
-@pytest.mark.parametrize("negative", [False, True], ids=["unsigned", "negative"])
 @pytest.mark.parametrize(
     "largest, table_dtype, code_dtype, escape", WIDTH_CASES, ids=["126", "127", "128", "32767", "32768", "dense"]
 )
-def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table_dtype, code_dtype, escape, negative):
+def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table_dtype, code_dtype, escape):
     n = DENSE_DEGREES + 7
     params = EstimatorParams(epsilon=0.25, master_seed=3)
     layout = plan_layout(n, params)
     config = params.bucket_config(n)
     sampled = build_sample_plan(n, params).deg_vertices
-    graph = _width_graph(largest, negative, sampled, n)
-    if negative:  # no unsigned table holds -1, and the codes saturate
-        table_dtype, code_dtype, escape = np.int64, np.uint8, 127
+    graph = Graph(n, np.empty((0, 2), dtype=np.int64), _width_degrees(largest, sampled, n))
     assert graph.degree_table.dtype == table_dtype
     degrees = graph.degrees[sampled]
     answers = answer_degree_codes(DegreeCodes(graph), sampled, QueryLedger())
@@ -244,17 +238,17 @@ def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table
 
 @pytest.mark.parametrize("bad_degree", [-1, DENSE_DEGREES + 8, 2**40])
 def test_streamed_degree_answers_outside_zero_to_n_rejected_behind_the_escape(bad_degree):
-    # a probed vertex whose degree the uint8 codes saturate is checked from its exact degree
+    # a probed vertex whose degree the uint8 codes would saturate: the graph
+    # refuses a degree outside 0..n when it is built, so no escaped probe can answer one
     n = DENSE_DEGREES + 7
     params = EstimatorParams(epsilon=0.25, master_seed=3)
     sampled = build_sample_plan(n, params).deg_vertices
-    degree_of = _width_graph(2**15, False, sampled, n).degrees.copy()
+    degree_of = _width_degrees(2**15, sampled, n)
+    assert DegreeCodes(Graph(n, np.empty((0, 2), dtype=np.int64), degree_of.copy())).escape == 127
     degree_of[sampled[-1]] = bad_degree
-    graph = Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
-    assert DegreeCodes(graph).escape == 127
-    with pytest.raises(ValueError) as info:
-        _stream_degree_block(graph, params, plan_layout(n, params), params.bucket_config(n), sampled[:9], QueryLedger())
-    assert str(info.value) == f"degree answers must lie in 0..{n}"
+    with pytest.raises(GraphValidationError) as info:
+        Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
+    assert str(info.value) == f"degrees must lie in 0..{n}"
 
 
 @st.composite
@@ -264,12 +258,14 @@ def small_code_tables(draw):
 
     The largest degree sits on the plan's first probe and is marked for an
     odd top code; every other probed vertex has a smaller degree. An escape
-    table comes from a -1 degree on a vertex no probe reaches, and a table
-    whose top code lies above every probed code from a degree above the
-    largest on another such vertex. Chunk sizes are small and often odd, or
-    leave one probe in the last chunk.
+    table comes from a degree of at least 2^15, on a graph of more than 2^15
+    vertices, on a vertex no probe reaches, and a table whose top code lies
+    above every probed code from a degree above the largest on another such
+    vertex. Chunk sizes are small and often odd, or leave one probe in the
+    last chunk.
     """
-    n = draw(st.integers(33, 120))
+    escape, above = draw(st.booleans()), draw(st.booleans())
+    n = draw(st.integers(33, 120)) + (2**15 if escape else 0)
     top_code = draw(st.sampled_from((62, 63, 64, 65)))
     params = EstimatorParams(epsilon=0.8, master_seed=draw(st.integers(0, 2**32 - 1)))
     sampled = build_sample_plan(n, params).deg_vertices
@@ -280,12 +276,11 @@ def small_code_tables(draw):
     endpoints = rng.choice(np.flatnonzero(degree_of < largest), size=draw(st.integers(1, 12)))
     if top_code % 2:
         endpoints = np.append(endpoints, sampled[0])
-    escape, above = draw(st.booleans()), draw(st.booleans())
     if escape or above:
         unprobed = np.setdiff1d(np.arange(n), sampled)
         assume(unprobed.size >= escape + above)
         if escape:
-            degree_of[unprobed[0]] = -1
+            degree_of[unprobed[0]] = draw(st.integers(2**15, n))
         if above:
             degree_of[unprobed[-1]] = draw(st.integers(largest + 1, n))
     size = sampled.shape[0]
@@ -302,7 +297,7 @@ def test_pair_tally_matches_classify_heavy_on_both_sides_of_the_rule(table_case)
     config = params.bucket_config(n)
     sampled = build_sample_plan(n, params).deg_vertices
     table = DegreeCodes(graph, endpoints)
-    escape = bool((graph.degrees < 0).any())
+    escape = bool((graph.degrees >= 2**15).any())
     above = bool((graph.degrees > top_code // 2).any())  # only on a vertex no probe reaches
     assert table.escape == (127 if escape else None)
     assert int(answer_degree_codes(table, sampled, QueryLedger()).codes.max()) == top_code
@@ -321,29 +316,22 @@ def test_pair_tally_matches_classify_heavy_on_both_sides_of_the_rule(table_case)
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.integers(4, 60),
-    st.integers(1, 126),
-    st.booleans(),
-    st.sampled_from((1, 2, 7, 8, 9)),
-    st.integers(0, 2**32 - 1),
-)
-def test_pair_tally_rejects_a_field_above_n(n, excess, escape, chunk, seed):
-    # a probe of the last chunk answers a field above n that the codes hold
-    # exactly, on both sides of the pair rule and behind an escape table
+@given(st.integers(4, 60), st.integers(1, 126), st.booleans(), st.integers(0, 2**32 - 1))
+def test_pair_tally_rejects_a_field_above_n(n, excess, negative, seed):
+    # a probed vertex whose field above n the codes would hold exactly, on
+    # both sides of the pair rule, also with a negative degree on a vertex no
+    # probe reaches: the graph refuses either degree when it is built
     params = EstimatorParams(epsilon=0.8, master_seed=seed)
     sampled = build_sample_plan(n, params).deg_vertices
     degree_of = np.random.default_rng(seed).integers(0, n + 1, size=n)
     degree_of[sampled[-1]] = min(n + excess, 126)
-    if escape:
+    if negative:
         unprobed = np.setdiff1d(np.arange(n), sampled)
         assume(unprobed.size > 0)
         degree_of[unprobed[0]] = -1
-    graph = Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
-    layout = plan_layout(n, params)
-    with mock.patch.object(estimator, "_DEGREE_CHUNK", chunk), pytest.raises(ValueError) as info:
-        _stream_degree_block(graph, params, layout, params.bucket_config(n), sampled[:3], QueryLedger())
-    assert str(info.value) == f"degree answers must lie in 0..{n}"
+    with pytest.raises(GraphValidationError) as info:
+        Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
+    assert str(info.value) == f"degrees must lie in 0..{n}"
 
 
 def ref_searchsorted_match(endpoints, hit_vertices, hit_degrees, heavy: HeavySet, config: BucketConfig) -> float:

@@ -11,6 +11,7 @@ from edgecount import (
     EmptyGraphError,
     EstimatorParams,
     Graph,
+    GraphValidationError,
     PlanProvenance,
     QueryLedger,
     QueryPlan,
@@ -304,32 +305,22 @@ def test_degree_answers_from_compact_table_match_degrees(graph, largest, table_d
     assert np.array_equal(transcript.degrees, graph.degrees.take(vertices))
 
 
-def test_degree_table_of_an_empty_graph_is_its_degrees():
+def test_degree_table_of_an_empty_graph_is_an_empty_uint8_table():
     graph = build_graph(0, [])
-    assert graph.degree_table is graph.degrees
+    assert graph.degree_table is not graph.degrees
+    assert graph.degree_table.dtype == np.uint8
+    assert graph.degree_table.shape == (0,)
     assert graph.degree_table.flags.writeable is False
     transcript = answer_plan(graph, _plan(0), answer_seed=0)
     assert transcript.degrees.dtype == np.int64
     assert transcript.degrees.shape == (0,)
 
 
-def test_degree_table_falls_back_to_degrees_with_a_negative_degree():
-    # hand-built: vertex 3 claims degree -1, which no unsigned table can hold
-    graph = Graph(4, np.array([[0, 1], [1, 2]]), np.array([1, 2, 1, -1]))
-    assert graph.degree_table is graph.degrees
-    assert graph.degree_table.flags.writeable is False
-    vertices, transcript = _answer_every_vertex(graph)
-    assert transcript.degrees.dtype == np.int64
-    assert np.array_equal(transcript.degrees, graph.degrees.take(vertices))
-
-
 def test_degree_answers_reject_a_table_that_is_not_integer():
-    # hand-built: float degrees would be truncated by the packed codes
-    graph = Graph(4, np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0, 1.0, 0.0]))
-    ledger = QueryLedger()
-    with pytest.raises(ValueError, match="degrees must be integers, got dtype float64"):
-        answer_degrees(graph, np.array([0, 1]), ledger)
-    assert ledger.as_dict() == {"deg": 0, "rand_edge": 0}
+    # hand-built: float degrees, which the packed codes would truncate, are
+    # refused when the graph is built
+    with pytest.raises(GraphValidationError, match="^degrees must be integers, got dtype float64$"):
+        Graph(4, np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0, 1.0, 0.0]))
 
 
 @pytest.mark.parametrize("marked", [[0, 3], [-1]])
@@ -348,11 +339,12 @@ def test_degree_codes_reject_marks_outside_the_graph(triangle, marked):
         ([0, 127, 5], 255),  # exact uint16
         ([0, 2**15 - 1, 5], 2**16 - 1),
         ([0, 2**15, 5], 255),  # uint8 with the escape
-        ([0, -1, 5], 255),
     ],
 )
 def test_degree_codes_top_code_is_the_largest_code_a_mark_can_make(degrees, top_code):
-    graph = Graph(3, np.empty((0, 2), dtype=np.int64), np.array(degrees))
+    # the first three vertices take the degrees; n is just large enough to allow them
+    n = max(3, max(degrees))
+    graph = Graph(n, np.empty((0, 2), dtype=np.int64), np.pad(degrees, (0, n - 3)))
     vertices = np.arange(3)
     assert DegreeCodes(graph).top_code == top_code
     assert answer_degree_codes(DegreeCodes(graph, [1]), vertices, QueryLedger()).codes.max() == top_code
