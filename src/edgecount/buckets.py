@@ -14,6 +14,12 @@ from .graph import checked_int
 DENSE_DEGREES = 2**16
 
 
+def gamma_for(epsilon: float) -> float:
+    """The bucket growth rate for accuracy target ``epsilon``: ``epsilon / 10``."""
+    # not epsilon * 0.1, which rounds differently at some epsilon
+    return epsilon / 10.0
+
+
 def bucket_count(n: int, gamma: float) -> int:
     """Number of geometric degree buckets needed to cover degrees up to ``n``."""
     n = checked_int(n, "n")
@@ -56,7 +62,7 @@ class BucketConfig:
 
     @classmethod
     def from_epsilon(cls, n: int, epsilon: float) -> "BucketConfig":
-        return cls(n, epsilon / 10.0)
+        return cls(n, gamma_for(epsilon))
 
     def bucket_index(self, degree: int) -> int:
         """Index of the unique bucket containing ``degree``."""

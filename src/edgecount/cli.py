@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .estimator import BRANCH_FAILED, estimate_edges, resolved_params
 from .experiments import (
@@ -30,20 +31,20 @@ def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, ".")
 
 
-def _add_graph_source(parser: argparse.ArgumentParser) -> None:
+def _add_trial_config(parser: argparse.ArgumentParser) -> None:
+    """Options stored under :class:`TrialConfig` field names (``--file PATH`` as ``file:PATH``), defaults left to it."""
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", help="generator spec, e.g. gnm:10000,100000 or path:10000, or file:PATH")
-    source.add_argument("--file", help="edge-list file (first line n, then 'u v' lines)")
-
-
-def _add_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps", type=float, default=0.25, help="accuracy target in (0, 0.8]")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--c-s", type=float, default=None, help="degree-sample multiplier")
-    parser.add_argument("--c-t", type=float, default=None, help="endpoint-sample multiplier")
-    parser.add_argument("--c-f", type=float, default=None, help="collision-sample multiplier")
-    parser.add_argument("--c-r", type=float, default=None, help="vote-round multiplier")
-    parser.add_argument("--collision-reps", type=int, default=1, help="median-of-reps collision samples")
+    source.add_argument(
+        "--file", dest="graph", type="file:{}".format, metavar="FILE", help="edge-list file (first line n, then 'u v' lines)"
+    )
+    parser.add_argument("--eps", dest="epsilon", metavar="EPS", type=float, help="accuracy target in (0, 0.8]")
+    parser.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="master seed")
+    parser.add_argument("--c-s", type=float, help="degree-sample multiplier")
+    parser.add_argument("--c-t", type=float, help="endpoint-sample multiplier")
+    parser.add_argument("--c-f", type=float, help="collision-sample multiplier")
+    parser.add_argument("--c-r", type=float, help="vote-round multiplier")
+    parser.add_argument("--collision-reps", type=int, help="median-of-reps collision samples")
 
 
 def _add_outputs(parser: argparse.ArgumentParser) -> None:
@@ -51,33 +52,18 @@ def _add_outputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json", help="what to print on stdout")
 
 
-def _resolve_graph(args: argparse.Namespace):
-    if args.file is not None:
-        return read_edge_list(args.file)
-    return load_graph(args.graph, derive_seed(args.seed, "graph"))
-
-
-def _graph_source_string(args: argparse.Namespace) -> str:
-    return f"file:{args.file}" if args.file is not None else args.graph
-
-
-def _trial_config(args: argparse.Namespace, trials: int = 1) -> TrialConfig:
-    return TrialConfig(
-        graph=_graph_source_string(args),
-        epsilon=args.eps,
-        trials=trials,
-        master_seed=args.seed,
-        c_s=args.c_s,
-        c_t=args.c_t,
-        c_f=args.c_f,
-        c_r=args.c_r,
-        collision_reps=args.collision_reps,
-    )
+def _trial_config(args: argparse.Namespace) -> TrialConfig:
+    given = {f.name: getattr(args, f.name, None) for f in fields(TrialConfig)}
+    return TrialConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    params = _trial_config(args).params_for(args.seed)
-    graph = _resolve_graph(args)
+    config = _trial_config(args)
+    params = config.params_for(config.master_seed)
+    if config.graph.startswith("file:"):
+        graph = read_edge_list(config.graph[len("file:") :])  # the benchmark's tracer wraps cli.read_edge_list
+    else:
+        graph = load_graph(config.graph, derive_seed(config.master_seed, "graph"))
     report = estimate_edges(graph, params)
     payload = report.to_json_dict()
     payload["n"] = graph.n
@@ -86,10 +72,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 2 if report.branch == BRANCH_FAILED else 0
 
 
-def _write_outputs(args: argparse.Namespace, name: str, n: int, tag: float, result) -> int:
+def _write_outputs(args: argparse.Namespace, name: str, n: int, tag: float, seed: int, result) -> int:
     """Write ``result``'s CSV and JSON files, print one as ``--format`` asks, and name both on stderr."""
     summary = result.summary_dict()
-    csv_path, json_path = write_experiment_files(name, n, tag, args.seed, *result.csv_rows(), summary, args.out)
+    csv_path, json_path = write_experiment_files(name, n, tag, seed, *result.csv_rows(), summary, args.out)
     if args.format == "csv":
         sys.stdout.write(csv_path.read_text(encoding="ascii"))
     else:
@@ -99,13 +85,13 @@ def _write_outputs(args: argparse.Namespace, name: str, n: int, tag: float, resu
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    stats = run_accuracy_trials(_trial_config(args, args.trials))
-    return _write_outputs(args, "bench", stats.n, args.eps, stats)
+    stats = run_accuracy_trials(_trial_config(args))
+    return _write_outputs(args, "bench", stats.n, stats.config.epsilon, stats.config.master_seed, stats)
 
 
 def _cmd_lowerbound(args: argparse.Namespace) -> int:
     result = run_distinguishing_experiment(args.n, args.q, args.trials, args.seed)
-    return _write_outputs(args, "lowerbound", args.n, args.q, result)
+    return _write_outputs(args, "lowerbound", result.n, result.q, result.master_seed, result)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -120,14 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="estimate the edge count of one graph")
-    _add_graph_source(p_est)
-    _add_params(p_est)
+    _add_trial_config(p_est)
     p_est.set_defaults(func=_cmd_estimate)
 
     p_bench = sub.add_parser("bench", help="repeated estimation trials with accuracy stats")
-    _add_graph_source(p_bench)
-    _add_params(p_bench)
-    p_bench.add_argument("--trials", type=int, default=100)
+    _add_trial_config(p_bench)
+    p_bench.add_argument("--trials", type=int)
     _add_outputs(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 

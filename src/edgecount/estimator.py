@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .buckets import DENSE_DEGREES, BucketConfig
+from .buckets import DENSE_DEGREES, BucketConfig, gamma_for
 from .graph import MAX_VERTICES, Graph, checked_int, checked_ints, pair_codes, run_starts
 from .oracle import (
     DegreeAnswers,
@@ -97,8 +97,7 @@ class EstimatorParams:
         if reps < 1:
             raise ValueError("collision_reps must be at least 1")
         object.__setattr__(self, "collision_reps", reps)
-        # not epsilon * 0.1, which rounds differently at some epsilon
-        object.__setattr__(self, "gamma", self.epsilon / 10.0)
+        object.__setattr__(self, "gamma", gamma_for(self.epsilon))
 
     def bucket_config(self, n: int) -> BucketConfig:
         return BucketConfig(n, self.gamma)

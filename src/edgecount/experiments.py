@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .exact import heavy_light_decomposition
 from .generators import gen_lowerbound_instance, load_graph
 from .graph import checked_int
 from .oracle import QueryLedger, answer_rand_edge_ids
-from .seeding import derive_seed
+from .seeding import check_master_seed, derive_seed
 
 
 def _check_count(name: str, value: int, minimum: int = 1, purpose: str = "") -> int:
@@ -44,6 +44,29 @@ def _check_count(name: str, value: int, minimum: int = 1, purpose: str = "") -> 
     return count
 
 
+def _summary(experiment: str, record, omit: tuple[str, ...], **extra: object) -> dict[str, object]:
+    """``{"experiment": experiment}``, every field of the dataclass ``record`` not in ``omit``, and ``extra``."""
+    own = {f.name: getattr(record, f.name) for f in fields(record) if f.name not in omit}
+    return {"experiment": experiment, **own, **extra}
+
+
+def _csv_table(rows: list) -> tuple[list[str], list[list[object]]]:
+    """CSV header and rows of a non-empty list of row dataclasses, one column per field in field order.
+
+    A dict field gives one ``<field>_<key>`` column per key, and a bool is written as 0 or 1.
+    """
+    table = []
+    for row in rows:
+        cells: dict[str, object] = {}
+        for name, value in asdict(row).items():
+            if isinstance(value, dict):
+                cells.update((f"{name}_{key}", item) for key, item in value.items())
+            else:
+                cells[name] = int(value) if isinstance(value, bool) else value
+        table.append(cells)
+    return list(table[0]), [list(cells.values()) for cells in table]
+
+
 class QueryBudgetError(AssertionError):
     """A metered query total broke the plan formula or its budget bound.
 
@@ -52,12 +75,17 @@ class QueryBudgetError(AssertionError):
     """
 
 
+# the EstimatorParams fields a caller sets; gamma is derived from epsilon
+_PARAM_NAMES = tuple(f.name for f in fields(EstimatorParams) if f.init)
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Inputs for a batch of estimation trials on one graph.
 
-    ``trials`` that is no integer or is below 1, and bad estimator
-    parameters, raise ``ValueError`` here.
+    The other fields are the :class:`EstimatorParams` fields of their names, a
+    ``c_*`` left ``None`` taking its default there. ``trials`` that is no
+    integer or is below 1, and bad parameters, raise ``ValueError`` here.
     """
 
     graph: str  # generator spec, or "file:PATH"
@@ -74,19 +102,13 @@ class TrialConfig:
         object.__setattr__(self, "trials", _check_count("trials", self.trials))
         params = self.params_for(self.master_seed)
         # store the values as the params normalised them, so reports print plain numbers
-        for name in ("epsilon", "master_seed", "collision_reps", "c_s", "c_t", "c_f", "c_r"):
+        for name in _PARAM_NAMES:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, getattr(params, name))
 
     def params_for(self, trial_seed: int) -> EstimatorParams:
-        overrides = {
-            name: value
-            for name, value in (("c_s", self.c_s), ("c_t", self.c_t), ("c_f", self.c_f), ("c_r", self.c_r))
-            if value is not None
-        }
-        return EstimatorParams(
-            epsilon=self.epsilon, master_seed=trial_seed, collision_reps=self.collision_reps, **overrides
-        )
+        given = {name: getattr(self, name) for name in _PARAM_NAMES if getattr(self, name) is not None}
+        return EstimatorParams(**{**given, "master_seed": trial_seed})
 
 
 @dataclass(frozen=True)
@@ -118,41 +140,13 @@ class TrialStats:
     resolved_params: dict[str, object]
 
     def summary_dict(self) -> dict[str, object]:
-        return {
-            "experiment": "bench",
-            "graph": self.config.graph,
-            "n": self.n,
-            "m_true": self.m_true,
-            "epsilon": self.config.epsilon,
-            "trials": self.config.trials,
-            "master_seed": self.config.master_seed,
-            "success_target": self.config.epsilon,
-            "success_rate": self.success_rate,
-            "collision_branch_rate": self.collision_branch_rate,
-            "vote_one_rate": self.vote_one_rate,
-            "failed_trials": self.failed_trials,
-            "mean_rel_error": self.mean_rel_error,
-            "max_rel_error": self.max_rel_error,
-            "mean_queries": self.mean_queries,
-            "params": self.resolved_params,
-        }
+        c = self.config
+        shown = {"graph": c.graph, "epsilon": c.epsilon, "trials": c.trials, "master_seed": c.master_seed}
+        omit = ("config", "rows", "resolved_params")
+        return _summary("bench", self, omit, **shown, success_target=c.epsilon, params=self.resolved_params)
 
     def csv_rows(self) -> tuple[list[str], list[list[object]]]:
-        header = ["trial", "m_hat", "branch", "rel_error", "r", "k", "queries_deg", "queries_rand_edge"]
-        rows = [
-            [
-                row.trial,
-                row.m_hat,
-                row.branch,
-                row.rel_error,
-                row.r,
-                row.k,
-                row.queries["deg"],
-                row.queries["rand_edge"],
-            ]
-            for row in self.rows
-        ]
-        return header, rows
+        return _csv_table(self.rows)
 
 
 def _relative_error(m_hat: float | None, m_true: int) -> float | None:
@@ -170,13 +164,12 @@ def run_accuracy_trials(config: TrialConfig) -> TrialStats:
     for j in range(config.trials):
         params = config.params_for(derive_seed(config.master_seed, f"trial:{j}"))
         report = estimate_edges(graph, params)
-        rel = _relative_error(report.m_hat, graph.m)
         rows.append(
             TrialRow(
                 trial=j,
                 m_hat=report.m_hat,
                 branch=report.branch,
-                rel_error=rel,
+                rel_error=_relative_error(report.m_hat, graph.m),
                 r=report.r,
                 k=report.k,
                 queries=report.queries.as_dict(),
@@ -221,7 +214,7 @@ def run_query_budget_check(ns: list[int], epsilons: list[float], master_seed: in
             layout = plan_layout(n, params)
             report = estimate_edges(graph, params)
             measured = report.queries.total
-            scale = math.sqrt(n) * math.log(n) / eps**2.5
+            scale = math.sqrt(n) * math.log(n) / params.epsilon**2.5
             ratio = measured / scale
             bound = params.c_s + params.c_t + math.sqrt(2.0) * params.c_r + params.c_f + 1.0
             if measured != layout.total:
@@ -230,8 +223,8 @@ def run_query_budget_check(ns: list[int], epsilons: list[float], master_seed: in
                 raise QueryBudgetError(f"query ratio {ratio:.3f} exceeds bound {bound:.3f} at n={n}, eps={eps}")
             rows.append(
                 {
-                    "n": n,
-                    "epsilon": eps,
+                    "n": graph.n,
+                    "epsilon": params.epsilon,
                     "measured_total": measured,
                     "formula_total": layout.total,
                     "deg": report.queries.deg,
@@ -241,11 +234,6 @@ def run_query_budget_check(ns: list[int], epsilons: list[float], master_seed: in
                 }
             )
     return rows
-
-
-def _summary(experiment: str, record, omit: str) -> dict[str, object]:
-    """``{"experiment": experiment}`` plus every field of the dataclass ``record`` but ``omit``."""
-    return {"experiment": experiment, **{f.name: getattr(record, f.name) for f in fields(record) if f.name != omit}}
 
 
 @dataclass(frozen=True)
@@ -263,29 +251,31 @@ class PhBoundStats:
     heavy_fractions: list[float]
 
     def summary_dict(self) -> dict[str, object]:
-        return _summary("ph_bound", self, omit="heavy_fractions")
+        return _summary("ph_bound", self, omit=("heavy_fractions",))
 
 
 def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_seed: int = 0) -> PhBoundStats:
     """Check the true heavy fraction against ``1/2 - eps/8`` across trials.
 
-    Only meaningful in the dense regime; graphs with ``m < n/2`` are rejected,
-    and so is ``trials`` that is no integer or is below 1, before the graph
-    is loaded. The heavy classification comes from the plan's metered degree
+    Only meaningful in the dense regime; graphs with ``m < n/2`` are rejected.
+    ``trials`` that is no integer or is below 1, and parameters that
+    :class:`EstimatorParams` refuses, raise ``ValueError`` before the graph is
+    loaded. The heavy classification comes from the plan's metered degree
     probes, streamed as :func:`estimate_edges` streams them, while the
     fraction it earns is scored by the exact oracle (which also re-checks
     the decomposition identities every trial).
     """
     trials = _check_count("trials", trials)
-    graph = load_graph(graph_source, derive_seed(master_seed, "graph"))
+    params = EstimatorParams(epsilon=epsilon, master_seed=master_seed)
+    graph = load_graph(graph_source, derive_seed(params.master_seed, "graph"))
     if graph.m < graph.n / 2:
         raise ValueError(f"heavy-fraction bound applies to m >= n/2 (got m={graph.m}, n={graph.n})")
-    bound = 0.5 - epsilon / 8.0
+    bound = 0.5 - params.epsilon / 8.0
     values: list[float] = []
     for j in range(trials):
-        params = EstimatorParams(epsilon=epsilon, master_seed=derive_seed(master_seed, f"trial:{j}"))
-        heavy = sampled_heavy_set(graph, params, QueryLedger())
-        config = params.bucket_config(graph.n)
+        trial = replace(params, master_seed=derive_seed(params.master_seed, f"trial:{j}"))
+        heavy = sampled_heavy_set(graph, trial, QueryLedger())
+        config = trial.bucket_config(graph.n)
         decomposition = heavy_light_decomposition(graph, heavy.indices, config)  # checks the identities
         values.append(decomposition.heavy_degree_mass / (2.0 * graph.m))
     meeting = sum(value >= bound for value in values)
@@ -293,9 +283,9 @@ def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_se
         graph=graph_source,
         n=graph.n,
         m=graph.m,
-        epsilon=epsilon,
+        epsilon=params.epsilon,
         trials=trials,
-        master_seed=master_seed,
+        master_seed=params.master_seed,
         bound=bound,
         fraction_meeting_bound=meeting / trials,
         heavy_fractions=values,
@@ -332,15 +322,10 @@ class DistinguishResult:
     rows: list[DistinguishRow] = field(repr=False)
 
     def summary_dict(self) -> dict[str, object]:
-        return _summary("lowerbound", self, omit="rows")
+        return _summary("lowerbound", self, omit=("rows",))
 
     def csv_rows(self) -> tuple[list[str], list[list[object]]]:
-        header = ["trial", "collisions_a", "collisions_b", "correct_a", "correct_b", "probe_hits"]
-        rows = [
-            [row.trial, row.collisions_a, row.collisions_b, int(row.correct_a), int(row.correct_b), row.probe_hits]
-            for row in self.rows
-        ]
-        return header, rows
+        return _csv_table(self.rows)
 
 
 def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int = 0) -> DistinguishResult:
@@ -355,12 +340,13 @@ def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int 
     miss rate.
 
     ``n``, ``q`` or ``trials`` that is no integer, ``n`` below 7 (too small
-    for the planted set), or ``q`` or ``trials`` below 1 raise ``ValueError``
-    naming the parameter before any instance is drawn.
+    for the planted set), ``q`` or ``trials`` below 1, or a bad ``master_seed``
+    raise ``ValueError`` naming the parameter before any instance is drawn.
     """
     n = _check_count("n", n, 7, " for the lower-bound instance")
     q = _check_count("q", q)
     trials = _check_count("trials", trials)
+    master_seed = check_master_seed(master_seed)
     expected_a = math.comb(q, 2) / n
     expected_b = math.comb(q, 2) / (n // 2 - 1)
     threshold = (expected_a + expected_b) / 2.0

@@ -13,6 +13,7 @@ from .graph import (
     GraphValidationError,
     build_graph,
     check_vertex_count,
+    checked_int,
     graph_from_codes,
     pair_codes,
     read_edge_list,
@@ -29,6 +30,7 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     if n < 1:
         raise GraphValidationError("gnm requires n >= 1")
     n = check_vertex_count(n)
+    m = checked_int(m, "m", GraphValidationError)
     max_pairs = n * (n - 1) // 2
     if not 0 <= m <= max_pairs:
         raise GraphValidationError(f"gnm: m={m} outside [0, {max_pairs}] for n={n}")
@@ -82,6 +84,7 @@ def _without(values: np.ndarray, ordered: np.ndarray) -> np.ndarray:
 def gen_path(n: int) -> Graph:
     if n < 2:
         raise GraphValidationError("path requires n >= 2")
+    n = check_vertex_count(n)
     u = np.arange(n - 1, dtype=np.int64)
     return build_graph(n, np.column_stack((u, u + 1)))
 
@@ -89,6 +92,7 @@ def gen_path(n: int) -> Graph:
 def gen_star(n: int) -> Graph:
     if n < 2:
         raise GraphValidationError("star requires n >= 2")
+    n = check_vertex_count(n)
     spokes = np.arange(1, n, dtype=np.int64)
     return build_graph(n, np.column_stack((np.zeros(n - 1, dtype=np.int64), spokes)))
 
@@ -97,6 +101,8 @@ def gen_clique_plus_isolated(n: int, k: int) -> Graph:
     """Clique on vertices ``0..k-1``; the remaining ``n - k`` vertices are isolated."""
     if n < 2:
         raise GraphValidationError("clique_plus_isolated requires n >= 2")
+    n = check_vertex_count(n)
+    k = checked_int(k, "k", GraphValidationError)
     if not 0 <= k <= n:
         raise GraphValidationError(f"clique_plus_isolated: k={k} outside [0, {n}]")
     iu, iv = np.triu_indices(k, k=1)
@@ -109,6 +115,7 @@ def gen_skewed(n: int, exponent: float, seed: int) -> Graph:
     pairing stubs and dropping self-loops and duplicate pairs."""
     if n < 2:
         raise GraphValidationError("skewed requires n >= 2")
+    n = check_vertex_count(n)
     if exponent <= 0:
         raise GraphValidationError("skewed requires a positive exponent")
     rng = np.random.default_rng(seed)
@@ -187,6 +194,7 @@ def gen_lowerbound_instance(n: int, seed: int) -> LowerBoundInstance:
     side = 2 * math.ceil(math.sqrt(n)) + 1 if n >= 1 else 0
     if n < 7:
         raise GraphValidationError(f"lower-bound instance needs n >= 7 (planted set of {side} cannot fit n={n})")
+    n = check_vertex_count(n)
     capacity = side * (side - 1) // 2
     if capacity < n:
         raise GraphValidationError(f"planted set of {side} offers only {capacity} slots for n={n}")

@@ -313,3 +313,18 @@ def test_endpoint_beyond_int64_exits_one_without_traceback(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: edge endpoint beyond the int64 range: out of range for n=3\n"
+
+
+def test_bench_from_file_matches_bench_from_file_spec(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "gen", "--graph", "gnm:300,900", "--seed", "3", "--out", "g.txt")[0] == 0
+    from_file, from_file_spec = (
+        run_cli(capsys, "bench", *source, "--trials", "2", "--out", out)[:2]
+        for source, out in ((["--file", "g.txt"], "a"), (["--graph", "file:g.txt"], "b"))
+    )
+    assert from_file == from_file_spec and from_file[0] == 0
+    assert json.loads(from_file[1])["graph"] == "file:g.txt"
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert names == ["bench-300-0.25-0.csv", "bench-300-0.25-0.json"]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

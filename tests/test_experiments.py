@@ -242,3 +242,40 @@ def test_write_experiment_files(tmp_path):
     second, _ = write_experiment_files("lowerbound", 100, 1234571, 0, header, [[0, 2]], summary, tmp_path / "c")
     assert (first.name, second.name) == ("lowerbound-100-1234567-0.csv", "lowerbound-100-1234571-0.csv")
     assert first.read_text() == "trial,value\n0,1\n"
+
+
+@pytest.mark.parametrize(
+    "epsilon, master_seed, message",
+    [
+        (0.9, 0, "epsilon must be in (0, 0.8]"),
+        (0.25, -1, f"master_seed must lie in 0..{2**64 - 1}, got -1"),
+    ],
+)
+def test_ph_bound_rejects_bad_parameters_before_loading_the_graph(monkeypatch, epsilon, master_seed, message):
+    def no_graph(*args):
+        raise AssertionError("the graph was loaded before the parameters were checked")
+
+    monkeypatch.setattr(edgecount.experiments, "load_graph", no_graph)
+    with pytest.raises(ValueError) as info:
+        run_ph_bound_check("gnm:2000,8000", epsilon=epsilon, trials=2, master_seed=master_seed)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda eps, seed, trials: run_accuracy_trials(TrialConfig("gnm:300,900", eps, trials, seed)),
+        lambda eps, seed, trials: run_ph_bound_check("gnm:2000,8000", eps, trials, seed),
+        lambda eps, seed, trials: run_distinguishing_experiment(100, 5, trials, seed),
+    ],
+    ids=["bench", "ph_bound", "lowerbound"],
+)
+def test_every_record_serialises_when_given_numpy_scalars(run):
+    scalars = run(np.float32(0.5), np.int64(3), np.int32(2)).summary_dict()
+    plain = run(0.5, 3, 2).summary_dict()
+    assert json.dumps(scalars, sort_keys=True) == json.dumps(plain, sort_keys=True)
+
+
+def test_query_budget_rows_serialise_when_given_numpy_scalars():
+    scalars = run_query_budget_check([np.int64(1000)], [np.float32(0.5)], np.int64(1))
+    assert json.dumps(scalars) == json.dumps(run_query_budget_check([1000], [0.5], 1))

@@ -249,3 +249,23 @@ def test_gnm_rejection_walks_past_self_loops(n, data):
 def test_gnm_rejects_too_many_vertices():
     with pytest.raises(GraphValidationError, match=f"supported maximum {MAX_VERTICES}"):
         gen_gnm(MAX_VERTICES + 1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gen_gnm(10.5, 5, 0), "vertex count must be an integer, got 10.5"),
+        (lambda: gen_gnm(10, 5.5, 0), "m must be an integer, got 5.5"),
+        (lambda: gen_path(10.5), "vertex count must be an integer, got 10.5"),
+        (lambda: gen_star(10.5), "vertex count must be an integer, got 10.5"),
+        (lambda: gen_clique_plus_isolated(10.5, 2), "vertex count must be an integer, got 10.5"),
+        (lambda: gen_clique_plus_isolated(10, 2.5), "k must be an integer, got 2.5"),
+        (lambda: gen_skewed(100.5, 2.5, 0), "vertex count must be an integer, got 100.5"),
+        (lambda: gen_lowerbound_instance(10.5, 0), "vertex count must be an integer, got 10.5"),
+    ],
+    ids=["gnm-n", "gnm-m", "path", "star", "clique-n", "clique-k", "skewed", "lowerbound"],
+)
+def test_generators_refuse_sizes_that_are_no_integers(call, message):
+    with pytest.raises(GraphValidationError) as info:
+        call()
+    assert str(info.value) == message
