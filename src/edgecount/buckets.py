@@ -13,6 +13,10 @@ from .graph import checked_int
 # table is sized by the largest degree.
 DENSE_DEGREES = 2**16
 
+# Most buckets bucket_count gives: 8 MiB per float64 table. Within MAX_PLAN_QUERIES
+# the default sample-size constants never need more than about 6 * 10**4.
+MAX_BUCKETS = 2**20
+
 
 def gamma_for(epsilon: float) -> float:
     """The bucket growth rate for accuracy target ``epsilon``: ``epsilon / 10``."""
@@ -21,13 +25,16 @@ def gamma_for(epsilon: float) -> float:
 
 
 def bucket_count(n: int, gamma: float) -> int:
-    """Number of geometric degree buckets needed to cover degrees up to ``n``."""
+    """Number of geometric degree buckets needed to cover degrees up to ``n``, at most :data:`MAX_BUCKETS`."""
     n = checked_int(n, "n")
     if n < 2:
         raise ValueError("bucket_count requires n >= 2")
-    if gamma <= 0:
-        raise ValueError("bucket_count requires gamma > 0")
-    return math.ceil(math.log(n) / math.log1p(gamma)) + 1
+    if not 0 < gamma < math.inf:  # NaN fails every comparison
+        raise ValueError("bucket_count requires a finite gamma > 0")
+    width = math.log(n) / math.log1p(gamma)  # inf at a subnormal gamma
+    if width + 1 > MAX_BUCKETS:
+        raise ValueError(f"bucket_count at n={n}, gamma={gamma} needs more than MAX_BUCKETS={MAX_BUCKETS} buckets")
+    return math.ceil(width) + 1
 
 
 class BucketConfig:

@@ -481,9 +481,8 @@ def _sorted_majority_vote(batches: np.ndarray) -> int:
 def _edge_id_keys(ids: np.ndarray, m: int) -> np.ndarray:
     """Positions in an ``m``-row ``graph.edges`` as a copy in the narrowest unsigned dtype holding ``m - 1``.
 
-    Rows are distinct, so equal positions are equal edges and the keys
-    count collisions as edge codes would; uint32 keys sort about twice as
-    fast as int64 ones.
+    A :class:`Graph` checks that its rows are distinct, so equal keys are
+    equal edges; uint32 keys sort about twice as fast as int64 ones.
     """
     return ids.astype(np.min_scalar_type(m - 1))
 
@@ -529,7 +528,6 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     rng = derive_rng(params.master_seed, "oracle:answers")
     drawn = answer_rand_edges(graph, rng, layout.endpoint_size, ledger)
     endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
-    endpoints = checked_ints(endpoints, graph.n - 1, "endpoints")
     del drawn  # only the chosen endpoints are read from here on
     # the vote and the collision count only compare edges, so they read
     # the drawn positions and never gather rows

@@ -44,8 +44,7 @@ def heavy_light_decomposition(graph: Graph, heavy_indices: np.ndarray, config: B
     """Count heavy/light/cross edges and the heavy degree mass, checking the
     degree-mass identity on every call."""
     mask = heavy_vertex_mask(graph, heavy_indices, config)
-    heavy_u = mask[graph.edges[:, 0]] if graph.m else np.zeros(0, bool)
-    heavy_v = mask[graph.edges[:, 1]] if graph.m else np.zeros(0, bool)
+    heavy_u, heavy_v = mask[graph.edges].T
     edges_heavy = int((heavy_u & heavy_v).sum())
     edges_light = int((~heavy_u & ~heavy_v).sum())
     edges_cross = graph.m - edges_heavy - edges_light

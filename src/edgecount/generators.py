@@ -188,21 +188,18 @@ class LowerBoundInstance:
 def gen_lowerbound_instance(n: int, seed: int) -> LowerBoundInstance:
     """Sample a fresh placement and slot mapping for the instance pair.
 
-    Needs ``n >= 7``: the planted set must both fit among the ``n`` vertices
-    and offer at least ``n`` candidate edge slots.
+    Needs ``n >= 7``, so that the planted set fits among the ``n`` vertices.
     """
     side = 2 * math.ceil(math.sqrt(n)) + 1 if n >= 1 else 0
     if n < 7:
         raise GraphValidationError(f"lower-bound instance needs n >= 7 (planted set of {side} cannot fit n={n})")
     n = check_vertex_count(n)
-    capacity = side * (side - 1) // 2
-    if capacity < n:
-        raise GraphValidationError(f"planted set of {side} offers only {capacity} slots for n={n}")
 
     rng = np.random.default_rng(seed)
     planted = np.sort(rng.choice(n, size=side, replace=False).astype(np.int64))
+    # with s = ceil(sqrt(n)), the planted set offers s * (2s + 1) >= 2n + sqrt(n) candidate slots, so at least n
     iu, iv = np.triu_indices(side, k=1)
-    shuffle = rng.permutation(capacity)
+    shuffle = rng.permutation(iu.shape[0])
     slot_u = planted[iu[shuffle]]
     slot_v = planted[iv[shuffle]]
 

@@ -27,15 +27,15 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    Edges are stored as an ``(m, 2)`` int64 array with ``u < v`` per row,
-    deduplicated and sorted lexicographically, so equal edge sets always have
-    identical bytes. Isolated vertices are allowed. Instances never change
-    after construction and can be shared freely across concurrent trials.
-    A hand-built instance gets ``edges`` and ``degrees`` through ``np.asarray``,
-    so nested lists work. It raises :class:`GraphValidationError` for an ``n``
-    that :func:`check_vertex_count` refuses, which otherwise stores it as an
-    ``int``, and for ``degrees`` that are not integers of shape ``(n,)`` in
-    ``0..n``; only :func:`build_graph` checks ``edges``.
+    Edges are a read-only ``(m, 2)`` int64 array whose rows have
+    ``0 <= u < v <= n-1`` and strictly increase in lexicographic order: each
+    edge is one row, and equal edge sets have identical bytes. Isolated
+    vertices are allowed. Instances never change after construction and can
+    be shared freely across concurrent trials. However it is built, an
+    instance takes ``edges`` and ``degrees`` through ``np.asarray``, so nested
+    lists work, and raises :class:`GraphValidationError`, naming the first bad
+    edge row, unless ``n`` passes :func:`check_vertex_count` (it is then
+    stored as an ``int``), the edges keep those rules and ``degrees`` are integers of shape ``(n,)`` in ``0..n``.
 
     ``degree_table`` holds ``degrees`` in the narrowest unsigned dtype that
     fits the largest degree (uint8 up to 255, or when empty), so random degree
@@ -49,12 +49,18 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = check_vertex_count(self.n)
+        edges = _vertex_pairs(self.edges, n)
+        u, v = edges[:, 0], edges[:, 1]
+        _refuse_first_row(edges, u >= v, "not u < v")
+        after = (u[1:] == u[:-1]) & (v[1:] > v[:-1])
+        after |= u[1:] > u[:-1]
+        _refuse_first_row(edges, ~after, "repeated or out of order")
         degrees = checked_ints(self.degrees, n, "degrees", GraphValidationError)
         if degrees.shape != (n,):
             raise GraphValidationError(f"degrees must have shape ({n},), got {degrees.shape}")
         table = degrees.astype(np.min_scalar_type(degrees.max(initial=0)))
         object.__setattr__(self, "n", n)
-        for name, arr in (("edges", np.asarray(self.edges)), ("degrees", degrees), ("degree_table", table)):
+        for name, arr in (("edges", edges), ("degrees", degrees), ("degree_table", table)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -66,6 +72,27 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.edges, other.edges)
+
+
+def _vertex_pairs(values: object, n: int) -> np.ndarray:
+    """``values`` as ``(m, 2)`` int64 endpoints in ``0..n-1``, without a copy when they are; empty as ``(0, 2)``."""
+    arr = checked_ints(values, None, "edge endpoints", GraphValidationError)
+    arr = arr.reshape(0, 2) if arr.size == 0 else arr
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise GraphValidationError(f"edges must be an iterable of vertex pairs, got shape {arr.shape}")
+    # viewed unsigned, a negative endpoint exceeds n - 1, so one pass checks both ends
+    unsigned = arr.view(arr.dtype.str.replace("i", "u"))
+    if arr.size and unsigned.max() >= n:
+        u, v = arr[np.argmax((unsigned >= n).any(axis=1))]
+        raise GraphValidationError(f"edge ({u}, {v}): endpoint out of range for n={n}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _refuse_first_row(edges: np.ndarray, bad: np.ndarray, why: str) -> None:
+    """Raise :class:`GraphValidationError` for the first row ``bad`` marks; ``bad`` spans the last ``len(bad)`` rows."""
+    if bad.any():
+        i = int(np.argmax(bad)) + edges.shape[0] - bad.shape[0]
+        raise GraphValidationError(f"edge row {i} ({edges[i, 0]}, {edges[i, 1]}): {why}")
 
 
 def checked_ints(values: np.ndarray, top: int | None, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
@@ -144,23 +171,12 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Gr
             np.asarray(raw_edges, dtype=np.int64)
         except OverflowError:
             raise GraphValidationError(f"edge endpoint beyond the int64 range: out of range for n={n}") from None
-    arr = checked_ints(arr, None, "edge endpoints", GraphValidationError)
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphValidationError("edges must be an iterable of vertex pairs")
-
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        bad = (arr < 0) | (arr >= n)
-        u, v = arr[np.flatnonzero(bad.any(axis=1))[0]]
-        raise GraphValidationError(f"edge ({u}, {v}): endpoint out of range for n={n}")
-    arr = arr.astype(np.int64, copy=False)
+    arr = _vertex_pairs(arr, n)
     first, second = arr[:, 0], arr[:, 1]
     loops = first == second
     if loops.any():
-        u = first[np.flatnonzero(loops)[0]]
+        u = first[np.argmax(loops)]
         raise GraphValidationError(f"self-loop ({u}, {u}) is not allowed")
-
     return graph_from_codes(n, sorted_unique(pair_codes(first, second, n)))
 
 
@@ -175,26 +191,10 @@ def check_vertex_count(n: int) -> int:
 
 
 def graph_from_codes(n: int, codes: np.ndarray) -> Graph:
-    """:class:`Graph` on ``n`` vertices whose edges are the 1-d int64 pair codes ``codes``.
-
-    ``n`` must already have passed :func:`check_vertex_count`. The codes
-    must be strictly increasing, lie in ``0..n*n-1`` and decode to
-    ``u < v``; anything else raises :class:`GraphValidationError`. Because
-    the codes are sorted, each check is one pass or one comparison.
-    """
-    if codes.size and not (codes[1:] > codes[:-1]).all():
-        raise GraphValidationError("pair codes must be strictly increasing")
-    if codes.size and (codes[0] < 0 or codes[-1] > n * n - 1):
-        raise GraphValidationError(f"pair codes {codes[0]}..{codes[-1]} outside 0..{n * n - 1} for n={n}")
+    """:class:`Graph` whose edges decode from the non-negative int64 pair codes ``codes``; ``n`` is already checked."""
     edges = np.empty((codes.shape[0], 2), dtype=np.int64)
     np.divmod(codes, n, out=(edges[:, 0], edges[:, 1]))
-    unordered = edges[:, 0] >= edges[:, 1]
-    if unordered.any():
-        i = np.flatnonzero(unordered)[0]
-        u, v = edges[i]
-        raise GraphValidationError(f"pair code {codes[i]} decodes to ({u}, {v}), not u < v")
-    degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False)
-    return Graph(n=n, edges=edges, degrees=degrees)
+    return Graph(n=n, edges=edges, degrees=np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False))
 
 
 def format_edges(edges: np.ndarray) -> bytes:

@@ -244,9 +244,8 @@ def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> n
 def answer_rand_edge_ids(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:
     """Answer ``count`` random-edge queries as int64 positions in ``graph.edges``.
 
-    A position identifies its edge because the rows of ``graph.edges`` are
-    distinct (the :func:`~edgecount.graph.build_graph` contract): on a
-    graph that keeps it, equal positions are equal edges, so repeats can be
+    A :class:`~edgecount.graph.Graph` checks that its rows are distinct when
+    it is built, so equal positions are equal edges and repeats can be
     counted on the positions alone. The positions are i.i.d. uniform over
     ``0..m-1``, drawn from ``rng`` alone, so consecutive calls on one
     generator give the same positions as one call for their total. Any draw

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgecount import BucketConfig, bucket_count
+from edgecount import BucketConfig, bucket_count, buckets
+from edgecount.buckets import MAX_BUCKETS
 from edgecount.graph import MAX_VERTICES
 
 
@@ -22,6 +23,31 @@ def test_bucket_count_rejects_bad_inputs():
         bucket_count(100, 0.0)
     with pytest.raises(ValueError):
         bucket_count(100, -0.5)
+
+
+@pytest.mark.parametrize(
+    "n, gamma, message",
+    [
+        (10, float("nan"), "bucket_count requires a finite gamma > 0"),
+        (10, float("inf"), "bucket_count requires a finite gamma > 0"),
+        (1000, 1e-10, f"bucket_count at n=1000, gamma=1e-10 needs more than MAX_BUCKETS={MAX_BUCKETS} buckets"),
+        (10, 5e-324, f"bucket_count at n=10, gamma=5e-324 needs more than MAX_BUCKETS={MAX_BUCKETS} buckets"),
+    ],
+    ids=["nan", "inf", "too-many", "subnormal"],
+)
+def test_bucket_config_refuses_a_gamma_it_cannot_tabulate(n, gamma, message):
+    with pytest.raises(ValueError) as info:
+        BucketConfig(n, gamma)
+    assert str(info.value) == message
+
+
+def test_bucket_ceiling_is_inclusive(monkeypatch):
+    t = bucket_count(1000, 0.1)
+    monkeypatch.setattr(buckets, "MAX_BUCKETS", t)
+    assert BucketConfig(1000, 0.1).t == t
+    monkeypatch.setattr(buckets, "MAX_BUCKETS", t - 1)
+    with pytest.raises(ValueError, match=f"needs more than MAX_BUCKETS={t - 1} buckets"):
+        bucket_count(1000, 0.1)
 
 
 def test_degree_one_lands_in_first_bucket():

@@ -243,6 +243,23 @@ def test_unusable_estimator_parameters_exit_one_without_traceback(subprocess_env
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("eps, c_s, gamma", [("1e-9", "1e-30", "1e-10"), ("1e-100", "1e-300", "1e-101")])
+def test_plans_with_too_many_buckets_exit_one_naming_gamma(subprocess_env, eps, c_s, gamma):
+    # the plan fits under MAX_PLAN_QUERIES, but its bucket table would not fit in memory
+    small = ["--c-s", c_s, "--c-t", "1", "--c-f", c_s, "--c-r", "1e-30"]
+    result = subprocess.run(
+        [sys.executable, "-m", "edgecount.cli", "estimate", "--graph", "gnm:1000,2000", "--eps", eps, *small],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    expected = f"error: bucket_count at n=1000, gamma={gamma} needs more than MAX_BUCKETS=1048576 buckets\n"
+    assert result.stderr == expected
+
+
 @pytest.mark.parametrize("c_s, shown", [("1e12", "1000000000000.0"), ("1e300", "1e+300")])
 def test_plans_above_the_query_ceiling_exit_one_naming_c_s(subprocess_env, c_s, shown):
     result = subprocess.run(

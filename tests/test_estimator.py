@@ -154,12 +154,12 @@ def test_estimate_checks_degree_answers_once_before_tallying(bad_degree):
 
 @pytest.mark.parametrize("row", [[0, 7], [-1, 2]])
 def test_estimate_checks_the_chosen_endpoints(row):
-    # hand-built graph whose one edge has an endpoint outside 0..n-1; a
-    # negative one would index the endpoint mask from its end
-    graph = Graph(4, [row], [1, 0, 1, 0])
-    with pytest.raises(ValueError) as info:
-        estimate_edges(graph, EstimatorParams(epsilon=0.25))
-    assert str(info.value) == "endpoints must lie in 0..3"
+    # a hand-built graph whose one edge has an endpoint outside 0..n-1 (a
+    # negative one would index the endpoint mask from its end) is refused
+    # when it is built, so no estimate ever draws that endpoint
+    with pytest.raises(GraphValidationError) as info:
+        Graph(4, [row], [1, 0, 1, 0])
+    assert str(info.value) == f"edge ({row[0]}, {row[1]}): endpoint out of range for n=4"
 
 
 def test_sample_sizes_frozen_at_reference_scale():

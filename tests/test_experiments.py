@@ -48,6 +48,33 @@ def test_accuracy_trials_account_every_query(small_bench):
     assert header == ["trial", "m_hat", "branch", "rel_error", "r", "k", "queries_deg", "queries_rand_edge"]
 
 
+def test_accuracy_trials_leave_failed_trials_out_of_the_error_statistics():
+    # a degree sample this small misses the clique in some trials, whose
+    # heavy fraction is then 0: the failed branch
+    config = TrialConfig(graph="clique_plus_isolated:100,99", epsilon=0.8, trials=4, master_seed=0, c_s=0.0001)
+    stats = run_accuracy_trials(config)
+    failed = [row for row in stats.rows if row.branch == "failed"]
+    estimated = [row for row in stats.rows if row.branch != "failed"]
+    assert failed and estimated
+    assert all(row.m_hat is None and row.rel_error is None for row in failed)
+    assert stats.failed_trials == len(failed)
+    errors = [row.rel_error for row in estimated]
+    assert all(error <= config.epsilon for error in errors)
+    assert stats.success_rate == len(estimated) / config.trials
+    assert stats.mean_rel_error == pytest.approx(np.mean(errors))
+    assert stats.max_rel_error == max(errors)
+    json.dumps(stats.summary_dict())
+
+
+def test_accuracy_trials_on_an_edgeless_graph_all_succeed():
+    stats = run_accuracy_trials(TrialConfig(graph="gnm:100,0", trials=3, master_seed=1))
+    assert stats.m_true == 0
+    assert [(row.branch, row.m_hat, row.rel_error) for row in stats.rows] == [("zero_edges", 0.0, 0.0)] * 3
+    assert stats.success_rate == 1.0
+    assert stats.failed_trials == 0
+    assert stats.mean_rel_error == stats.max_rel_error == 0.0
+
+
 def test_query_budget_grid():
     rows = run_query_budget_check([1000, 2000], [0.5, 0.25], master_seed=1)
     assert [(row["n"], row["epsilon"]) for row in rows] == [

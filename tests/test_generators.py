@@ -106,6 +106,27 @@ def test_gen_named_dispatch():
         graph_from_spec("skewed:50")
 
 
+@pytest.mark.parametrize(
+    "call, spec, message",
+    [
+        (lambda: gen_path(1), "path:1", "path requires n >= 2"),
+        (lambda: gen_star(1), "star:1", "star requires n >= 2"),
+        (lambda: gen_clique_plus_isolated(1, 1), "clique_plus_isolated:1,1", "clique_plus_isolated requires n >= 2"),
+        (lambda: gen_skewed(1, 2.0, 0), "skewed:1,2.0", "skewed requires n >= 2"),
+        (lambda: gen_skewed(50, 0.0, 0), "skewed:50,0", "skewed requires a positive exponent"),
+        (lambda: gen_skewed(50, -1.5, 0), "skewed:50,-1.5", "skewed requires a positive exponent"),
+    ],
+    ids=["path", "star", "clique", "skewed-n", "skewed-zero", "skewed-negative"],
+)
+def test_generators_refuse_shapes_below_their_minimum(call, spec, message):
+    with pytest.raises(GraphValidationError) as info:
+        call()
+    assert str(info.value) == message
+    with pytest.raises(GraphValidationError) as info:
+        graph_from_spec(spec)
+    assert str(info.value) == f"bad graph spec {spec!r}: {message}"
+
+
 def test_graph_from_spec():
     assert graph_from_spec("gnm:100,250", seed=1).m == 250
     assert graph_from_spec("path:40").m == 39

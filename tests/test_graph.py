@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgecount import EdgeListParseError, Graph, GraphValidationError, build_graph, read_edge_list, write_edge_list
+from edgecount.generators import gen_gnm
 from edgecount.graph import MAX_VERTICES, format_edges, graph_from_codes
 
 
@@ -63,18 +64,21 @@ def test_graph_from_codes_decodes_sorted_codes():
 
 
 @pytest.mark.parametrize(
-    "codes, message",
+    "codes, error, message",
     [
-        ([6, 1], "strictly increasing"),
-        ([1, 1], "strictly increasing"),
-        ([-1, 1], "outside 0..15"),
-        ([1, 16], "outside 0..15"),
-        ([1, 5], r"pair code 5 decodes to \(1, 1\)"),
-        ([4], r"pair code 4 decodes to \(1, 0\)"),
+        ([6, 1], GraphValidationError, r"^edge row 1 \(0, 1\): repeated or out of order"),
+        ([1, 1], GraphValidationError, r"^edge row 1 \(0, 1\): repeated or out of order"),
+        ([-1, 1], ValueError, "negative"),
+        ([1, 16], GraphValidationError, r"^edge \(4, 0\): endpoint out of range for n=4$"),
+        ([1, 5], GraphValidationError, r"^edge row 1 \(1, 1\): not u < v$"),
+        ([4], GraphValidationError, r"^edge row 0 \(1, 0\): not u < v$"),
     ],
+    ids=["descending", "repeated", "negative", "beyond", "loop", "reversed"],
 )
-def test_graph_from_codes_rejects_bad_codes(codes, message):
-    with pytest.raises(GraphValidationError, match=message):
+def test_graph_from_codes_rejects_bad_codes(codes, error, message):
+    # the decoded rows are refused as the Graph's edges; a negative code,
+    # which no pair of ids in 0..n-1 encodes to, already fails np.bincount
+    with pytest.raises(error, match=message):
         graph_from_codes(4, np.array(codes, dtype=np.int64))
 
 
@@ -112,6 +116,52 @@ def test_hand_built_graph_refuses_degrees_outside_the_contract(n, degrees, messa
     with pytest.raises(GraphValidationError) as info:
         Graph(n, [[0, 1], [1, 2]], degrees)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 1], [1, 2], [1, 2]], "edge row 2 (1, 2): repeated or out of order"),
+        ([[1, 2], [0, 1]], "edge row 1 (0, 1): repeated or out of order"),
+        ([[0, 1], [2, 2]], "edge row 1 (2, 2): not u < v"),
+        ([[0, 1], [2, 1]], "edge row 1 (2, 1): not u < v"),
+        ([[0, 1], [-1, 2]], "edge (-1, 2): endpoint out of range for n=4"),
+        ([[0, 1], [1, 4]], "edge (1, 4): endpoint out of range for n=4"),
+        ([[0.0, 1.0], [1.0, 2.0]], "edge endpoints must be integers, got dtype float64"),
+        ([[0, 1, 2]], "edges must be an iterable of vertex pairs, got shape (1, 3)"),
+        ([0, 1], "edges must be an iterable of vertex pairs, got shape (2,)"),
+    ],
+    ids=["repeated", "unsorted", "loop", "reversed", "negative", "n", "float", "3-column", "1-d"],
+)
+def test_hand_built_graph_refuses_edges_outside_the_contract(edges, message):
+    with pytest.raises(GraphValidationError) as info:
+        Graph(4, edges, [1, 2, 1, 0])
+    assert str(info.value) == message
+
+
+def test_graph_refuses_every_row_written_twice():
+    # with each edge in two rows, repeats of a drawn position would miss half the
+    # repeats of a drawn edge, and the collision estimate would double
+    graph = gen_gnm(100_000, 50_000, seed=0)
+    with pytest.raises(GraphValidationError, match="^edge row 1 .*: repeated or out of order$"):
+        Graph(graph.n, np.repeat(graph.edges, 2, axis=0), 2 * graph.degrees)
+
+
+@pytest.mark.parametrize(
+    "edges, m",
+    [
+        ([], 0),
+        (np.empty(0, dtype=np.float64), 0),
+        (np.empty((0, 3), dtype=np.int32), 0),
+        (np.array([[0, 1], [1, 2]], dtype=np.uint16), 2),
+    ],
+    ids=["list", "float", "3-column", "uint16"],
+)
+def test_graph_stores_edges_as_read_only_int64_rows(edges, m):
+    graph = Graph(4, edges, [1, 2, 1, 0])
+    assert graph.edges.shape == (m, 2) and graph.edges.dtype == np.int64
+    assert graph.edges.flags.writeable is False
+    assert graph == build_graph(4, [(0, 1), (1, 2)][:m])
 
 
 def test_hand_built_graph_stores_a_numpy_integer_n_as_an_int():
