@@ -256,6 +256,7 @@ def build_sample_plan(n: int, params: EstimatorParams) -> QueryPlan:
     for chunk in _degree_vertex_chunks(n, params, layout.degree_size):
         vertices[start : start + chunk.shape[0]] = chunk
         start += chunk.shape[0]
+    vertices.setflags(write=False)
     provenance = PlanProvenance(n=n, epsilon=params.epsilon, seed=params.master_seed)
     return QueryPlan(vertices, layout.total - layout.degree_size, provenance)
 

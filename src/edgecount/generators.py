@@ -17,7 +17,7 @@ from .graph import (
     graph_from_codes,
     pair_codes,
     read_edge_list,
-    sorted_unique,
+    run_starts,
 )
 
 # Above this many candidate pairs we sample edges by rejection instead of
@@ -40,29 +40,64 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
         chosen = rng.permutation(max_pairs)[:m]
         return build_graph(n, np.column_stack((iu[chosen], iv[chosen])))
 
-    # Draw batches of pair codes until m distinct ones have been seen; the
-    # edge set is the first m distinct codes in draw order, so it is uniform.
-    # ``seen`` holds the sorted distinct codes of the earlier passes. A pass
-    # that still needs ``need`` codes keeps the codes new to ``seen`` from
-    # the shortest prefix of its draws that holds ``need`` of them: it
-    # encodes and dedupes its first ``need`` draws, self-loops dropped, and
-    # while ``d`` codes are missing the next ``d`` draws, each of which adds
-    # at most one new code. Draws past that prefix are never encoded.
+    # Draw batches of pair codes until m distinct ones have been seen; the edge set is the first m
+    # distinct codes in draw order, so it is uniform. ``seen`` holds the sorted distinct codes of the
+    # earlier passes. A pass that still needs ``need`` codes keeps the codes new to ``seen`` from the
+    # shortest prefix of its draws that holds ``need`` of them: it encodes and dedupes its first
+    # ``need`` draws, self-loops dropped, and while ``d`` codes are missing the next ``d`` draws, each
+    # of which adds at most one new code. Of its batch-long draws u and v, only these prefixes are formed;
+    # a pass that ends short of ``need`` has read all of v, so the next pass starts where v ends.
+    bits = rng.bit_generator
     seen = np.empty(0, dtype=np.int64)
     while seen.size < m:
         need = m - seen.size
         batch = max(2 * need, 1024)
-        u = rng.integers(0, n, size=batch, dtype=np.int64)
-        v = rng.integers(0, n, size=batch, dtype=np.int64)
-        found = np.empty(0, dtype=np.int64)
-        read = 0
+        u = rng.integers(0, n, size=need, dtype=np.int64)
+        u_at = bits.state
+        _skip_integers(bits, n, batch - need)
+        found, read = _new_codes(u, rng.integers(0, n, size=need, dtype=np.int64), n, seen), need
         while found.size < need and read < batch:
-            us, vs = u[read : read + need - found.size], v[read : read + need - found.size]
-            read += us.shape[0]
-            codes = pair_codes(us, vs, n)[us != vs]
-            found = _union(found, _without(sorted_unique(codes), seen))
+            take = min(need - found.size, batch - read)
+            v_at, bits.state = bits.state, u_at
+            u = rng.integers(0, n, size=take, dtype=np.int64)
+            u_at, bits.state = bits.state, v_at
+            found = _union(found, _new_codes(u, rng.integers(0, n, size=take, dtype=np.int64), n, seen))
+            read += take
         seen = _union(seen, found)
     return graph_from_codes(n, seen)
+
+
+def _new_codes(u: np.ndarray, v: np.ndarray, n: int, seen: np.ndarray) -> np.ndarray:
+    """Sorted distinct codes of the pairs ``(u, v)`` that are no self-loop and not in the sorted ``seen``."""
+    codes = pair_codes(u, v, n)[u != v]
+    codes.sort()
+    starts = run_starts(codes)
+    codes = codes if starts.all() else codes[starts]
+    return codes if seen.size == 0 else codes[seen.take(np.searchsorted(seen, codes), mode="clip") != codes]
+
+
+def _skip_integers(bits: np.random.BitGenerator, high: int, count: int) -> None:
+    """Advance the PCG64 ``bits`` exactly as ``Generator(bits).integers(0, high, size=count)`` would.
+
+    numpy's Lemire draw redraws a 32-bit word ``w`` when ``w * high mod 2**32 < (2**32 - high) % high``;
+    words are the halves of the raw outputs, low first, and an unread high half is buffered in ``uinteger``.
+    """
+    if not 2 <= high <= 2**32 - 2:
+        raise ValueError(f"high={high} outside 2..2**32 - 2")
+    if count == 0:
+        return
+    threshold, state = (2**32 - high) % high, bits.state
+    if state["has_uint32"]:
+        count -= state["uinteger"] * high % 2**32 >= threshold
+    buffered = None
+    while count > 0:
+        # ceil(count / 2) outputs cannot overshoot, so the last value is in the last output of its chunk
+        words = bits.random_raw(min((count + 1) // 2, 2**16)).astype("<u8", copy=False).view("<u4")
+        kept = words.size - np.count_nonzero(words * np.uint32(high) < threshold)
+        if kept - (int(words[-1]) * high % 2**32 >= threshold) >= count:
+            buffered = int(words[-1])
+        count -= kept
+    bits.state = {**bits.state, "has_uint32": int(buffered is not None), "uinteger": buffered or 0}
 
 
 def _union(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -72,13 +107,6 @@ def _union(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
     slots = np.searchsorted(ordered, values)
     new = ordered.take(slots, mode="clip") != values
     return np.insert(ordered, slots[new], values[new])
-
-
-def _without(values: np.ndarray, ordered: np.ndarray) -> np.ndarray:
-    """The ``values`` that do not occur in the sorted 1-d array ``ordered``."""
-    if ordered.size == 0:
-        return values
-    return values[ordered.take(np.searchsorted(ordered, values), mode="clip") != values]
 
 
 def gen_path(n: int) -> Graph:

@@ -32,8 +32,8 @@ class Graph:
     edge is one row, and equal edge sets have identical bytes. Isolated
     vertices are allowed. Instances never change after construction and can
     be shared freely across concurrent trials. However it is built, an
-    instance takes ``edges`` and ``degrees`` through ``np.asarray``, so nested
-    lists work, and raises :class:`GraphValidationError`, naming the first bad
+    instance takes ``edges`` and ``degrees`` through ``np.asarray`` and :func:`frozen`, so nested
+    lists work and the caller's arrays stay writeable, and raises :class:`GraphValidationError`, naming the first bad
     edge row, unless ``n`` passes :func:`check_vertex_count` (it is then
     stored as an ``int``), the edges keep those rules and ``degrees`` are integers of shape ``(n,)`` in ``0..n``.
 
@@ -60,7 +60,7 @@ class Graph:
             raise GraphValidationError(f"degrees must have shape ({n},), got {degrees.shape}")
         table = degrees.astype(np.min_scalar_type(degrees.max(initial=0)))
         object.__setattr__(self, "n", n)
-        for name, arr in (("edges", edges), ("degrees", degrees), ("degree_table", table)):
+        for name, arr in (("edges", frozen(edges)), ("degrees", frozen(degrees)), ("degree_table", table)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -110,6 +110,14 @@ def checked_ints(values: np.ndarray, top: int | None, what: str, error: type[Val
     # viewed unsigned, a negative value exceeds top, so one pass checks both ends
     if top is not None and arr.view(arr.dtype.str.replace("i", "u")).max() > top:
         raise error(f"{what} must lie in 0..{top}")
+    return arr
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only and owns its data, else a read-only copy, so no caller's array is frozen or shared."""
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 
@@ -194,7 +202,10 @@ def graph_from_codes(n: int, codes: np.ndarray) -> Graph:
     """:class:`Graph` whose edges decode from the non-negative int64 pair codes ``codes``; ``n`` is already checked."""
     edges = np.empty((codes.shape[0], 2), dtype=np.int64)
     np.divmod(codes, n, out=(edges[:, 0], edges[:, 1]))
-    return Graph(n=n, edges=edges, degrees=np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False))
+    degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False)
+    edges.setflags(write=False)
+    degrees.setflags(write=False)
+    return Graph(n=n, edges=edges, degrees=degrees)
 
 
 def format_edges(edges: np.ndarray) -> bytes:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, checked_int, checked_ints
+from .graph import Graph, checked_int, checked_ints, frozen
 
 # kind codes of the columnar views
 DEG, RAND_EDGE = 0, 1
@@ -42,7 +42,7 @@ class QueryPlan:
     """Degree probes of ``deg_vertices``, in order, then ``n_rand`` random edges.
 
     Probed vertices are refused as :func:`answer_degree_codes` refuses them,
-    at ``n = provenance.n``. Equality compares the query sequence only, which
+    at ``n = provenance.n``, and kept as :func:`~edgecount.graph.frozen` gives them. Equality compares the query sequence only, which
     is what a non-adaptivity audit needs; provenance is bookkeeping. The three
     columnar properties give one row per query, built on each access.
     """
@@ -53,8 +53,7 @@ class QueryPlan:
         n_rand = checked_int(n_rand, "random-edge count")
         if n_rand < 0:
             raise ValueError("random-edge count must be non-negative")
-        self.deg_vertices = _checked_probes(deg_vertices, provenance.n, "degree-probe vertices")
-        self.deg_vertices.setflags(write=False)
+        self.deg_vertices = frozen(_checked_probes(deg_vertices, provenance.n, "degree-probe vertices"))
         self.n_rand = n_rand
         self.provenance = provenance
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgecount import (
@@ -19,7 +20,7 @@ from edgecount import (
     graph_from_spec,
 )
 from edgecount import generators
-from edgecount.graph import MAX_VERTICES, run_starts, sorted_unique
+from edgecount.graph import MAX_VERTICES, pair_codes, run_starts, sorted_unique
 
 
 def test_gnm_complete_graph():
@@ -265,6 +266,81 @@ def test_gnm_rejection_walks_past_self_loops(n, data):
         patch.setattr(generators, "_DENSE_ENUMERATION_LIMIT", 0)
         got = gen_gnm(n, m, seed)
     assert_same_graph(got, reference_gen_gnm(n, m, seed))
+
+
+def whole_batch_gen_gnm(n, m, seed):
+    """The rejection path as it stood when every pass drew all ``batch`` values
+    of u and then of v, of which it reads only prefixes."""
+    rng = np.random.default_rng(seed)
+    seen = np.empty(0, dtype=np.int64)
+    while seen.size < m:
+        need = m - seen.size
+        batch = max(2 * need, 1024)
+        u = rng.integers(0, n, size=batch, dtype=np.int64)
+        v = rng.integers(0, n, size=batch, dtype=np.int64)
+        found = np.empty(0, dtype=np.int64)
+        read = 0
+        while found.size < need and read < batch:
+            us, vs = u[read : read + need - found.size], v[read : read + need - found.size]
+            read += us.shape[0]
+            codes = sorted_unique(pair_codes(us, vs, n)[us != vs])
+            if seen.size:
+                codes = codes[seen.take(np.searchsorted(seen, codes), mode="clip") != codes]
+            found = generators._union(found, codes)
+        seen = generators._union(seen, found)
+    return build_graph(n, np.column_stack(np.divmod(seen, n)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2001, 4000), m=st.integers(0, 2000) | st.integers(0, 100_000), seed=st.integers(0, 2**63))
+@example(n=2100, m=1_500_000, seed=1)  # one pass: the first prefix, then 33 extension rounds
+@example(n=2001, m=1_990_000, seed=4)  # 370 passes, up to 150 rounds in one
+@example(n=2001, m=100_000, seed=0)  # 61 self-loops among the first prefix's draws
+def test_gnm_matches_whole_batch_draws(n, m, seed):
+    # no monkeypatching: every n here is in the rejection regime
+    assert n * (n - 1) // 2 > generators._DENSE_ENUMERATION_LIMIT
+    assert_same_graph(gen_gnm(n, m, seed), whole_batch_gen_gnm(n, m, seed))
+
+
+def test_gnm_forms_only_the_draws_it_reads():
+    # the graph itself holds about 17 MB; whole-batch draws peaked at 38 MB
+    tracemalloc.start()
+    try:
+        gen_gnm(10**6, 5 * 10**5, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28e6
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    high=st.integers(2, MAX_VERTICES) | st.integers(2**31, MAX_VERTICES),
+    counts=st.lists(st.sampled_from([0, 1, 2, 3]) | st.integers(0, 1001) | st.integers(0, 300_000), min_size=1, max_size=2),
+    prior=st.integers(0, 3),
+)
+# at 2**31 + 1 about half of all words are rejected; 3 * 2**31 // 2 rejects a quarter
+@example(seed=5, high=2**31 + 1, counts=[100_001, 3], prior=1)
+@example(seed=6, high=3 * 2**31 // 2, counts=[1, 0], prior=1)
+@example(seed=7, high=MAX_VERTICES, counts=[0], prior=1)
+def test_skip_leaves_the_generator_where_integers_does(seed, high, counts, prior):
+    drawn, skipped = np.random.default_rng(seed), np.random.default_rng(seed)
+    # an odd prior draw leaves a buffered half word for the skip to start from
+    drawn.integers(0, 7, size=prior)
+    skipped.integers(0, 7, size=prior)
+    for count in counts:
+        drawn.integers(0, high, size=count, dtype=np.int64)
+        generators._skip_integers(skipped.bit_generator, high, count)
+    want, got = drawn.bit_generator.state, skipped.bit_generator.state
+    assert (got["state"], got["has_uint32"]) == (want["state"], want["has_uint32"])
+    assert np.array_equal(skipped.integers(0, high, size=11), drawn.integers(0, high, size=11))
+
+
+@pytest.mark.parametrize("high", [1, 2**32 - 1])
+def test_skip_refuses_a_bound_outside_the_32_bit_draw(high):
+    with pytest.raises(ValueError, match="outside 2..2"):
+        generators._skip_integers(np.random.PCG64(0), high, 5)
 
 
 def test_gnm_rejects_too_many_vertices():

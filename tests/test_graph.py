@@ -98,6 +98,28 @@ def test_hand_built_graph_converts_list_edges_and_degrees():
     assert graph == build_graph(4, [(0, 1), (1, 2)])
 
 
+@pytest.mark.parametrize("read_only", [False, True])
+def test_hand_built_graph_leaves_the_callers_arrays_alone(read_only):
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+    degrees = np.array([1, 2, 1, 0], dtype=np.int64)
+    # a read-only view of a writeable array still lets its owner write
+    given_edges, given_degrees = edges.view(), degrees.view()
+    for arr in (given_edges, given_degrees):
+        arr.setflags(write=not read_only)
+    graph = Graph(4, given_edges, given_degrees)
+    assert edges.flags.writeable and degrees.flags.writeable
+    assert given_edges.flags.writeable == given_degrees.flags.writeable == (not read_only)
+    edges[0, 0], degrees[0] = 3, 4
+    assert graph.edges.tolist() == [[0, 1], [1, 2]]
+    assert graph.degrees.tolist() == [1, 2, 1, 0]
+
+
+def test_read_only_arrays_that_own_their_data_are_kept_without_a_copy():
+    graph = gen_gnm(50, 100, seed=1)
+    again = Graph(graph.n, graph.edges, graph.degrees)
+    assert again.edges is graph.edges and again.degrees is graph.degrees
+
+
 @pytest.mark.parametrize(
     "n, degrees, message",
     [

@@ -193,6 +193,22 @@ def test_columnar_views_match_direct_columns(n_degs, n_rand):
     assert plan.deg_vertices.flags.writeable is False
 
 
+def test_plan_leaves_the_callers_array_alone():
+    vertices = np.arange(3)
+    plan = QueryPlan(vertices, 0, PlanProvenance(5, None, 0))
+    assert vertices.flags.writeable
+    vertices[0] = 4
+    assert plan.deg_vertices.tolist() == [0, 1, 2]
+    assert plan.deg_vertices.flags.writeable is False
+
+
+def test_built_plan_keeps_its_own_vertices_without_a_copy():
+    plan = build_sample_plan(1000, EstimatorParams(epsilon=0.5, master_seed=3))
+    assert plan.deg_vertices.flags.owndata and not plan.deg_vertices.flags.writeable
+    again = QueryPlan(plan.deg_vertices, plan.n_rand, plan.provenance)
+    assert again.deg_vertices is plan.deg_vertices
+
+
 def test_plan_blocks_in_order_with_nonnegative_count():
     provenance = PlanProvenance(n=3, epsilon=None, seed=0)
     with pytest.raises(ValueError, match="cannot follow a random-edge block"):
