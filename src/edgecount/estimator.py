@@ -49,6 +49,11 @@ _ROW_RADIX = 2**32
 # chunk's int64 vertices take 512 KiB.
 _DEGREE_CHUNK = 2**16
 
+# Values handed to one np.bincount by the degree-code tallies. bincount
+# copies its input to intp first, so that copy takes 128 KiB, not 8 bytes
+# per code of a chunk.
+_TALLY_SLICE = 2**14
+
 # Largest code of a uint8 degree-code table whose probes are tallied two
 # codes at a time: the pair tally has 256 bins per code up to the table's
 # top code, and above this it costs more than counting codes one at a time.
@@ -379,20 +384,6 @@ def heavy_fraction_estimate(
     return _heavy_fraction(endpoints, sampled_vertices[hit], sampled_degrees[hit], heavy, config)
 
 
-def _endpoint_hits(vertices: np.ndarray, answers: DegreeAnswers) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices and degrees of the probes on a marked endpoint, degree 0 left out.
-
-    Only these few probes can match an endpoint draw, and degree 0 is in no
-    bucket.
-    """
-    codes = answers.codes
-    marked = np.bitwise_and(codes, 1)
-    # a 1-byte 0 or 1 is a valid bool, so the scan needs no cast
-    hit = np.flatnonzero(marked.view(bool) if marked.itemsize == 1 else marked)
-    hit = hit[codes[hit] >= 2]
-    return vertices[hit], answers.degrees(hit)
-
-
 def _heavy_fraction(
     endpoints: np.ndarray,
     hit_vertices: np.ndarray,
@@ -400,7 +391,7 @@ def _heavy_fraction(
     heavy: HeavySet,
     config: BucketConfig,
 ) -> float:
-    """:func:`heavy_fraction_estimate` from the :func:`_endpoint_hits` of its checked inputs.
+    """:func:`heavy_fraction_estimate` from its checked probes that hit an endpoint, degree 0 left out.
 
     Every hit vertex must be one of ``endpoints``. A heavy hit then matches
     each draw of its vertex: once for the first draw, plus once for each
@@ -581,21 +572,28 @@ def _stream_degree_block(
     leftover = []  # the last code of each odd-length chunk, which has no pair
     per_degree = np.zeros(0, dtype=np.intp)  # of the escaped probes' exact degrees
     above = np.zeros(config.t, dtype=np.int64)
-    hits = []
+    # the probes on a marked endpoint, the only ones that can match an
+    # endpoint draw: their vertices, their codes and the exact degrees of
+    # the escaped ones, 9 bytes a hit with uint8 codes
+    hit_vertices, hit_codes, hit_exact = [], [], []
     for vertices in _degree_vertex_chunks(graph.n, params, layout.degree_size):
         answers = answer_degree_codes(table, vertices, ledger)
         codes = answers.codes
+        hit = np.flatnonzero(_marks(codes))
+        hit_vertices.append(vertices.take(hit))
+        hit_codes.append(codes.take(hit))
+        del vertices, hit  # freed before the tally
+        if answers.escaped.size:
+            hit_exact.append(answers.exact[_marks(codes.take(answers.escaped))])
+            per_degree = _tally(answers.exact, config, per_degree, above)
         if paired:
             even = codes.shape[0] & ~1
-            code_counts += np.bincount(codes[:even].view(np.uint16), minlength=code_counts.shape[0])
+            _add_bincount(code_counts, codes[:even].view(np.uint16))
             if even < codes.shape[0]:
                 leftover.append(codes[-1])
         else:
-            code_counts += np.bincount(codes, minlength=code_counts.shape[0])
-        if answers.escaped.size:
-            per_degree = _tally(answers.exact, config, per_degree, above)
-        hits.append(_endpoint_hits(vertices, answers))
-        del vertices, answers, codes  # freed before the next chunk is drawn
+            _add_bincount(code_counts, codes)
+        del answers, codes  # freed before the next chunk is drawn
     if paired:
         # a pair holds one code in each byte: its row and its column, in
         # either byte order
@@ -609,5 +607,26 @@ def _stream_degree_block(
         folded, per_degree = per_degree, folded
     folded[: per_degree.shape[0]] += per_degree
     heavy = _heavy_set(folded, above, layout.degree_size, config, params.epsilon)
-    hit_vertices, hit_degrees = (np.concatenate(column) for column in zip(*hits))
-    return heavy, hit_vertices, hit_degrees
+    # degree 0 is in no bucket; an escaped code is never degree 0
+    codes = np.concatenate(hit_codes)
+    nonzero = codes >= 2
+    vertices = np.concatenate(hit_vertices)[nonzero]
+    codes = codes[nonzero]
+    if hit_exact:
+        escaped, exact = np.flatnonzero(codes >= 2 * table.escape), np.concatenate(hit_exact)
+    else:
+        escaped = exact = np.empty(0, dtype=np.intp)
+    return heavy, vertices, DegreeAnswers(codes, escaped, exact).degrees()
+
+
+def _marks(codes: np.ndarray) -> np.ndarray:
+    """The mark bits of degree ``codes``: a bool mask for uint8 codes, 0 or 1 otherwise."""
+    marked = np.bitwise_and(codes, 1)
+    # a 1-byte 0 or 1 is a valid bool, so the scan needs no cast
+    return marked.view(bool) if marked.itemsize == 1 else marked
+
+
+def _add_bincount(counts: np.ndarray, values: np.ndarray) -> None:
+    """``counts += np.bincount(values)`` in place, :data:`_TALLY_SLICE` values at a time."""
+    for start in range(0, values.shape[0], _TALLY_SLICE):
+        counts += np.bincount(values[start : start + _TALLY_SLICE], minlength=counts.shape[0])

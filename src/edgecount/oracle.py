@@ -196,17 +196,10 @@ class DegreeAnswers:
     escaped: np.ndarray
     exact: np.ndarray
 
-    def degrees(self, positions: np.ndarray | None = None) -> np.ndarray:
-        """The int64 degrees of the probes at sorted ``positions``, or of every probe."""
-        codes = self.codes if positions is None else self.codes[positions]
-        degrees = (codes >> 1).astype(np.int64)
-        if self.escaped.size:
-            if positions is None:
-                degrees[self.escaped] = self.exact
-            else:
-                at = np.searchsorted(self.escaped, positions)
-                found = self.escaped.take(at, mode="clip") == positions
-                degrees[found] = self.exact[at[found]]
+    def degrees(self) -> np.ndarray:
+        """The int64 degree of every probe."""
+        degrees = (self.codes >> 1).astype(np.int64)
+        degrees[self.escaped] = self.exact
         return degrees
 
 
