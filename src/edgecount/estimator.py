@@ -60,14 +60,6 @@ _TALLY_SLICE = 2**14
 _PAIR_TOP_CODE = 63
 
 
-def _check_positive_finite(name: str, value: float) -> None:
-    # NaN compares false with everything, so it is caught here, not by "<= 0"
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive")
-
-
 @dataclass(frozen=True)
 class EstimatorParams:
     """Accuracy target, seed, and the tunable sample-size constants.
@@ -97,7 +89,11 @@ class EstimatorParams:
             raise ValueError("epsilon must be in (0, 0.8]")
         object.__setattr__(self, "master_seed", check_master_seed(self.master_seed))
         for name in ("c_s", "c_t", "c_f", "c_r"):
-            _check_positive_finite(name, getattr(self, name))
+            # NaN compares false with everything, so it is caught here, not by "<= 0"
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         reps = checked_int(self.collision_reps, "collision_reps")
         if reps < 1:
             raise ValueError("collision_reps must be at least 1")
@@ -336,8 +332,8 @@ def sampled_heavy_set(graph: Graph, params: EstimatorParams, ledger: QueryLedger
     :func:`~edgecount.oracle.answer_plan` gives, without holding the probes
     or their answers; ``ledger.deg`` grows by the block's size.
     """
-    layout = plan_layout(graph.n, params)
-    return _stream_degree_block(graph, params, layout, params.bucket_config(graph.n), np.empty(0, np.int64), ledger)[0]
+    layout, config = plan_layout(graph.n, params), params.bucket_config(graph.n)
+    return _stream_degree_block(graph.degree_table, params, layout, config, np.empty(0, np.int64), ledger)[0]
 
 
 def heavy_mass_estimate(heavy: HeavySet, config: BucketConfig) -> float:
@@ -385,11 +381,7 @@ def heavy_fraction_estimate(
 
 
 def _heavy_fraction(
-    endpoints: np.ndarray,
-    hit_vertices: np.ndarray,
-    hit_degrees: np.ndarray,
-    heavy: HeavySet,
-    config: BucketConfig,
+    endpoints: np.ndarray, hit_vertices: np.ndarray, hit_degrees: np.ndarray, heavy: HeavySet, config: BucketConfig
 ) -> float:
     """:func:`heavy_fraction_estimate` from its checked probes that hit an endpoint, degree 0 left out.
 
@@ -533,9 +525,9 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
         rep_counts.append(count_id_collisions(answer_rand_edge_ids(graph, rng, layout.collision_size, ledger), graph.m))
     r = sorted(rep_counts)[len(rep_counts) // 2]  # upper median; identity for one rep
 
-    heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, ledger)
+    heavy, *hits = _stream_degree_block(graph.degree_table, params, layout, config, endpoints, ledger)
     mass = heavy_mass_estimate(heavy, config)
-    fraction = _heavy_fraction(endpoints, hit_vertices, hit_degrees, heavy, config)
+    fraction = _heavy_fraction(endpoints, *hits, heavy, config)
     if r > 0 and k == 1:
         m_hat: float | None = collision_edge_estimate(layout.collision_size, r)
         branch = BRANCH_COLLISION
@@ -549,7 +541,7 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
 
 
 def _stream_degree_block(
-    graph: Graph,
+    degrees: np.ndarray,
     params: EstimatorParams,
     layout: PlanLayout,
     config: BucketConfig,
@@ -560,10 +552,10 @@ def _stream_degree_block(
 
     Returns the heavy set of the whole block and the vertices and degrees of
     the probes on one of ``endpoints``, degree 0 left out. Each chunk is
-    answered from one :class:`~edgecount.oracle.DegreeCodes` table, whose
-    codes mark the endpoints.
+    answered from one :class:`~edgecount.oracle.DegreeCodes` of ``degrees``, the
+    narrow ``graph.degree_table`` (cheap to scan), whose codes mark the endpoints.
     """
-    table = DegreeCodes(graph, endpoints)
+    table = DegreeCodes(degrees, endpoints)
     # only an exact uint8 table has codes this small; it is tallied two codes
     # at a time, as uint16 pairs: half the increments, into bins too many to
     # contend. Either tally is sized once: top_code bounds every code
@@ -576,7 +568,7 @@ def _stream_degree_block(
     # endpoint draw: their vertices, their codes and the exact degrees of
     # the escaped ones, 9 bytes a hit with uint8 codes
     hit_vertices, hit_codes, hit_exact = [], [], []
-    for vertices in _degree_vertex_chunks(graph.n, params, layout.degree_size):
+    for vertices in _degree_vertex_chunks(table.n, params, layout.degree_size):
         answers = answer_degree_codes(table, vertices, ledger)
         codes = answers.codes
         hit = np.flatnonzero(_marks(codes))
@@ -612,10 +604,8 @@ def _stream_degree_block(
     nonzero = codes >= 2
     vertices = np.concatenate(hit_vertices)[nonzero]
     codes = codes[nonzero]
-    if hit_exact:
-        escaped, exact = np.flatnonzero(codes >= 2 * table.escape), np.concatenate(hit_exact)
-    else:
-        escaped = exact = np.empty(0, dtype=np.intp)
+    escaped = np.flatnonzero(codes >= 2 * table.escape) if hit_exact else np.empty(0, dtype=np.intp)
+    exact = np.concatenate([np.empty(0, dtype=np.intp), *hit_exact])
     return heavy, vertices, DegreeAnswers(codes, escaped, exact).degrees()
 
 

@@ -31,20 +31,17 @@ class Graph:
     ``0 <= u < v <= n-1`` and strictly increase in lexicographic order: each
     edge is one row, and equal edge sets have identical bytes. Isolated
     vertices are allowed. Instances never change after construction and can
-    be shared freely across concurrent trials. However it is built, an
-    instance takes ``edges`` and ``degrees`` through ``np.asarray`` and :func:`frozen`, so nested
-    lists work and the caller's arrays stay writeable, and raises :class:`GraphValidationError`, naming the first bad
-    edge row, unless ``n`` passes :func:`check_vertex_count` (it is then
-    stored as an ``int``), the edges keep those rules and ``degrees`` are integers of shape ``(n,)`` in ``0..n``.
-
-    ``degree_table`` holds ``degrees`` in the narrowest unsigned dtype that
-    fits the largest degree (uint8 up to 255, or when empty), so random degree
-    lookups gather from a table small enough to stay in cache.
+    be shared freely across concurrent trials. ``edges`` go through
+    ``np.asarray`` and :func:`frozen`; :class:`GraphValidationError`, naming
+    the first bad row, is raised unless ``n`` passes :func:`check_vertex_count`
+    (it is then stored as an ``int``) and the edges keep these rules.
+    ``degrees``, each vertex's read-only int64 edge count, and ``degree_table``,
+    the same counts as :func:`narrow_table` gives them, derive from the edges.
     """
 
     n: int
     edges: np.ndarray
-    degrees: np.ndarray
+    degrees: np.ndarray = field(init=False)
     degree_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -55,14 +52,13 @@ class Graph:
         after = (u[1:] == u[:-1]) & (v[1:] > v[:-1])
         after |= u[1:] > u[:-1]
         _refuse_first_row(edges, ~after, "repeated or out of order")
-        degrees = checked_ints(self.degrees, n, "degrees", GraphValidationError)
-        if degrees.shape != (n,):
-            raise GraphValidationError(f"degrees must have shape ({n},), got {degrees.shape}")
-        table = degrees.astype(np.min_scalar_type(degrees.max(initial=0)))
-        object.__setattr__(self, "n", n)
-        for name, arr in (("edges", frozen(edges)), ("degrees", frozen(degrees)), ("degree_table", table)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # np.bincount would copy the read-only edges first; ufunc.at reads them in place
+        degrees = np.zeros(n, dtype=np.int64)
+        np.add.at(degrees, edges.ravel(), 1)
+        degrees.setflags(write=False)
+        table = narrow_table(degrees, int(degrees.max(initial=0)))
+        for name, value in (("n", n), ("edges", frozen(edges)), ("degrees", degrees), ("degree_table", table)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -80,10 +76,8 @@ def _vertex_pairs(values: object, n: int) -> np.ndarray:
     arr = arr.reshape(0, 2) if arr.size == 0 else arr
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GraphValidationError(f"edges must be an iterable of vertex pairs, got shape {arr.shape}")
-    # viewed unsigned, a negative endpoint exceeds n - 1, so one pass checks both ends
-    unsigned = arr.view(arr.dtype.str.replace("i", "u"))
-    if arr.size and unsigned.max() >= n:
-        u, v = arr[np.argmax((unsigned >= n).any(axis=1))]
+    if arr.size and top_value(arr) >= n:
+        u, v = arr[np.argmax(((arr < 0) | (arr >= n)).any(axis=1))]
         raise GraphValidationError(f"edge ({u}, {v}): endpoint out of range for n={n}")
     return arr.astype(np.int64, copy=False)
 
@@ -107,10 +101,23 @@ def checked_ints(values: np.ndarray, top: int | None, what: str, error: type[Val
         return arr.astype(np.int64)
     if arr.dtype.kind not in "iu":
         raise error(f"{what} must be integers, got dtype {arr.dtype}")
-    # viewed unsigned, a negative value exceeds top, so one pass checks both ends
-    if top is not None and arr.view(arr.dtype.str.replace("i", "u")).max() > top:
+    if top is not None and top_value(arr) > top:
         raise error(f"{what} must lie in 0..{top}")
     return arr
+
+
+def top_value(arr: np.ndarray) -> int:
+    """Largest value of integer ``arr``, 0 when empty and ``2**64`` when one is negative; one pass, viewed unsigned."""
+    largest = int(arr.view(arr.dtype.str.replace("i", "u")).max(initial=0))
+    return 2**64 if arr.dtype.kind == "i" and largest >> (8 * arr.itemsize - 1) else largest
+
+
+def narrow_table(values: np.ndarray, top: int) -> np.ndarray:
+    """Integers in ``0..top``, read-only in the narrowest unsigned dtype for ``top``; :func:`frozen` if already so."""
+    table = values.astype(np.min_scalar_type(top), copy=False)
+    if table is not values:
+        table.setflags(write=False)
+    return frozen(table)
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
@@ -202,10 +209,8 @@ def graph_from_codes(n: int, codes: np.ndarray) -> Graph:
     """:class:`Graph` whose edges decode from the non-negative int64 pair codes ``codes``; ``n`` is already checked."""
     edges = np.empty((codes.shape[0], 2), dtype=np.int64)
     np.divmod(codes, n, out=(edges[:, 0], edges[:, 1]))
-    degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64, copy=False)
     edges.setflags(write=False)
-    degrees.setflags(write=False)
-    return Graph(n=n, edges=edges, degrees=degrees)
+    return Graph(n=n, edges=edges)
 
 
 def format_edges(edges: np.ndarray) -> bytes:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, checked_int, checked_ints, frozen
+from .graph import Graph, checked_int, checked_ints, frozen, narrow_table, top_value
 
 # kind codes of the columnar views
 DEG, RAND_EDGE = 0, 1
@@ -146,39 +146,47 @@ class DegreeCodes:
 
     The code of ``v`` is ``field << 1 | marked(v)``, where the field is
     ``deg(v)`` when it fits, so one gather per probe answers both the degree
-    and whether the probe hit a marked vertex. The width comes from the
-    graph's degree table:
+    and whether the probe hit a marked vertex. ``degrees`` is a table of one
+    degree per vertex, so ``n`` is its length, and its largest sets the width:
 
     - uint8 codes when every degree lies in ``0..126``;
     - uint16 codes when every degree lies in ``0..2^15-1``;
     - otherwise uint8 codes whose field :attr:`escape` = 127 stands for a
-      degree of 127 or more, which :func:`answer_degree_codes` answers exactly.
+      degree of 127 or more, which :func:`answer_degree_codes` answers from
+      :attr:`degrees`, the table as :func:`~edgecount.graph.narrow_table` gives it.
 
     ``escape`` is ``None`` for the two exact widths. No code exceeds
     :attr:`top_code`, ``2 * largest degree + 1`` for the exact widths and
     ``2 * escape + 1`` otherwise. Building the table is not a query: it is
     the oracle's own index, and its codes are read only through the metered
-    :func:`answer_degree_codes`. A ``marked`` vertex outside ``0..n-1``
-    raises ``ValueError``.
+    :func:`answer_degree_codes`. Degrees that are not a 1-d integer table in
+    ``0..n``, and a ``marked`` vertex outside ``0..n-1``, raise ``ValueError``.
     """
 
-    __slots__ = ("graph", "escape", "top_code", "_codes")
+    __slots__ = ("n", "degrees", "escape", "top_code", "_codes")
 
-    def __init__(self, graph: Graph, marked: np.ndarray | None = None):
-        table = graph.degree_table
-        top = int(table.max(initial=0))
+    def __init__(self, degrees: np.ndarray, marked: np.ndarray | None = None):
+        degrees = checked_ints(degrees, None, "degrees")
+        if degrees.ndim != 1:
+            raise ValueError(f"degrees must have shape ({degrees.size},), got {degrees.shape}")
+        n = degrees.shape[0]
+        top = top_value(degrees)  # one pass: the range check and the code width
+        if top > n:
+            raise ValueError(f"degrees must lie in 0..{n}")
+        table = narrow_table(degrees, top)
         if top < 2**15:
             codes = np.add(table, table, dtype=np.uint8 if top < 127 else np.uint16)
             escape = None
         else:
-            codes = np.empty(table.shape[0], dtype=np.uint8)
+            codes = np.empty(n, dtype=np.uint8)
             np.minimum(table, 127, out=codes, casting="unsafe")
             np.add(codes, codes, out=codes)  # the shift; np.left_shift is several times slower on uint8
             escape = top = 127
         if marked is not None:
-            codes[checked_ints(marked, graph.n - 1, "marked vertices")] |= 1
+            codes[checked_ints(marked, n - 1, "marked vertices")] |= 1
         codes.setflags(write=False)
-        self.graph = graph
+        self.n = n
+        self.degrees = table
         self.escape = escape
         self.top_code = 2 * top + 1
         self._codes = codes
@@ -189,7 +197,7 @@ class DegreeAnswers:
     """Answers to a run of degree probes: one code each, plus the exact degrees behind the escape.
 
     ``escaped`` holds the sorted positions of the probes whose code field is
-    the table's escape, and ``exact`` their degrees as the graph stores them.
+    the table's escape, and ``exact`` their degrees as the table stores them.
     """
 
     codes: np.ndarray
@@ -206,11 +214,9 @@ class DegreeAnswers:
 def _checked_probes(vertices: np.ndarray, n: int, what: str) -> np.ndarray:
     """Degree-probe ``vertices`` as contiguous int64 ids; one outside ``0..n-1`` is named with its position."""
     v = checked_ints(vertices, None, what)
-    try:
-        checked_ints(v, n - 1, what)
-    except ValueError:
+    if v.size and top_value(v) >= n:
         pos = int(np.flatnonzero((v < 0) | (v >= n))[0])
-        raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments") from None
+        raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments")
     return np.ascontiguousarray(v, np.int64)
 
 
@@ -221,16 +227,16 @@ def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryL
     position, raise ``ValueError`` before anything is metered; otherwise
     ``ledger.deg`` grows by the probe count.
     """
-    v = _checked_probes(vertices, table.graph.n, "vertices")
+    v = _checked_probes(vertices, table.n, "vertices")
     codes = table._codes.take(v)  # take gathers faster than indexing
     escaped = np.empty(0, dtype=np.intp) if table.escape is None else np.flatnonzero(codes >= 2 * table.escape)
     ledger.deg += int(codes.shape[0])
-    return DegreeAnswers(codes, escaped, table.graph.degree_table.take(v.take(escaped)))
+    return DegreeAnswers(codes, escaped, table.degrees.take(v.take(escaped)))
 
 
 def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> np.ndarray:
     """:func:`answer_degree_codes` on an unmarked table, decoded to int64 degrees."""
-    return answer_degree_codes(DegreeCodes(graph), vertices, ledger).degrees()
+    return answer_degree_codes(DegreeCodes(graph.degree_table), vertices, ledger).degrees()
 
 
 def answer_rand_edge_ids(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:
@@ -268,11 +274,10 @@ def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLe
     """
     if plan.provenance.n != graph.n:
         raise ValueError(f"plan was built for n={plan.provenance.n}, graph has n={graph.n}")
-    if plan.n_rand and graph.m == 0:
-        raise EmptyGraphError("graph has no edges; random-edge queries cannot be answered")
     ledger = QueryLedger() if ledger is None else ledger
-    degrees = answer_degrees(graph, plan.deg_vertices, ledger)
+    # the probes were checked at n: only the random edges can fail, so they go first
     edges = answer_rand_edges(graph, np.random.default_rng(answer_seed), plan.n_rand, ledger)
+    degrees = answer_degrees(graph, plan.deg_vertices, ledger)
     return Transcript(plan=plan, degrees=degrees, edges=edges, answer_seed=answer_seed, ledger=ledger)
 
 

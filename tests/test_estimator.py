@@ -13,6 +13,7 @@ from edgecount import (
     BRANCH_NON_COLLISION,
     BRANCH_ZERO_EDGES,
     BucketConfig,
+    DegreeCodes,
     EstimatorParams,
     Graph,
     GraphValidationError,
@@ -145,10 +146,11 @@ def test_plan_query_ceiling_is_inclusive(monkeypatch):
 
 @pytest.mark.parametrize("bad_degree", [99, -1])
 def test_estimate_checks_degree_answers_once_before_tallying(bad_degree):
-    # a hand-built graph whose vertex 3 claims a degree outside 0..n is
-    # refused when it is built, so no estimate ever answers that degree
-    with pytest.raises(GraphValidationError) as info:
-        Graph(4, np.array([[0, 1], [1, 2]]), np.array([1, 2, 1, bad_degree]))
+    # a degree table whose vertex 3 claims a degree outside 0..n is refused
+    # when the oracle's table is built, once per estimate, so no estimate
+    # ever answers that degree
+    with pytest.raises(ValueError) as info:
+        DegreeCodes(np.array([1, 2, 1, bad_degree]))
     assert str(info.value) == "degrees must lie in 0..4"
 
 
@@ -158,7 +160,7 @@ def test_estimate_checks_the_chosen_endpoints(row):
     # negative one would index the endpoint mask from its end) is refused
     # when it is built, so no estimate ever draws that endpoint
     with pytest.raises(GraphValidationError) as info:
-        Graph(4, [row], [1, 0, 1, 0])
+        Graph(4, [row])
     assert str(info.value) == f"edge ({row[0]}, {row[1]}): endpoint out of range for n=4"
 
 

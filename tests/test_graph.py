@@ -8,7 +8,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from edgecount import EdgeListParseError, Graph, GraphValidationError, build_graph, read_edge_list, write_edge_list
+from edgecount import (
+    DegreeCodes,
+    EdgeListParseError,
+    Graph,
+    GraphValidationError,
+    build_graph,
+    read_edge_list,
+    write_edge_list,
+)
 from edgecount.generators import gen_gnm
 from edgecount.graph import MAX_VERTICES, format_edges, graph_from_codes
 
@@ -68,7 +76,7 @@ def test_graph_from_codes_decodes_sorted_codes():
     [
         ([6, 1], GraphValidationError, r"^edge row 1 \(0, 1\): repeated or out of order"),
         ([1, 1], GraphValidationError, r"^edge row 1 \(0, 1\): repeated or out of order"),
-        ([-1, 1], ValueError, "negative"),
+        ([-1, 1], GraphValidationError, r"^edge \(-1, 3\): endpoint out of range for n=4$"),
         ([1, 16], GraphValidationError, r"^edge \(4, 0\): endpoint out of range for n=4$"),
         ([1, 5], GraphValidationError, r"^edge row 1 \(1, 1\): not u < v$"),
         ([4], GraphValidationError, r"^edge row 0 \(1, 0\): not u < v$"),
@@ -76,8 +84,8 @@ def test_graph_from_codes_decodes_sorted_codes():
     ids=["descending", "repeated", "negative", "beyond", "loop", "reversed"],
 )
 def test_graph_from_codes_rejects_bad_codes(codes, error, message):
-    # the decoded rows are refused as the Graph's edges; a negative code,
-    # which no pair of ids in 0..n-1 encodes to, already fails np.bincount
+    # the decoded rows are refused as the Graph's edges, a negative code,
+    # which no pair of ids in 0..n-1 encodes to, too
     with pytest.raises(error, match=message):
         graph_from_codes(4, np.array(codes, dtype=np.int64))
 
@@ -88,7 +96,7 @@ def test_graph_is_immutable(triangle):
 
 
 def test_hand_built_graph_converts_list_edges_and_degrees():
-    graph = Graph(4, [[0, 1], [1, 2]], [1, 2, 1, 0])
+    graph = Graph(4, [[0, 1], [1, 2]])
     assert isinstance(graph.edges, np.ndarray) and isinstance(graph.degrees, np.ndarray)
     assert graph.edges.shape == (2, 2)
     assert graph.m == 2
@@ -101,43 +109,55 @@ def test_hand_built_graph_converts_list_edges_and_degrees():
 @pytest.mark.parametrize("read_only", [False, True])
 def test_hand_built_graph_leaves_the_callers_arrays_alone(read_only):
     edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
-    degrees = np.array([1, 2, 1, 0], dtype=np.int64)
     # a read-only view of a writeable array still lets its owner write
-    given_edges, given_degrees = edges.view(), degrees.view()
-    for arr in (given_edges, given_degrees):
-        arr.setflags(write=not read_only)
-    graph = Graph(4, given_edges, given_degrees)
-    assert edges.flags.writeable and degrees.flags.writeable
-    assert given_edges.flags.writeable == given_degrees.flags.writeable == (not read_only)
-    edges[0, 0], degrees[0] = 3, 4
+    given_edges = edges.view()
+    given_edges.setflags(write=not read_only)
+    graph = Graph(4, given_edges)
+    assert edges.flags.writeable
+    assert given_edges.flags.writeable == (not read_only)
+    edges[0, 0] = 3
     assert graph.edges.tolist() == [[0, 1], [1, 2]]
-    assert graph.degrees.tolist() == [1, 2, 1, 0]
 
 
 def test_read_only_arrays_that_own_their_data_are_kept_without_a_copy():
     graph = gen_gnm(50, 100, seed=1)
-    again = Graph(graph.n, graph.edges, graph.degrees)
-    assert again.edges is graph.edges and again.degrees is graph.degrees
+    again = Graph(graph.n, graph.edges)
+    assert again.edges is graph.edges
 
 
 @pytest.mark.parametrize(
-    "n, degrees, message",
+    "build, message",
     [
-        (4, [1.0, 2.0, 1.0, 0.0], "degrees must be integers, got dtype float64"),
-        (4, [True, True, True, False], "degrees must be integers, got dtype bool"),
-        (4, [1, 2, 1, -1], "degrees must lie in 0..4"),
-        (4, [1, 2, 1, 5], "degrees must lie in 0..4"),
-        (4, [1, 2, 1], "degrees must have shape (4,), got (3,)"),
-        (4, [1, 2, 1, 0, 1, 1], "degrees must have shape (4,), got (6,)"),
-        (4, [[1, 2], [1, 0]], "degrees must have shape (4,), got (2, 2)"),
-        (4.0, [1, 2, 1, 0], "vertex count must be an integer, got 4.0"),
+        (lambda: DegreeCodes([1.0, 2.0, 1.0, 0.0]), "degrees must be integers, got dtype float64"),
+        (lambda: DegreeCodes([True, True, True, False]), "degrees must be integers, got dtype bool"),
+        (lambda: DegreeCodes([1, 2, 1, -1]), "degrees must lie in 0..4"),
+        (lambda: DegreeCodes([1, 2, 1, 5]), "degrees must lie in 0..4"),
+        (lambda: DegreeCodes([[1, 2], [1, 0]]), "degrees must have shape (4,), got (2, 2)"),
+        (lambda: Graph(4.0, [[0, 1], [1, 2]]), "vertex count must be an integer, got 4.0"),
     ],
-    ids=["float", "bool", "negative", "n+1", "short", "long", "2-d", "float-n"],
+    ids=["float", "bool", "negative", "n+1", "2-d", "float-n"],
 )
-def test_hand_built_graph_refuses_degrees_outside_the_contract(n, degrees, message):
-    with pytest.raises(GraphValidationError) as info:
-        Graph(n, [[0, 1], [1, 2]], degrees)
+def test_hand_built_graph_refuses_degrees_outside_the_contract(build, message):
+    # a graph derives its degrees, so a degree table is checked where the
+    # oracle is handed one, with the table's length as its n
+    with pytest.raises(ValueError) as info:
+        build()
     assert str(info.value) == message
+
+
+def test_graph_derives_its_degrees_from_its_edges():
+    g = gen_gnm(10_000, 100_000, 1)
+    # degrees that disagree with the edges cannot be handed in
+    with pytest.raises(TypeError):
+        Graph(g.n, g.edges, np.minimum(3 * g.degrees, g.n))
+    for graph, expected in (
+        (Graph(4, [[0, 1], [1, 2]]), [1, 2, 1, 0]),
+        (Graph(3, []), [0, 0, 0]),
+        (Graph(0, []), []),
+    ):
+        assert graph.degrees.dtype == np.int64 and graph.degrees.flags.writeable is False
+        assert graph.degrees.tolist() == expected
+        assert np.array_equal(graph.degrees, np.bincount(graph.edges.ravel(), minlength=graph.n))
 
 
 @pytest.mark.parametrize(
@@ -157,7 +177,7 @@ def test_hand_built_graph_refuses_degrees_outside_the_contract(n, degrees, messa
 )
 def test_hand_built_graph_refuses_edges_outside_the_contract(edges, message):
     with pytest.raises(GraphValidationError) as info:
-        Graph(4, edges, [1, 2, 1, 0])
+        Graph(4, edges)
     assert str(info.value) == message
 
 
@@ -166,7 +186,7 @@ def test_graph_refuses_every_row_written_twice():
     # repeats of a drawn edge, and the collision estimate would double
     graph = gen_gnm(100_000, 50_000, seed=0)
     with pytest.raises(GraphValidationError, match="^edge row 1 .*: repeated or out of order$"):
-        Graph(graph.n, np.repeat(graph.edges, 2, axis=0), 2 * graph.degrees)
+        Graph(graph.n, np.repeat(graph.edges, 2, axis=0))
 
 
 @pytest.mark.parametrize(
@@ -180,16 +200,15 @@ def test_graph_refuses_every_row_written_twice():
     ids=["list", "float", "3-column", "uint16"],
 )
 def test_graph_stores_edges_as_read_only_int64_rows(edges, m):
-    graph = Graph(4, edges, [1, 2, 1, 0])
+    graph = Graph(4, edges)
     assert graph.edges.shape == (m, 2) and graph.edges.dtype == np.int64
     assert graph.edges.flags.writeable is False
     assert graph == build_graph(4, [(0, 1), (1, 2)][:m])
 
 
 def test_hand_built_graph_stores_a_numpy_integer_n_as_an_int():
-    graph = Graph(np.int64(4), [[0, 1], [1, 2]], np.array([1, 2, 1, 0], dtype=np.int32))
+    graph = Graph(np.int64(4), [[0, 1], [1, 2]])
     assert type(graph.n) is int and graph.n == 4
-    assert graph.degrees.dtype == np.int32
     assert graph.degree_table.dtype == np.uint8 and graph.degree_table is not graph.degrees
 
 

@@ -63,7 +63,7 @@ ENTRY_POINTS = {
         [],
     ),
     "DegreeCodes": (
-        lambda ids: DegreeCodes(PATH, ids).top_code,
+        lambda ids: DegreeCodes(PATH.degree_table, ids).top_code,
         ValueError,
         "marked vertices",
         "marked vertices must lie in 0..3",
@@ -77,7 +77,7 @@ ENTRY_POINTS = {
         [],
     ),
     "answer_degree_codes": (
-        lambda ids: answer_degree_codes(DegreeCodes(PATH), ids, QueryLedger()).codes.tolist(),
+        lambda ids: answer_degree_codes(DegreeCodes(PATH.degree_table), ids, QueryLedger()).codes.tolist(),
         ValueError,
         "vertices",
         r"query 0 \(Deg\(\d+\)\) has invalid arguments",
@@ -219,6 +219,21 @@ def test_narrow_integer_ids_answer_as_int64_ones():
         assert answer_degrees(PATH, ids, QueryLedger()).tolist() == [1, 1, 2, 2]
         assert count_collisions(ids.reshape(-1, 2)) == 0
         assert build_graph(4, ids.reshape(-1, 2)) == build_graph(4, [(0, 3), (1, 2)])
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_a_negative_narrow_id_is_refused_where_its_unsigned_view_is_in_range(dtype):
+    # viewed unsigned, an int8 -1 reads 255 (an int16 one 65535), which lies inside 0..n here
+    n = 2 * int(np.iinfo(dtype).max) + 2
+    ids = np.array([-1], dtype=dtype)
+    with pytest.raises(GraphValidationError, match=f"^edge \\(-1, 1\\): endpoint out of range for n={n}$"):
+        build_graph(n, np.array([[-1, 1]], dtype=dtype))
+    with pytest.raises(ValueError, match=f"^marked vertices must lie in 0..{n - 1}$"):
+        DegreeCodes(np.zeros(n, dtype=np.int64), ids)
+    with pytest.raises(ValueError, match=f"^degrees must lie in 0..{n}$"):
+        DegreeCodes(np.append(np.zeros(n - 1, dtype=dtype), ids))
+    with pytest.raises(ValueError, match=r"^query 0 \(Deg\(-1\)\) has invalid arguments$"):
+        answer_degree_codes(DegreeCodes(np.zeros(n, dtype=np.int64)), ids, QueryLedger())
 
 
 def test_numpy_scalar_params_are_stored_as_floats():

@@ -40,8 +40,8 @@ from edgecount.estimator import (
     count_id_collisions,
 )
 from edgecount.generators import gen_path
-from edgecount.graph import MAX_VERTICES, Graph, GraphValidationError, pair_codes, run_starts, sorted_unique
-from edgecount.oracle import DegreeCodes, QueryLedger, answer_degree_codes, answer_degrees
+from edgecount.graph import MAX_VERTICES, pair_codes, run_starts, sorted_unique
+from edgecount.oracle import DegreeCodes, QueryLedger, answer_degree_codes
 
 
 def ref_bucket_indices(config: BucketConfig, degrees: np.ndarray) -> np.ndarray:
@@ -161,17 +161,16 @@ def test_bucket_indices_across_the_dense_cutoff_match_binary_search(sample):
 @settings(max_examples=25, deadline=None)
 @given(degrees_across_the_dense_cutoff(), st.sampled_from((0.25, 0.5)), st.integers(0, 2**32 - 1))
 def test_streamed_heavy_set_across_the_dense_cutoff_matches_reference(sample, epsilon, seed):
-    # a hand-built graph whose vertices take the drawn degrees (and 0), so
+    # a degree table whose vertices take the drawn degrees (and 0), so
     # probes land on both sides of the cutoff in chunk after chunk
     config, palette = sample
     n = config.n
     rng = np.random.default_rng(seed)
     degree_of = np.append(palette, 0)[rng.integers(0, palette.shape[0] + 1, size=n)]
-    graph = Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
     params = EstimatorParams(epsilon=epsilon, master_seed=seed)
     layout = plan_layout(n, params)
     endpoints = rng.integers(0, n, size=50)
-    heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, QueryLedger())
+    heavy, hit_vertices, hit_degrees = _stream_degree_block(degree_of, params, layout, config, endpoints, QueryLedger())
 
     sampled = build_sample_plan(n, params).deg_vertices
     degrees = degree_of[sampled]
@@ -185,8 +184,8 @@ def test_streamed_heavy_set_across_the_dense_cutoff_matches_reference(sample, ep
     assert np.array_equal(hit_degrees, degrees[hit])
 
 
-# the largest degree of each graph below, its degree table's dtype, and the
-# width and escape field of its degree codes
+# the largest degree of each degree table below, the dtype it narrows to, and
+# the width and escape field of its degree codes
 WIDTH_CASES = [
     (126, np.uint8, np.uint8, None),
     (127, np.uint8, np.uint16, None),
@@ -215,17 +214,18 @@ def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table
     layout = plan_layout(n, params)
     config = params.bucket_config(n)
     sampled = build_sample_plan(n, params).deg_vertices
-    graph = Graph(n, np.empty((0, 2), dtype=np.int64), _width_degrees(largest, sampled, n))
-    assert graph.degree_table.dtype == table_dtype
-    degrees = graph.degrees[sampled]
-    answers = answer_degree_codes(DegreeCodes(graph), sampled, QueryLedger())
+    degree_of = _width_degrees(largest, sampled, n)
+    table = DegreeCodes(degree_of)
+    assert table.degrees.dtype == table_dtype
+    degrees = degree_of[sampled]
+    answers = answer_degree_codes(table, sampled, QueryLedger())
     assert answers.codes.dtype == code_dtype
-    assert DegreeCodes(graph).escape == escape
+    assert table.escape == escape
     assert np.array_equal(answers.degrees(), degrees)
 
     # endpoints on the largest-degree probes and elsewhere
     endpoints = np.concatenate((sampled[:3], sampled[7:40], np.arange(0, n, 997)))
-    heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, QueryLedger())
+    heavy, hit_vertices, hit_degrees = _stream_degree_block(degree_of, params, layout, config, endpoints, QueryLedger())
     expected = classify_heavy(degrees, config, params.epsilon)
     assert np.array_equal(heavy.bucket_counts, expected.bucket_counts)
     assert np.array_equal(heavy.indices, expected.indices)
@@ -238,22 +238,22 @@ def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table
 
 @pytest.mark.parametrize("bad_degree", [-1, DENSE_DEGREES + 8, 2**40])
 def test_streamed_degree_answers_outside_zero_to_n_rejected_behind_the_escape(bad_degree):
-    # a probed vertex whose degree the uint8 codes would saturate: the graph
+    # a probed vertex whose degree the uint8 codes would saturate: the table
     # refuses a degree outside 0..n when it is built, so no escaped probe can answer one
     n = DENSE_DEGREES + 7
     params = EstimatorParams(epsilon=0.25, master_seed=3)
     sampled = build_sample_plan(n, params).deg_vertices
     degree_of = _width_degrees(2**15, sampled, n)
-    assert DegreeCodes(Graph(n, np.empty((0, 2), dtype=np.int64), degree_of.copy())).escape == 127
+    assert DegreeCodes(degree_of.copy()).escape == 127
     degree_of[sampled[-1]] = bad_degree
-    with pytest.raises(GraphValidationError) as info:
-        Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
+    with pytest.raises(ValueError) as info:
+        DegreeCodes(degree_of)
     assert str(info.value) == f"degrees must lie in 0..{n}"
 
 
 @st.composite
 def small_code_tables(draw):
-    """A hand-built graph whose probed codes top out at a drawn code near the
+    """A degree table whose probed codes top out at a drawn code near the
     pair rule, its endpoints, a degree chunk size and a tally slice size.
 
     The largest degree sits on the plan's first probe and is marked for an
@@ -289,27 +289,27 @@ def small_code_tables(draw):
     tally_slice = draw(
         st.sampled_from((1, max(1, chunk // 2), chunk, chunk + 1, 2 * chunk + 3)) | st.integers(0, 20).map(lambda k: 2 * k + 1)
     )
-    return Graph(n, np.empty((0, 2), dtype=np.int64), degree_of), params, endpoints, top_code, chunk, tally_slice
+    return degree_of, params, endpoints, top_code, chunk, tally_slice
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_code_tables())
 def test_pair_tally_matches_classify_heavy_on_both_sides_of_the_rule(table_case):
-    graph, params, endpoints, top_code, chunk, tally_slice = table_case
-    n = graph.n
+    degree_of, params, endpoints, top_code, chunk, tally_slice = table_case
+    n = degree_of.shape[0]
     layout = plan_layout(n, params)
     config = params.bucket_config(n)
     sampled = build_sample_plan(n, params).deg_vertices
-    table = DegreeCodes(graph, endpoints)
-    escape = bool((graph.degrees >= 2**15).any())
-    above = bool((graph.degrees > top_code // 2).any())  # only on a vertex no probe reaches
+    table = DegreeCodes(degree_of, endpoints)
+    escape = bool((degree_of >= 2**15).any())
+    above = bool((degree_of > top_code // 2).any())  # only on a vertex no probe reaches
     assert table.escape == (127 if escape else None)
     assert int(answer_degree_codes(table, sampled, QueryLedger()).codes.max()) == top_code
     assert (table.top_code > (top_code | 1)) == (escape or above)
     assert (table.top_code <= estimator._PAIR_TOP_CODE) == (top_code < 64 and not escape and not above)
-    degrees = answer_degrees(graph, sampled, QueryLedger())
+    degrees = answer_degree_codes(table, sampled, QueryLedger()).degrees()
     with mock.patch.object(estimator, "_DEGREE_CHUNK", chunk), mock.patch.object(estimator, "_TALLY_SLICE", tally_slice):
-        heavy, hit_vertices, hit_degrees = _stream_degree_block(graph, params, layout, config, endpoints, QueryLedger())
+        heavy, hit_vertices, hit_degrees = _stream_degree_block(degree_of, params, layout, config, endpoints, QueryLedger())
     expected = classify_heavy(degrees, config, params.epsilon)
     assert np.array_equal(heavy.bucket_counts, expected.bucket_counts)
     assert np.array_equal(heavy.indices, expected.indices)
@@ -324,7 +324,7 @@ def test_pair_tally_matches_classify_heavy_on_both_sides_of_the_rule(table_case)
 def test_pair_tally_rejects_a_field_above_n(n, excess, negative, seed):
     # a probed vertex whose field above n the codes would hold exactly, on
     # both sides of the pair rule, also with a negative degree on a vertex no
-    # probe reaches: the graph refuses either degree when it is built
+    # probe reaches: the table refuses either degree when it is built
     params = EstimatorParams(epsilon=0.8, master_seed=seed)
     sampled = build_sample_plan(n, params).deg_vertices
     degree_of = np.random.default_rng(seed).integers(0, n + 1, size=n)
@@ -333,8 +333,8 @@ def test_pair_tally_rejects_a_field_above_n(n, excess, negative, seed):
         unprobed = np.setdiff1d(np.arange(n), sampled)
         assume(unprobed.size > 0)
         degree_of[unprobed[0]] = -1
-    with pytest.raises(GraphValidationError) as info:
-        Graph(n, np.empty((0, 2), dtype=np.int64), degree_of)
+    with pytest.raises(ValueError) as info:
+        DegreeCodes(degree_of)
     assert str(info.value) == f"degrees must lie in 0..{n}"
 
 

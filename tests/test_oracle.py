@@ -10,8 +10,6 @@ from edgecount import (
     DegreeCodes,
     EmptyGraphError,
     EstimatorParams,
-    Graph,
-    GraphValidationError,
     PlanProvenance,
     QueryLedger,
     QueryPlan,
@@ -333,17 +331,27 @@ def test_degree_table_of_an_empty_graph_is_an_empty_uint8_table():
 
 
 def test_degree_answers_reject_a_table_that_is_not_integer():
-    # hand-built: float degrees, which the packed codes would truncate, are
-    # refused when the graph is built
-    with pytest.raises(GraphValidationError, match="^degrees must be integers, got dtype float64$"):
-        Graph(4, np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0, 1.0, 0.0]))
+    # float degrees, which the packed codes would truncate, are refused when
+    # the table is built
+    with pytest.raises(ValueError, match="^degrees must be integers, got dtype float64$"):
+        DegreeCodes(np.array([1.0, 2.0, 1.0, 0.0]))
+
+
+def test_degree_codes_keep_a_read_only_narrow_table_without_a_copy():
+    graph = gen_path(5)
+    assert DegreeCodes(graph.degree_table).degrees is graph.degree_table
+    given = np.array([1, 2, 2, 2, 1], dtype=np.uint8)
+    table = DegreeCodes(given)
+    assert table.n == 5 and table.degrees is not given and table.degrees.flags.writeable is False
+    given[0] = 3  # a later write to the caller's array never reaches the table
+    assert table.degrees.tolist() == [1, 2, 2, 2, 1]
 
 
 @pytest.mark.parametrize("marked", [[0, 3], [-1]])
 def test_degree_codes_reject_marks_outside_the_graph(triangle, marked):
     # -1 would otherwise mark the last vertex
     with pytest.raises(ValueError, match="marked vertices must lie in 0..2"):
-        DegreeCodes(triangle, np.array(marked))
+        DegreeCodes(triangle.degree_table, np.array(marked))
 
 
 @pytest.mark.parametrize(
@@ -360,8 +368,8 @@ def test_degree_codes_reject_marks_outside_the_graph(triangle, marked):
 def test_degree_codes_top_code_is_the_largest_code_a_mark_can_make(degrees, top_code):
     # the first three vertices take the degrees; n is just large enough to allow them
     n = max(3, max(degrees))
-    graph = Graph(n, np.empty((0, 2), dtype=np.int64), np.pad(degrees, (0, n - 3)))
+    degree_of = np.pad(degrees, (0, n - 3))
     vertices = np.arange(3)
-    assert DegreeCodes(graph).top_code == top_code
-    assert answer_degree_codes(DegreeCodes(graph, [1]), vertices, QueryLedger()).codes.max() == top_code
-    assert answer_degree_codes(DegreeCodes(graph), vertices, QueryLedger()).codes.max() == top_code - 1
+    assert DegreeCodes(degree_of).top_code == top_code
+    assert answer_degree_codes(DegreeCodes(degree_of, [1]), vertices, QueryLedger()).codes.max() == top_code
+    assert answer_degree_codes(DegreeCodes(degree_of), vertices, QueryLedger()).codes.max() == top_code - 1
