@@ -567,16 +567,16 @@ def _stream_degree_block(
     # the probes on a marked endpoint, the only ones that can match an
     # endpoint draw: their vertices, their codes and the exact degrees of
     # the escaped ones, 9 bytes a hit with uint8 codes
-    hit_vertices, hit_codes, hit_exact = [], [], []
+    hit_vertices, hit_codes, hit_exact = [], [], [np.empty(0, dtype=np.intp)]
     for vertices in _degree_vertex_chunks(table.n, params, layout.degree_size):
         answers = answer_degree_codes(table, vertices, ledger)
         codes = answers.codes
-        hit = np.flatnonzero(_marks(codes))
+        hit = np.flatnonzero(table.marked(codes))
         hit_vertices.append(vertices.take(hit))
         hit_codes.append(codes.take(hit))
         del vertices, hit  # freed before the tally
         if answers.escaped.size:
-            hit_exact.append(answers.exact[_marks(codes.take(answers.escaped))])
+            hit_exact.append(answers.exact[table.marked(codes.take(answers.escaped))])
             per_degree = _tally(answers.exact, config, per_degree, above)
         if paired:
             even = codes.shape[0] & ~1
@@ -587,33 +587,19 @@ def _stream_degree_block(
             _add_bincount(code_counts, codes)
         del answers, codes  # freed before the next chunk is drawn
     if paired:
-        # a pair holds one code in each byte: its row and its column, in
-        # either byte order
+        # a pair holds one code in each byte: its row and its column, in either byte order
         pairs = code_counts.reshape(-1, 256)
         top = pairs.shape[0]
         code_counts = pairs.sum(axis=0)[:top] + pairs.sum(axis=1) + np.bincount(leftover, minlength=top)
-    # a degree's two codes, marked and not, are adjacent; the escaped
-    # probes are tallied from their exact degrees instead
-    folded = np.add.reduceat(code_counts, np.arange(0, code_counts.shape[0], 2))[: table.escape]
+    folded = table.fold(code_counts)  # the escaped probes are tallied from their exact degrees instead
     if folded.shape[0] < per_degree.shape[0]:
         folded, per_degree = per_degree, folded
     folded[: per_degree.shape[0]] += per_degree
     heavy = _heavy_set(folded, above, layout.degree_size, config, params.epsilon)
-    # degree 0 is in no bucket; an escaped code is never degree 0
     codes = np.concatenate(hit_codes)
-    nonzero = codes >= 2
-    vertices = np.concatenate(hit_vertices)[nonzero]
-    codes = codes[nonzero]
-    escaped = np.flatnonzero(codes >= 2 * table.escape) if hit_exact else np.empty(0, dtype=np.intp)
-    exact = np.concatenate([np.empty(0, dtype=np.intp), *hit_exact])
-    return heavy, vertices, DegreeAnswers(codes, escaped, exact).degrees()
-
-
-def _marks(codes: np.ndarray) -> np.ndarray:
-    """The mark bits of degree ``codes``: a bool mask for uint8 codes, 0 or 1 otherwise."""
-    marked = np.bitwise_and(codes, 1)
-    # a 1-byte 0 or 1 is a valid bool, so the scan needs no cast
-    return marked.view(bool) if marked.itemsize == 1 else marked
+    degrees = DegreeAnswers(codes, table.escaped(codes), np.concatenate(hit_exact)).degrees()
+    nonzero = degrees >= 1  # degree 0 is in no bucket
+    return heavy, np.concatenate(hit_vertices)[nonzero], degrees[nonzero]
 
 
 def _add_bincount(counts: np.ndarray, values: np.ndarray) -> None:

@@ -27,9 +27,9 @@ _DENSE_ENUMERATION_LIMIT = 2_000_000
 
 def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform random graph with exactly ``m`` distinct edges on ``n`` vertices."""
+    n = check_vertex_count(n)
     if n < 1:
         raise GraphValidationError("gnm requires n >= 1")
-    n = check_vertex_count(n)
     m = checked_int(m, "m", GraphValidationError)
     max_pairs = n * (n - 1) // 2
     if not 0 <= m <= max_pairs:
@@ -110,26 +110,26 @@ def _union(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def gen_path(n: int) -> Graph:
+    n = check_vertex_count(n)
     if n < 2:
         raise GraphValidationError("path requires n >= 2")
-    n = check_vertex_count(n)
     u = np.arange(n - 1, dtype=np.int64)
     return build_graph(n, np.column_stack((u, u + 1)))
 
 
 def gen_star(n: int) -> Graph:
+    n = check_vertex_count(n)
     if n < 2:
         raise GraphValidationError("star requires n >= 2")
-    n = check_vertex_count(n)
     spokes = np.arange(1, n, dtype=np.int64)
     return build_graph(n, np.column_stack((np.zeros(n - 1, dtype=np.int64), spokes)))
 
 
 def gen_clique_plus_isolated(n: int, k: int) -> Graph:
     """Clique on vertices ``0..k-1``; the remaining ``n - k`` vertices are isolated."""
+    n = check_vertex_count(n)
     if n < 2:
         raise GraphValidationError("clique_plus_isolated requires n >= 2")
-    n = check_vertex_count(n)
     k = checked_int(k, "k", GraphValidationError)
     if not 0 <= k <= n:
         raise GraphValidationError(f"clique_plus_isolated: k={k} outside [0, {n}]")
@@ -141,10 +141,10 @@ def gen_skewed(n: int, exponent: float, seed: int) -> Graph:
     """Heavy-tailed random graph: degrees drawn with P(d) proportional to
     ``d**-exponent`` over ``1..round(sqrt(n))``, realized as a simple graph by
     pairing stubs and dropping self-loops and duplicate pairs."""
+    n = check_vertex_count(n)
     if n < 2:
         raise GraphValidationError("skewed requires n >= 2")
-    n = check_vertex_count(n)
-    if exponent <= 0:
+    if not exponent > 0:  # NaN compares false with everything
         raise GraphValidationError("skewed requires a positive exponent")
     rng = np.random.default_rng(seed)
     d_max = max(2, round(math.sqrt(n)))
@@ -218,10 +218,10 @@ def gen_lowerbound_instance(n: int, seed: int) -> LowerBoundInstance:
 
     Needs ``n >= 7``, so that the planted set fits among the ``n`` vertices.
     """
-    side = 2 * math.ceil(math.sqrt(n)) + 1 if n >= 1 else 0
+    n = check_vertex_count(n)
+    side = 2 * math.ceil(math.sqrt(n)) + 1
     if n < 7:
         raise GraphValidationError(f"lower-bound instance needs n >= 7 (planted set of {side} cannot fit n={n})")
-    n = check_vertex_count(n)
 
     rng = np.random.default_rng(seed)
     planted = np.sort(rng.choice(n, size=side, replace=False).astype(np.int64))

@@ -71,7 +71,7 @@ class Graph:
 
 
 def _vertex_pairs(values: object, n: int) -> np.ndarray:
-    """``values`` as ``(m, 2)`` int64 endpoints in ``0..n-1``, without a copy when they are; empty as ``(0, 2)``."""
+    """``values`` as ``(m, 2)`` int64 endpoints in ``0..n-1``, as :func:`_converted` gives them; empty as ``(0, 2)``."""
     arr = checked_ints(values, None, "edge endpoints", GraphValidationError)
     arr = arr.reshape(0, 2) if arr.size == 0 else arr
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -79,7 +79,7 @@ def _vertex_pairs(values: object, n: int) -> np.ndarray:
     if arr.size and top_value(arr) >= n:
         u, v = arr[np.argmax(((arr < 0) | (arr >= n)).any(axis=1))]
         raise GraphValidationError(f"edge ({u}, {v}): endpoint out of range for n={n}")
-    return arr.astype(np.int64, copy=False)
+    return _converted(arr, np.int64)
 
 
 def _refuse_first_row(edges: np.ndarray, bad: np.ndarray, why: str) -> None:
@@ -112,12 +112,17 @@ def top_value(arr: np.ndarray) -> int:
     return 2**64 if arr.dtype.kind == "i" and largest >> (8 * arr.itemsize - 1) else largest
 
 
+def _converted(values: np.ndarray, dtype: type | np.dtype) -> np.ndarray:
+    """``values`` as ``dtype``, without a copy when they are; a fresh conversion is read-only, so :func:`frozen` keeps it."""
+    arr = values.astype(dtype, copy=False)
+    if arr is not values:
+        arr.setflags(write=False)
+    return arr
+
+
 def narrow_table(values: np.ndarray, top: int) -> np.ndarray:
     """Integers in ``0..top``, read-only in the narrowest unsigned dtype for ``top``; :func:`frozen` if already so."""
-    table = values.astype(np.min_scalar_type(top), copy=False)
-    if table is not values:
-        table.setflags(write=False)
-    return frozen(table)
+    return frozen(_converted(values, np.min_scalar_type(top)))
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:

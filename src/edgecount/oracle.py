@@ -3,13 +3,14 @@
 These are the only two query kinds the estimator issues, and each has one
 metered primitive: :func:`answer_degree_codes`, which answers degrees as
 codes of a :class:`DegreeCodes` table, and :func:`answer_rand_edge_ids`,
-which draws edges as positions in ``graph.edges``. :func:`answer_degrees`
-decodes the first into plain degrees. Callers that only compare
-edges (the collision counts, the lower-bound distinguisher) read positions;
-:func:`answer_rand_edges` gathers rows. A :class:`QueryPlan` fixes every
-query up front, degree probes first, and :func:`answer_plan` answers it
-whole for audits; callers may feed the primitives block by block instead,
-from a stream fixed before any answer, so no answer steers a later query.
+which draws edges as positions in ``graph.edges``. Only this module knows
+the code layout; :func:`answer_degrees` decodes codes into plain degrees.
+Callers that only compare edges (the collision counts, the lower-bound
+distinguisher) read positions; :func:`answer_rand_edges` gathers rows. A
+:class:`QueryPlan` fixes every query up front, degree probes first, and
+:func:`answer_plan` answers it whole for audits; callers may feed the
+primitives block by block instead, from a stream fixed before any answer,
+so no answer steers a later query.
 """
 
 from __future__ import annotations
@@ -157,10 +158,11 @@ class DegreeCodes:
 
     ``escape`` is ``None`` for the two exact widths. No code exceeds
     :attr:`top_code`, ``2 * largest degree + 1`` for the exact widths and
-    ``2 * escape + 1`` otherwise. Building the table is not a query: it is
-    the oracle's own index, and its codes are read only through the metered
-    :func:`answer_degree_codes`. Degrees that are not a 1-d integer table in
-    ``0..n``, and a ``marked`` vertex outside ``0..n-1``, raise ``ValueError``.
+    ``2 * escape + 1`` otherwise. Callers never read a code's bits: they ask
+    :meth:`marked`, :meth:`escaped` and :meth:`fold`. Building the table is
+    not a query: it is the oracle's own index, and its codes are read only
+    through the metered :func:`answer_degree_codes`. Degrees that are not a 1-d
+    integer table in ``0..n``, and a ``marked`` vertex outside ``0..n-1``, raise ``ValueError``.
     """
 
     __slots__ = ("n", "degrees", "escape", "top_code", "_codes")
@@ -191,13 +193,25 @@ class DegreeCodes:
         self.top_code = 2 * top + 1
         self._codes = codes
 
+    @staticmethod
+    def marked(codes: np.ndarray) -> np.ndarray:
+        """The mark bits of ``codes`` as a bool mask; a 1-byte 0 or 1 is a valid bool, so uint8 needs no cast."""
+        return (codes & 1).view(bool) if codes.itemsize == 1 else (codes & 1).astype(bool)
+
+    def escaped(self, codes: np.ndarray) -> np.ndarray:
+        """The sorted positions of ``codes`` whose field is :attr:`escape`, none at an exact width."""
+        return np.empty(0, dtype=np.intp) if self.escape is None else np.flatnonzero(codes >= 2 * self.escape)
+
+    def fold(self, code_counts: np.ndarray) -> np.ndarray:
+        """Per-degree counts from per-code ``code_counts`` up to :attr:`top_code`, marks summed, the escape left out."""
+        return np.add.reduceat(code_counts, np.arange(0, code_counts.shape[0], 2))[: self.escape]
+
 
 @dataclass(frozen=True)
 class DegreeAnswers:
     """Answers to a run of degree probes: one code each, plus the exact degrees behind the escape.
 
-    ``escaped`` holds the sorted positions of the probes whose code field is
-    the table's escape, and ``exact`` their degrees as the table stores them.
+    ``escaped`` is :meth:`DegreeCodes.escaped` of the codes, and ``exact`` their degrees as the table stores them.
     """
 
     codes: np.ndarray
@@ -229,7 +243,7 @@ def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryL
     """
     v = _checked_probes(vertices, table.n, "vertices")
     codes = table._codes.take(v)  # take gathers faster than indexing
-    escaped = np.empty(0, dtype=np.intp) if table.escape is None else np.flatnonzero(codes >= 2 * table.escape)
+    escaped = table.escaped(codes)
     ledger.deg += int(codes.shape[0])
     return DegreeAnswers(codes, escaped, table.degrees.take(v.take(escaped)))
 

@@ -116,8 +116,9 @@ def test_gen_named_dispatch():
         (lambda: gen_skewed(1, 2.0, 0), "skewed:1,2.0", "skewed requires n >= 2"),
         (lambda: gen_skewed(50, 0.0, 0), "skewed:50,0", "skewed requires a positive exponent"),
         (lambda: gen_skewed(50, -1.5, 0), "skewed:50,-1.5", "skewed requires a positive exponent"),
+        (lambda: gen_skewed(50, float("nan"), 0), "skewed:50,nan", "skewed requires a positive exponent"),
     ],
-    ids=["path", "star", "clique", "skewed-n", "skewed-zero", "skewed-negative"],
+    ids=["path", "star", "clique", "skewed-n", "skewed-zero", "skewed-negative", "skewed-nan"],
 )
 def test_generators_refuse_shapes_below_their_minimum(call, spec, message):
     with pytest.raises(GraphValidationError) as info:
@@ -359,8 +360,26 @@ def test_gnm_rejects_too_many_vertices():
         (lambda: gen_clique_plus_isolated(10, 2.5), "k must be an integer, got 2.5"),
         (lambda: gen_skewed(100.5, 2.5, 0), "vertex count must be an integer, got 100.5"),
         (lambda: gen_lowerbound_instance(10.5, 0), "vertex count must be an integer, got 10.5"),
+        # checked before each shape compares n with its minimum
+        (lambda: gen_path("5"), "vertex count must be an integer, got '5'"),
+        (lambda: gen_star(None), "vertex count must be an integer, got None"),
+        (lambda: gen_gnm("5", 2, 0), "vertex count must be an integer, got '5'"),
+        (lambda: gen_lowerbound_instance("9", 0), "vertex count must be an integer, got '9'"),
     ],
-    ids=["gnm-n", "gnm-m", "path", "star", "clique-n", "clique-k", "skewed", "lowerbound"],
+    ids=[
+        "gnm-n",
+        "gnm-m",
+        "path",
+        "star",
+        "clique-n",
+        "clique-k",
+        "skewed",
+        "lowerbound",
+        "path-str",
+        "star-none",
+        "gnm-str",
+        "lowerbound-str",
+    ],
 )
 def test_generators_refuse_sizes_that_are_no_integers(call, message):
     with pytest.raises(GraphValidationError) as info:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -123,6 +124,26 @@ def test_read_only_arrays_that_own_their_data_are_kept_without_a_copy():
     graph = gen_gnm(50, 100, seed=1)
     again = Graph(graph.n, graph.edges)
     assert again.edges is graph.edges
+
+
+def _build_peak(n, edges):
+    """Tracemalloc peak of building ``Graph(n, edges)``, in bytes."""
+    tracemalloc.start()
+    try:
+        Graph(n, edges)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_edges_of_another_integer_dtype_are_converted_once():
+    # the int64 conversion of int32 edges is the graph's own, kept and not
+    # copied again: one 8 MB copy above read-only int64 edges, plus 64 KiB of
+    # headroom for small objects, where a second copy would add 8 MB more
+    edges = gen_gnm(10**6, 5 * 10**5, 0).edges
+    narrow = edges.astype(np.int32)
+    assert _build_peak(10**6, narrow) <= _build_peak(10**6, edges) + edges.nbytes + 2**16
+    assert Graph(10**6, narrow) == Graph(10**6, edges)
 
 
 @pytest.mark.parametrize(

@@ -363,6 +363,7 @@ def test_degree_codes_reject_marks_outside_the_graph(triangle, marked):
         ([0, 127, 5], 255),  # exact uint16
         ([0, 2**15 - 1, 5], 2**16 - 1),
         ([0, 2**15, 5], 255),  # uint8 with the escape
+        ([126, 2**15, 5], 255),  # a marked 126 takes the code just below the escape's
     ],
 )
 def test_degree_codes_top_code_is_the_largest_code_a_mark_can_make(degrees, top_code):
@@ -373,3 +374,15 @@ def test_degree_codes_top_code_is_the_largest_code_a_mark_can_make(degrees, top_
     assert DegreeCodes(degree_of).top_code == top_code
     assert answer_degree_codes(DegreeCodes(degree_of, [1]), vertices, QueryLedger()).codes.max() == top_code
     assert answer_degree_codes(DegreeCodes(degree_of), vertices, QueryLedger()).codes.max() == top_code - 1
+    # the table's rules read the codes of each width: only degrees of 127 or
+    # more in a table with one of 2^15 or more are escaped, and only those
+    # below the escape are folded into per-degree counts
+    escaped = [i for i, d in enumerate(degrees) if d >= 127] if max(degrees) >= 2**15 else []
+    for marked in ([1], [], [0, 1, 2]):
+        table = DegreeCodes(degree_of, marked)
+        codes = answer_degree_codes(table, vertices, QueryLedger()).codes
+        assert table.marked(codes).tolist() == [i in marked for i in range(3)]
+        assert table.escaped(codes).tolist() == escaped
+        below = [d for i, d in enumerate(degrees) if i not in escaped]
+        per_degree = np.bincount(below, minlength=table.escape or 0)
+        assert table.fold(np.bincount(codes, minlength=top_code + 1)).tolist() == per_degree.tolist()
