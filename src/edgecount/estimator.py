@@ -329,11 +329,12 @@ def sampled_heavy_set(graph: Graph, params: EstimatorParams, ledger: QueryLedger
     """:func:`classify_heavy` of the plan's degree probes, answered from ``graph`` one chunk at a time.
 
     The heavy set that classifying the degree block of
-    :func:`~edgecount.oracle.answer_plan` gives, without holding the probes
-    or their answers; ``ledger.deg`` grows by the block's size.
+    :func:`~edgecount.oracle.answer_plan` gives, streamed from an unmarked code
+    table without holding the probes or their answers; ``ledger.deg`` grows
+    by the block's size.
     """
     layout, config = plan_layout(graph.n, params), params.bucket_config(graph.n)
-    return _stream_degree_block(graph.degree_table, params, layout, config, np.empty(0, np.int64), ledger)[0]
+    return _stream_degree_block(DegreeCodes(graph.degree_table), params, layout, config, ledger)[0]
 
 
 def heavy_mass_estimate(heavy: HeavySet, config: BucketConfig) -> float:
@@ -377,28 +378,34 @@ def heavy_fraction_estimate(
     is_endpoint = np.zeros(config.n, dtype=bool)
     is_endpoint[endpoints] = True
     hit = np.flatnonzero(is_endpoint.take(sampled_vertices) & (sampled_degrees >= 1))
-    return _heavy_fraction(endpoints, sampled_vertices[hit], sampled_degrees[hit], heavy, config)
+    draws, repeats = endpoints.shape[0], _repeats(endpoints)
+    return _heavy_fraction(draws, repeats, sampled_vertices[hit], sampled_degrees[hit], heavy, config)
+
+
+def _repeats(endpoints: np.ndarray) -> np.ndarray:
+    """The sorted endpoint draws less the first draw of each vertex: one entry per repeated draw."""
+    ordered = np.sort(endpoints)
+    return ordered[1:][ordered[1:] == ordered[:-1]]
 
 
 def _heavy_fraction(
-    endpoints: np.ndarray, hit_vertices: np.ndarray, hit_degrees: np.ndarray, heavy: HeavySet, config: BucketConfig
+    draws: int, repeats: np.ndarray, vertices: np.ndarray, degrees: np.ndarray, heavy: HeavySet, config: BucketConfig
 ) -> float:
-    """:func:`heavy_fraction_estimate` from its checked probes that hit an endpoint, degree 0 left out.
+    """:func:`heavy_fraction_estimate` from the ``vertices`` and ``degrees`` of its checked probes that hit an endpoint.
 
-    Every hit vertex must be one of ``endpoints``. A heavy hit then matches
-    each draw of its vertex: once for the first draw, plus once for each
-    repeated entry of the sorted draws on that vertex.
+    ``draws`` counts the endpoint draws and ``repeats`` is their :func:`_repeats`;
+    degree 0 is left out, and every hit vertex must be one of the draws. A
+    heavy hit then matches each draw of its vertex: once for the first draw,
+    plus once for each entry of ``repeats`` on that vertex.
     """
-    hits = hit_vertices[heavy.heavy_mask()[config.bucket_indices(hit_degrees)]]
-    ordered = np.sort(endpoints)
-    repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+    hits = vertices[heavy.heavy_mask()[config.bucket_indices(degrees)]]
     matched_pairs = hits.shape[0]
     if repeats.size:
         # the few repeats are searched into the sorted hits, not the hits
         # into the draws: unsorted keys make a search several times slower
         hits.sort()
         matched_pairs += int((np.searchsorted(hits, repeats, "right") - np.searchsorted(hits, repeats, "left")).sum())
-    return float(config.n / heavy.sample_size * matched_pairs / endpoints.shape[0])
+    return float(config.n / heavy.sample_size * matched_pairs / draws)
 
 
 def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
@@ -415,11 +422,9 @@ def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
     return _sorted_collisions(codes)
 
 
-def count_id_collisions(ids: np.ndarray, m: int) -> int:
-    """:func:`count_collisions` of the rows at positions ``ids`` of an ``m``-row ``graph.edges``."""
-    keys = _edge_id_keys(ids, m)
-    keys.sort()
-    return _sorted_collisions(keys)
+def count_id_collisions(keys: np.ndarray) -> int:
+    """:func:`count_collisions` of the rows of ``graph.edges`` at the positions ``keys``, which stay unsorted."""
+    return _sorted_collisions(np.sort(keys))
 
 
 def _sorted_collisions(keys: np.ndarray) -> int:
@@ -460,15 +465,6 @@ def _sorted_majority_vote(batches: np.ndarray) -> int:
     """1 if more than half of the rows of a row-sorted 2-d array hold a repeated key, else 0."""
     votes = int(np.count_nonzero((batches[:, 1:] == batches[:, :-1]).any(axis=1)))
     return 1 if 2 * votes > batches.shape[0] else 0
-
-
-def _edge_id_keys(ids: np.ndarray, m: int) -> np.ndarray:
-    """Positions in an ``m``-row ``graph.edges`` as a copy in the narrowest unsigned dtype holding ``m - 1``.
-
-    A :class:`Graph` checks that its rows are distinct, so equal keys are
-    equal edges; uint32 keys sort about twice as fast as int64 ones.
-    """
-    return ids.astype(np.min_scalar_type(m - 1))
 
 
 @dataclass(frozen=True)
@@ -514,20 +510,24 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
     del drawn  # only the chosen endpoints are read from here on
     # the vote and the collision count only compare edges, so they read
-    # the drawn positions and never gather rows
-    votes = _edge_id_keys(answer_rand_edge_ids(graph, rng, layout.vote_size, ledger), graph.m)
-    votes = votes.reshape(layout.vote_rounds, layout.vote_batch)
+    # the drawn positions as keys and never gather rows
+    votes = answer_rand_edge_ids(graph, rng, layout.vote_size, ledger).reshape(layout.vote_rounds, layout.vote_batch)
     votes.sort(axis=1)
     k = _sorted_majority_vote(votes)
     del votes  # freed before the collision samples and the degree block
     rep_counts = []
     for _ in range(layout.collision_reps):
-        rep_counts.append(count_id_collisions(answer_rand_edge_ids(graph, rng, layout.collision_size, ledger), graph.m))
+        rep_counts.append(count_id_collisions(answer_rand_edge_ids(graph, rng, layout.collision_size, ledger)))
     r = sorted(rep_counts)[len(rep_counts) // 2]  # upper median; identity for one rep
 
-    heavy, *hits = _stream_degree_block(graph.degree_table, params, layout, config, endpoints, ledger)
+    # the rest reads the endpoint draws only as marks on the code table and
+    # as their repeats, so the draws are freed before the degree block
+    repeats = _repeats(endpoints)
+    table = DegreeCodes(graph.degree_table, endpoints)
+    del endpoints
+    heavy, *hits = _stream_degree_block(table, params, layout, config, ledger)
     mass = heavy_mass_estimate(heavy, config)
-    fraction = _heavy_fraction(endpoints, *hits, heavy, config)
+    fraction = _heavy_fraction(layout.endpoint_size, repeats, *hits, heavy, config)
     if r > 0 and k == 1:
         m_hat: float | None = collision_edge_estimate(layout.collision_size, r)
         branch = BRANCH_COLLISION
@@ -541,21 +541,15 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
 
 
 def _stream_degree_block(
-    degrees: np.ndarray,
-    params: EstimatorParams,
-    layout: PlanLayout,
-    config: BucketConfig,
-    endpoints: np.ndarray,
-    ledger: QueryLedger,
+    table: DegreeCodes, params: EstimatorParams, layout: PlanLayout, config: BucketConfig, ledger: QueryLedger
 ) -> tuple[HeavySet, np.ndarray, np.ndarray]:
     """Draw, answer and fold the degree block one chunk at a time.
 
     Returns the heavy set of the whole block and the vertices and degrees of
-    the probes on one of ``endpoints``, degree 0 left out. Each chunk is
-    answered from one :class:`~edgecount.oracle.DegreeCodes` of ``degrees``, the
-    narrow ``graph.degree_table`` (cheap to scan), whose codes mark the endpoints.
+    the probes on a marked vertex of ``table``, degree 0 left out. Every
+    chunk is answered from ``table``, built on the narrow ``graph.degree_table``
+    (cheap to scan) with the endpoint draws marked, or none for a heavy set alone.
     """
-    table = DegreeCodes(degrees, endpoints)
     # only an exact uint8 table has codes this small; it is tallied two codes
     # at a time, as uint16 pairs: half the increments, into bins too many to
     # contend. Either tally is sized once: top_code bounds every code

@@ -358,7 +358,7 @@ def run_distinguishing_experiment(n: int, q: int, trials: int, master_seed: int 
         counts = {}
         for label, graph in (("a", instance.graph_a), ("b", instance.graph_b)):
             rng = np.random.default_rng(derive_seed(master_seed, f"answers:{label}:{j}"))
-            counts[label] = count_id_collisions(answer_rand_edge_ids(graph, rng, q, QueryLedger()), graph.m)
+            counts[label] = count_id_collisions(answer_rand_edge_ids(graph, rng, q, QueryLedger()))
         probe_hits = int(np.isin(probe_set, instance.planted_set).sum())
         rows.append(
             DistinguishRow(j, counts["a"], counts["b"], counts["a"] <= threshold, counts["b"] > threshold, probe_hits)

@@ -4,6 +4,7 @@ sample-complexity demonstration."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,8 @@ def gen_skewed(n: int, exponent: float, seed: int) -> Graph:
     n = check_vertex_count(n)
     if n < 2:
         raise GraphValidationError("skewed requires n >= 2")
+    if not isinstance(exponent, numbers.Real):  # refused before a comparison raises TypeError
+        raise GraphValidationError(f"skewed exponent must be a real number, got {exponent!r}")
     if not exponent > 0:  # NaN compares false with everything
         raise GraphValidationError("skewed requires a positive exponent")
     rng = np.random.default_rng(seed)

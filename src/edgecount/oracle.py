@@ -6,11 +6,11 @@ codes of a :class:`DegreeCodes` table, and :func:`answer_rand_edge_ids`,
 which draws edges as positions in ``graph.edges``. Only this module knows
 the code layout; :func:`answer_degrees` decodes codes into plain degrees.
 Callers that only compare edges (the collision counts, the lower-bound
-distinguisher) read positions; :func:`answer_rand_edges` gathers rows. A
-:class:`QueryPlan` fixes every query up front, degree probes first, and
-:func:`answer_plan` answers it whole for audits; callers may feed the
-primitives block by block instead, from a stream fixed before any answer,
-so no answer steers a later query.
+distinguisher) read positions, as uint32 keys while ``m <= 2**32``;
+:func:`answer_rand_edges` gathers rows. A :class:`QueryPlan` fixes every
+query up front, degree probes first, and :func:`answer_plan` answers it
+whole for audits; callers may feed the primitives block by block instead,
+from a stream fixed before any answer, so no answer steers a later query.
 """
 
 from __future__ import annotations
@@ -254,19 +254,21 @@ def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> n
 
 
 def answer_rand_edge_ids(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:
-    """Answer ``count`` random-edge queries as int64 positions in ``graph.edges``.
+    """Answer ``count`` random-edge queries as positions in ``graph.edges``, uint32 while ``m <= 2**32``, else int64.
 
     A :class:`~edgecount.graph.Graph` checks that its rows are distinct when
     it is built, so equal positions are equal edges and repeats can be
     counted on the positions alone. The positions are i.i.d. uniform over
     ``0..m-1``, drawn from ``rng`` alone, so consecutive calls on one
-    generator give the same positions as one call for their total. Any draw
-    on an edgeless graph raises :class:`EmptyGraphError` before anything is
-    metered; otherwise ``ledger.rand_edge`` grows by ``count``.
+    generator give the same positions as one call for their total. numpy
+    draws a range of at most ``2**32`` from the same 32-bit stream at either
+    dtype, so the uint32 keys equal the int64 draws and leave ``rng`` in the
+    same state. Any draw on an edgeless graph raises :class:`EmptyGraphError`
+    before anything is metered; otherwise ``ledger.rand_edge`` grows by ``count``.
     """
     if count and graph.m == 0:
         raise EmptyGraphError("graph has no edges; random-edge queries cannot be answered")
-    ids = rng.integers(0, graph.m, size=count)
+    ids = rng.integers(0, graph.m, size=count, dtype=np.uint32 if graph.m <= 2**32 else np.int64)
     ledger.rand_edge += count
     return ids
 

@@ -365,6 +365,8 @@ def test_gnm_rejects_too_many_vertices():
         (lambda: gen_star(None), "vertex count must be an integer, got None"),
         (lambda: gen_gnm("5", 2, 0), "vertex count must be an integer, got '5'"),
         (lambda: gen_lowerbound_instance("9", 0), "vertex count must be an integer, got '9'"),
+        (lambda: gen_skewed(50, "2", 0), "skewed exponent must be a real number, got '2'"),
+        (lambda: gen_skewed(50, None, 0), "skewed exponent must be a real number, got None"),
     ],
     ids=[
         "gnm-n",
@@ -379,6 +381,8 @@ def test_gnm_rejects_too_many_vertices():
         "star-none",
         "gnm-str",
         "lowerbound-str",
+        "skewed-exponent-str",
+        "skewed-exponent-none",
     ],
 )
 def test_generators_refuse_sizes_that_are_no_integers(call, message):

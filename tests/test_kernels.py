@@ -32,8 +32,8 @@ from edgecount import (
 from edgecount import estimator
 from edgecount.buckets import DENSE_DEGREES
 from edgecount.estimator import (
-    _edge_id_keys,
     _heavy_fraction,
+    _repeats,
     _sorted_collisions,
     _sorted_majority_vote,
     _stream_degree_block,
@@ -170,7 +170,9 @@ def test_streamed_heavy_set_across_the_dense_cutoff_matches_reference(sample, ep
     params = EstimatorParams(epsilon=epsilon, master_seed=seed)
     layout = plan_layout(n, params)
     endpoints = rng.integers(0, n, size=50)
-    heavy, hit_vertices, hit_degrees = _stream_degree_block(degree_of, params, layout, config, endpoints, QueryLedger())
+    heavy, hit_vertices, hit_degrees = _stream_degree_block(
+        DegreeCodes(degree_of, endpoints), params, layout, config, QueryLedger()
+    )
 
     sampled = build_sample_plan(n, params).deg_vertices
     degrees = degree_of[sampled]
@@ -225,7 +227,9 @@ def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table
 
     # endpoints on the largest-degree probes and elsewhere
     endpoints = np.concatenate((sampled[:3], sampled[7:40], np.arange(0, n, 997)))
-    heavy, hit_vertices, hit_degrees = _stream_degree_block(degree_of, params, layout, config, endpoints, QueryLedger())
+    heavy, hit_vertices, hit_degrees = _stream_degree_block(
+        DegreeCodes(degree_of, endpoints), params, layout, config, QueryLedger()
+    )
     expected = classify_heavy(degrees, config, params.epsilon)
     assert np.array_equal(heavy.bucket_counts, expected.bucket_counts)
     assert np.array_equal(heavy.indices, expected.indices)
@@ -309,7 +313,9 @@ def test_pair_tally_matches_classify_heavy_on_both_sides_of_the_rule(table_case)
     assert (table.top_code <= estimator._PAIR_TOP_CODE) == (top_code < 64 and not escape and not above)
     degrees = answer_degree_codes(table, sampled, QueryLedger()).degrees()
     with mock.patch.object(estimator, "_DEGREE_CHUNK", chunk), mock.patch.object(estimator, "_TALLY_SLICE", tally_slice):
-        heavy, hit_vertices, hit_degrees = _stream_degree_block(degree_of, params, layout, config, endpoints, QueryLedger())
+        heavy, hit_vertices, hit_degrees = _stream_degree_block(
+            DegreeCodes(degree_of, endpoints), params, layout, config, QueryLedger()
+        )
     expected = classify_heavy(degrees, config, params.epsilon)
     assert np.array_equal(heavy.bucket_counts, expected.bucket_counts)
     assert np.array_equal(heavy.indices, expected.indices)
@@ -388,9 +394,8 @@ def endpoint_draws_with_hits(draw):
 @given(endpoint_draws_with_hits())
 def test_repeat_only_match_equals_the_search_into_distinct_draws(case):
     endpoints, hit_vertices, hit_degrees, heavy, config = case
-    assert _heavy_fraction(endpoints, hit_vertices, hit_degrees, heavy, config) == ref_searchsorted_match(
-        endpoints, hit_vertices, hit_degrees, heavy, config
-    )
+    got = _heavy_fraction(endpoints.shape[0], _repeats(endpoints), hit_vertices, hit_degrees, heavy, config)
+    assert got == ref_searchsorted_match(endpoints, hit_vertices, hit_degrees, heavy, config)
 
 
 def test_heavy_fraction_counts_duplicates_on_both_sides():
@@ -488,18 +493,17 @@ def test_majority_vote_matches_per_round_scan(pairs, rounds, batch_size, extra):
     )
 
 
-# edge counts either side of the uint8 and uint16 key limits, with the key
-# width each must get: a key one byte too narrow aliases position 256 or
-# 65536 with position 0
-ID_KEY_BYTES = {255: 1, 256: 1, 257: 2, 65535: 2, 65536: 2, 65537: 4}
-ID_GRAPH_EDGES = {m: gen_path(m + 1).edges for m in ID_KEY_BYTES}
+# edge counts either side of the uint8 and uint16 limits, where a key one
+# byte too narrow would alias position 256 or 65536 with position 0
+ID_EDGE_COUNTS = (255, 256, 257, 65535, 65536, 65537)
+ID_GRAPH_EDGES = {m: gen_path(m + 1).edges for m in ID_EDGE_COUNTS}
 
 
 @st.composite
 def drawn_edge_ids(draw):
-    """Edge positions on one of the ``ID_KEY_BYTES`` edge counts, biased to
+    """Edge positions on one of the ``ID_EDGE_COUNTS`` edge counts, biased to
     both ends of the range and with repeats mixed in."""
-    m = draw(st.sampled_from(sorted(ID_KEY_BYTES)))
+    m = draw(st.sampled_from(ID_EDGE_COUNTS))
     position = st.integers(0, 3) | st.integers(m - 4, m - 1) | st.integers(0, m - 1)
     ids = draw(st.lists(position, min_size=1, max_size=60))
     ids += draw(st.lists(st.sampled_from(ids), max_size=20))
@@ -511,11 +515,9 @@ def drawn_edge_ids(draw):
 def test_id_kernels_match_the_row_kernels(drawn, rounds):
     m, ids = drawn
     rows = ID_GRAPH_EDGES[m].take(ids, axis=0)
-    keys = _edge_id_keys(ids, m)
-    assert keys.dtype.kind == "u"
-    assert keys.itemsize == ID_KEY_BYTES[m]
+    keys = ids.astype(np.uint32)
     assert _sorted_collisions(np.sort(keys)) == count_collisions(rows)
-    assert count_id_collisions(ids, m) == count_collisions(rows)
+    assert count_id_collisions(keys) == count_collisions(rows)
     batch = ids.shape[0] // rounds
     batches = np.sort(keys[: rounds * batch].reshape(rounds, batch), axis=1)
     assert _sorted_majority_vote(batches) == collision_majority_vote(rows[:, 0], rows[:, 1], rounds, batch)
@@ -572,12 +574,14 @@ def test_estimate_memory_is_about_two_words_per_query():
     assert peak <= 24 * plan_layout(graph.n, params).total
 
 
-@pytest.mark.parametrize("spec, bound", [("gnm:10000,100000", 750_000), ("gnm:1000000,500000", 2_100_000)])
+@pytest.mark.parametrize("spec, bound", [("gnm:10000,100000", 750_000), ("gnm:1000000,500000", 1_900_000)])
 def test_estimate_peak_holds_one_probe_chunk(spec, bound):
     # beyond the n-byte code table, the peak holds one chunk of int64 probe
     # vertices with its codes, marks and hits; the vertices are freed before
-    # the codes are tallied, a slice at a time. Tallied whole, with the
-    # vertices still held, the peaks were 1.03 and 2.25 MB
+    # the codes are tallied, a slice at a time, and the endpoint draws are
+    # freed before the chunks, only their marks and repeats kept. Tallied
+    # whole, with the vertices still held, the peaks were 1.03 and 2.25 MB;
+    # with the draws held through the chunks, 0.66 and 1.93 MB
     graph = graph_from_spec(spec, 0)
     tracemalloc.start()
     try:

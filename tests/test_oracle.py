@@ -140,10 +140,38 @@ def test_rand_edges_are_the_rows_at_the_drawn_ids(count):
     id_ledger, row_ledger = QueryLedger(), QueryLedger()
     ids = answer_rand_edge_ids(g, np.random.default_rng(8), count, id_ledger)
     rows = answer_rand_edges(g, np.random.default_rng(8), count, row_ledger)
-    assert ids.dtype == np.int64
+    assert ids.dtype == np.uint32
     assert ids.shape == (count,)
     assert np.array_equal(rows, g.edges.take(ids, axis=0))
     assert id_ledger == row_ledger == QueryLedger(deg=0, rand_edge=count)
+
+
+class _EdgeCount:
+    """A stand-in graph that has only the edge count ``m`` the random-edge draw reads."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+
+@pytest.mark.parametrize("counts", [(0,), (1,), (7,), (99_050,), (7, 99_050)])
+@pytest.mark.parametrize("m", [1, 2, 2000, 2**31 + 1, 2**32])
+def test_rand_edge_ids_are_the_int64_draws_as_uint32_keys(m, counts):
+    # numpy draws a range of at most 2**32 from one 32-bit stream at either
+    # dtype: the keys must equal the int64 draws and leave the same state
+    keyed, plain = np.random.default_rng(12), np.random.default_rng(12)
+    ledger = QueryLedger()
+    for count in counts:
+        keys = answer_rand_edge_ids(_EdgeCount(m), keyed, count, ledger)
+        assert keys.dtype == np.uint32
+        assert np.array_equal(keys, plain.integers(0, m, size=count))
+    assert keyed.bit_generator.state == plain.bit_generator.state
+    assert ledger == QueryLedger(deg=0, rand_edge=sum(counts))
+
+
+def test_rand_edge_ids_widen_to_int64_above_2_to_the_32_edges():
+    rng = np.random.default_rng(0)
+    assert answer_rand_edge_ids(_EdgeCount(2**32), rng, 3, QueryLedger()).dtype == np.uint32
+    assert answer_rand_edge_ids(_EdgeCount(2**32 + 1), rng, 3, QueryLedger()).dtype == np.int64
 
 
 def test_rand_edge_ids_on_empty_graph_fail_before_metering():
