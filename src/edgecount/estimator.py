@@ -20,10 +20,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .buckets import DENSE_DEGREES, BucketConfig, gamma_for
-from .graph import MAX_VERTICES, Graph, checked_int, checked_ints, pair_codes, run_starts
+from .graph import MAX_VERTICES, DegreeCodes, Graph, checked_int, checked_ints, pair_codes, run_starts
 from .oracle import (
     DegreeAnswers,
-    DegreeCodes,
     PlanProvenance,
     QueryLedger,
     QueryPlan,
@@ -329,12 +328,12 @@ def sampled_heavy_set(graph: Graph, params: EstimatorParams, ledger: QueryLedger
     """:func:`classify_heavy` of the plan's degree probes, answered from ``graph`` one chunk at a time.
 
     The heavy set that classifying the degree block of
-    :func:`~edgecount.oracle.answer_plan` gives, streamed from an unmarked code
-    table without holding the probes or their answers; ``ledger.deg`` grows
-    by the block's size.
+    :func:`~edgecount.oracle.answer_plan` gives, streamed from ``graph.degree_codes``,
+    whose marks it ignores, without holding the probes or their answers;
+    ``ledger.deg`` grows by the block's size.
     """
     layout, config = plan_layout(graph.n, params), params.bucket_config(graph.n)
-    return _stream_degree_block(DegreeCodes(graph.degree_table), params, layout, config, ledger)[0]
+    return _stream_degree_block(graph.degree_codes, params, layout, config, ledger)[0]
 
 
 def heavy_mass_estimate(heavy: HeavySet, config: BucketConfig) -> float:
@@ -517,15 +516,17 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     del votes  # freed before the collision samples and the degree block
     rep_counts = []
     for _ in range(layout.collision_reps):
-        rep_counts.append(count_id_collisions(answer_rand_edge_ids(graph, rng, layout.collision_size, ledger)))
+        keys = answer_rand_edge_ids(graph, rng, layout.collision_size, ledger)
+        keys.sort()  # the estimate's own keys, sorted in place rather than copied
+        rep_counts.append(_sorted_collisions(keys))
+    del keys  # freed before the degree block
     r = sorted(rep_counts)[len(rep_counts) // 2]  # upper median; identity for one rep
 
-    # the rest reads the endpoint draws only as marks on the code table and
-    # as their repeats, so the draws are freed before the degree block
+    # the rest reads the endpoint draws only as their repeats and as marks on
+    # the graph's code table, held for the degree block and cleared after it
     repeats = _repeats(endpoints)
-    table = DegreeCodes(graph.degree_table, endpoints)
-    del endpoints
-    heavy, *hits = _stream_degree_block(table, params, layout, config, ledger)
+    with graph.degree_codes.marking(endpoints) as table:
+        heavy, *hits = _stream_degree_block(table, params, layout, config, ledger)
     mass = heavy_mass_estimate(heavy, config)
     fraction = _heavy_fraction(layout.endpoint_size, repeats, *hits, heavy, config)
     if r > 0 and k == 1:
@@ -547,8 +548,8 @@ def _stream_degree_block(
 
     Returns the heavy set of the whole block and the vertices and degrees of
     the probes on a marked vertex of ``table``, degree 0 left out. Every
-    chunk is answered from ``table``, built on the narrow ``graph.degree_table``
-    (cheap to scan) with the endpoint draws marked, or none for a heavy set alone.
+    chunk is answered from ``table``, a graph's ``degree_codes`` with the
+    endpoint draws marked, or as it is for a heavy set alone.
     """
     # only an exact uint8 table has codes this small; it is tallied two codes
     # at a time, as uint16 pairs: half the increments, into bins too many to

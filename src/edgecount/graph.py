@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,19 +32,21 @@ class Graph:
     Edges are a read-only ``(m, 2)`` int64 array whose rows have
     ``0 <= u < v <= n-1`` and strictly increase in lexicographic order: each
     edge is one row, and equal edge sets have identical bytes. Isolated
-    vertices are allowed. Instances never change after construction and can
-    be shared freely across concurrent trials. ``edges`` go through
+    vertices are allowed. Instances never change after construction, but for
+    the mark bits that one :meth:`DegreeCodes.marking` at a time sets and clears,
+    and can be shared freely across concurrent trials. ``edges`` go through
     ``np.asarray`` and :func:`frozen`; :class:`GraphValidationError`, naming
     the first bad row, is raised unless ``n`` passes :func:`check_vertex_count`
     (it is then stored as an ``int``) and the edges keep these rules.
-    ``degrees``, each vertex's read-only int64 edge count, and ``degree_table``,
-    the same counts as :func:`narrow_table` gives them, derive from the edges.
+    ``degrees``, each vertex's read-only int64 edge count, ``degree_table``, the same
+    counts as :func:`narrow_table` gives them, and their ``degree_codes`` derive from the edges.
     """
 
     n: int
     edges: np.ndarray
     degrees: np.ndarray = field(init=False)
     degree_table: np.ndarray = field(init=False, repr=False)
+    degree_codes: DegreeCodes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = check_vertex_count(self.n)
@@ -56,13 +60,17 @@ class Graph:
         degrees = np.zeros(n, dtype=np.int64)
         np.add.at(degrees, edges.ravel(), 1)
         degrees.setflags(write=False)
-        table = narrow_table(degrees, int(degrees.max(initial=0)))
-        for name, value in (("n", n), ("edges", frozen(edges)), ("degrees", degrees), ("degree_table", table)):
+        codes = DegreeCodes(degrees)
+        fields = ("n", n), ("edges", frozen(edges)), ("degrees", degrees), ("degree_table", codes.degrees)
+        for name, value in (*fields, ("degree_codes", codes)):
             object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
         return int(self.edges.shape[0])
+
+    def __reduce__(self) -> tuple[type[Graph], tuple[int, np.ndarray]]:
+        return Graph, (self.n, self.edges)  # built again, so a copy's arrays are read-only too
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -131,6 +139,97 @@ def frozen(arr: np.ndarray) -> np.ndarray:
         arr = arr.copy()
         arr.setflags(write=False)
     return arr
+
+
+class DegreeCodes:
+    """Each vertex's degree and one mark bit, packed into one code per vertex.
+
+    The code of ``v`` is ``field << 1 | marked(v)``, where the field is
+    ``deg(v)`` when it fits, so one gather per probe answers both the degree
+    and whether the probe hit a marked vertex. ``degrees`` is a table of one
+    degree per vertex, so ``n`` is its length, and its largest sets the width:
+
+    - uint8 codes when every degree lies in ``0..126``;
+    - uint16 codes when every degree lies in ``0..2^15-1``;
+    - otherwise uint8 codes whose field :attr:`escape` = 127 stands for a
+      degree of 127 or more, which :func:`~edgecount.oracle.answer_degree_codes`
+      answers from :attr:`degrees`, the table as :func:`narrow_table` gives it.
+
+    ``escape`` is ``None`` for the two exact widths. No code exceeds
+    :attr:`top_code`, ``2 * largest degree + 1`` for the exact widths and
+    ``2 * escape + 1`` otherwise. Callers never read a code's bits: they ask
+    :meth:`marked`, :meth:`escaped` and :meth:`fold`. Building the table is
+    not a query: it is the oracle's own index, built once per :class:`Graph` and
+    read only through the metered :func:`~edgecount.oracle.answer_degree_codes`.
+    Its codes are read-only and carry marks only while a :meth:`marking` holds
+    them; a mark is the low bit, which a degree shifts away and :meth:`fold`
+    sums, so readers that ignore marks need no marking. Degrees that are not
+    a 1-d integer table in ``0..n`` raise ``ValueError``.
+    """
+
+    __slots__ = ("n", "degrees", "escape", "top_code", "_codes", "_lock")
+
+    def __init__(self, degrees: np.ndarray):
+        degrees = checked_ints(degrees, None, "degrees")
+        if degrees.ndim != 1:
+            raise ValueError(f"degrees must have shape ({degrees.size},), got {degrees.shape}")
+        n = degrees.shape[0]
+        top = top_value(degrees)  # one pass: the range check and the code width
+        if top > n:
+            raise ValueError(f"degrees must lie in 0..{n}")
+        table = narrow_table(degrees, top)
+        if top < 2**15:
+            codes = np.add(table, table, dtype=np.uint8 if top < 127 else np.uint16)
+            escape = None
+        else:
+            codes = np.empty(n, dtype=np.uint8)
+            np.minimum(table, 127, out=codes, casting="unsafe")
+            np.add(codes, codes, out=codes)  # the shift; np.left_shift is several times slower on uint8
+            escape = top = 127
+        codes.setflags(write=False)
+        self.n, self.degrees, self.escape, self.top_code, self._codes = n, table, escape, 2 * top + 1, codes
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def marking(self, vertices: np.ndarray) -> Iterator[DegreeCodes]:
+        """Yield this table with ``vertices`` marked, and clear the marks on exit, even on an exception.
+
+        A vertex outside ``0..n-1`` raises ``ValueError`` before any bit changes.
+        One marking at a time marks in place; any other, nested or in another
+        thread, marks an unmarked copy of the codes instead of waiting.
+        """
+        marked = checked_ints(vertices, self.n - 1, "marked vertices")
+        if not self._lock.acquire(blocking=False):
+            copy = object.__new__(DegreeCodes)
+            copy.n, copy.degrees, copy.escape, copy.top_code = self.n, self.degrees, self.escape, self.top_code
+            copy._codes, copy._lock = self._codes & ~self._codes.dtype.type(1), threading.Lock()
+            with copy.marking(marked):
+                yield copy
+            return
+        try:
+            self._codes.setflags(write=True)
+            self._codes[marked] |= 1
+            yield self
+        finally:
+            self._codes[marked] &= ~self._codes.dtype.type(1)
+            self._codes.setflags(write=False)
+            self._lock.release()
+
+    def __reduce__(self) -> tuple[type[DegreeCodes], tuple[np.ndarray]]:
+        return DegreeCodes, (self.degrees,)  # built again: unmarked, with a lock of its own
+
+    @staticmethod
+    def marked(codes: np.ndarray) -> np.ndarray:
+        """The mark bits of ``codes`` as a bool mask; a 1-byte 0 or 1 is a valid bool, so uint8 needs no cast."""
+        return (codes & 1).view(bool) if codes.itemsize == 1 else (codes & 1).astype(bool)
+
+    def escaped(self, codes: np.ndarray) -> np.ndarray:
+        """The sorted positions of ``codes`` whose field is :attr:`escape`, none at an exact width."""
+        return np.empty(0, dtype=np.intp) if self.escape is None else np.flatnonzero(codes >= 2 * self.escape)
+
+    def fold(self, code_counts: np.ndarray) -> np.ndarray:
+        """Per-degree counts from per-code ``code_counts`` up to :attr:`top_code`, marks summed, the escape left out."""
+        return np.add.reduceat(code_counts, np.arange(0, code_counts.shape[0], 2))[: self.escape]
 
 
 def checked_int(value: object, what: str, error: type[ValueError] = ValueError) -> int:

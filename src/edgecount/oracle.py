@@ -2,9 +2,10 @@
 
 These are the only two query kinds the estimator issues, and each has one
 metered primitive: :func:`answer_degree_codes`, which answers degrees as
-codes of a :class:`DegreeCodes` table, and :func:`answer_rand_edge_ids`,
-which draws edges as positions in ``graph.edges``. Only this module knows
-the code layout; :func:`answer_degrees` decodes codes into plain degrees.
+codes of a :class:`~edgecount.graph.DegreeCodes` table, such as the
+``graph.degree_codes`` each graph builds once, and :func:`answer_rand_edge_ids`,
+which draws edges as positions in ``graph.edges``. That class alone knows the
+code layout; :func:`answer_degrees` decodes codes into plain degrees.
 Callers that only compare edges (the collision counts, the lower-bound
 distinguisher) read positions, as uint32 keys while ``m <= 2**32``;
 :func:`answer_rand_edges` gathers rows. A :class:`QueryPlan` fixes every
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, checked_int, checked_ints, frozen, narrow_table, top_value
+from .graph import DegreeCodes, Graph, checked_int, checked_ints, frozen, top_value
 
 # kind codes of the columnar views
 DEG, RAND_EDGE = 0, 1
@@ -142,71 +143,6 @@ class Transcript:
         return np.concatenate((np.full(self.degrees.shape[0], -1, np.int64), self.edges[:, 1]))
 
 
-class DegreeCodes:
-    """Each vertex's degree and one mark bit, packed into one code per vertex.
-
-    The code of ``v`` is ``field << 1 | marked(v)``, where the field is
-    ``deg(v)`` when it fits, so one gather per probe answers both the degree
-    and whether the probe hit a marked vertex. ``degrees`` is a table of one
-    degree per vertex, so ``n`` is its length, and its largest sets the width:
-
-    - uint8 codes when every degree lies in ``0..126``;
-    - uint16 codes when every degree lies in ``0..2^15-1``;
-    - otherwise uint8 codes whose field :attr:`escape` = 127 stands for a
-      degree of 127 or more, which :func:`answer_degree_codes` answers from
-      :attr:`degrees`, the table as :func:`~edgecount.graph.narrow_table` gives it.
-
-    ``escape`` is ``None`` for the two exact widths. No code exceeds
-    :attr:`top_code`, ``2 * largest degree + 1`` for the exact widths and
-    ``2 * escape + 1`` otherwise. Callers never read a code's bits: they ask
-    :meth:`marked`, :meth:`escaped` and :meth:`fold`. Building the table is
-    not a query: it is the oracle's own index, and its codes are read only
-    through the metered :func:`answer_degree_codes`. Degrees that are not a 1-d
-    integer table in ``0..n``, and a ``marked`` vertex outside ``0..n-1``, raise ``ValueError``.
-    """
-
-    __slots__ = ("n", "degrees", "escape", "top_code", "_codes")
-
-    def __init__(self, degrees: np.ndarray, marked: np.ndarray | None = None):
-        degrees = checked_ints(degrees, None, "degrees")
-        if degrees.ndim != 1:
-            raise ValueError(f"degrees must have shape ({degrees.size},), got {degrees.shape}")
-        n = degrees.shape[0]
-        top = top_value(degrees)  # one pass: the range check and the code width
-        if top > n:
-            raise ValueError(f"degrees must lie in 0..{n}")
-        table = narrow_table(degrees, top)
-        if top < 2**15:
-            codes = np.add(table, table, dtype=np.uint8 if top < 127 else np.uint16)
-            escape = None
-        else:
-            codes = np.empty(n, dtype=np.uint8)
-            np.minimum(table, 127, out=codes, casting="unsafe")
-            np.add(codes, codes, out=codes)  # the shift; np.left_shift is several times slower on uint8
-            escape = top = 127
-        if marked is not None:
-            codes[checked_ints(marked, n - 1, "marked vertices")] |= 1
-        codes.setflags(write=False)
-        self.n = n
-        self.degrees = table
-        self.escape = escape
-        self.top_code = 2 * top + 1
-        self._codes = codes
-
-    @staticmethod
-    def marked(codes: np.ndarray) -> np.ndarray:
-        """The mark bits of ``codes`` as a bool mask; a 1-byte 0 or 1 is a valid bool, so uint8 needs no cast."""
-        return (codes & 1).view(bool) if codes.itemsize == 1 else (codes & 1).astype(bool)
-
-    def escaped(self, codes: np.ndarray) -> np.ndarray:
-        """The sorted positions of ``codes`` whose field is :attr:`escape`, none at an exact width."""
-        return np.empty(0, dtype=np.intp) if self.escape is None else np.flatnonzero(codes >= 2 * self.escape)
-
-    def fold(self, code_counts: np.ndarray) -> np.ndarray:
-        """Per-degree counts from per-code ``code_counts`` up to :attr:`top_code`, marks summed, the escape left out."""
-        return np.add.reduceat(code_counts, np.arange(0, code_counts.shape[0], 2))[: self.escape]
-
-
 @dataclass(frozen=True)
 class DegreeAnswers:
     """Answers to a run of degree probes: one code each, plus the exact degrees behind the escape.
@@ -239,7 +175,10 @@ def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryL
 
     Vertices that are not integers, or one outside ``0..n-1``, named by its
     position, raise ``ValueError`` before anything is metered; otherwise
-    ``ledger.deg`` grows by the probe count.
+    ``ledger.deg`` grows by the probe count. Outside a :meth:`~DegreeCodes.marking`
+    of its own, a caller may read the marks of another marking, in another
+    thread too, in the codes: :meth:`DegreeAnswers.degrees` and
+    :meth:`DegreeCodes.fold` drop them.
     """
     v = _checked_probes(vertices, table.n, "vertices")
     codes = table._codes.take(v)  # take gathers faster than indexing
@@ -249,8 +188,8 @@ def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryL
 
 
 def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> np.ndarray:
-    """:func:`answer_degree_codes` on an unmarked table, decoded to int64 degrees."""
-    return answer_degree_codes(DegreeCodes(graph.degree_table), vertices, ledger).degrees()
+    """:func:`answer_degree_codes` on ``graph.degree_codes``, decoded to int64 degrees, so any marks are shifted away."""
+    return answer_degree_codes(graph.degree_codes, vertices, ledger).degrees()
 
 
 def answer_rand_edge_ids(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:

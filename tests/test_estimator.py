@@ -1,5 +1,9 @@
+import copy
 import json
 import math
+import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +22,7 @@ from edgecount import (
     Graph,
     GraphValidationError,
     HeavySet,
+    QueryLedger,
     QueryPlan,
     answer_degree_codes,
     answer_plan,
@@ -600,6 +605,77 @@ def test_streamed_queries_and_answers_concatenate_to_the_plan(monkeypatch, strea
     assert np.array_equal(np.concatenate(edges), transcript.edges)
 
 
+def test_an_estimate_that_fails_mid_stream_leaves_no_mark(monkeypatch):
+    graph = graph_from_spec(STREAM_GRAPHS[0], 7)
+    params = EstimatorParams(epsilon=0.25, master_seed=3)
+    chunks = []
+
+    def fail_on_second_chunk(table, vertices, ledger):
+        chunks.append(vertices.shape[0])
+        if len(chunks) == 2:
+            raise RuntimeError("second chunk")
+        return answer_degree_codes(table, vertices, ledger)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "answer_degree_codes", fail_on_second_chunk)
+        with pytest.raises(RuntimeError, match="^second chunk$"):
+            estimate_edges(graph, params)
+    assert len(chunks) == 2
+    table = graph.degree_codes
+    assert not table.marked(answer_degree_codes(table, np.arange(graph.n), QueryLedger()).codes).any()
+    fresh = graph_from_spec(STREAM_GRAPHS[0], 7)
+    assert estimate_edges(graph, params) == estimate_edges(fresh, params)
+
+
+def test_concurrent_estimates_on_one_graph_match_sequential_ones():
+    # each estimate marks its own endpoint draws, on the shared code table or,
+    # while another estimate holds it, on an unmarked copy; a foreign or lost
+    # mark would move the heavy fraction. The threads switch often, so that
+    # estimates interleave inside their degree streams
+    graph = graph_from_spec("gnm:10000,100000", 0)
+    seeds = [range(20 * i, 20 * i + 20) for i in range(3)]
+    reports = [[] for _ in seeds]
+
+    def run(i):
+        for seed in seeds[i]:
+            reports[i].append(estimate_edges(graph, EstimatorParams(epsilon=0.25, master_seed=seed)))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, run_seeds in enumerate(seeds):
+        assert reports[i] == [estimate_edges(graph, EstimatorParams(epsilon=0.25, master_seed=s)) for s in run_seeds]
+
+
+def test_an_estimate_inside_a_marking_and_on_copied_graphs_equals_one_outside():
+    # the estimate marks a copy of the held table rather than wait for it in
+    # vain, and pickles and copies of a graph rebuild its table; joined with
+    # a timeout, so that a wait fails the test rather than hanging it
+    graph = graph_from_spec(STREAM_GRAPHS[0], 7)
+    params = EstimatorParams(epsilon=0.25, master_seed=3)
+    expected = estimate_edges(graph, params)
+    reports = []
+
+    def run():
+        with graph.degree_codes.marking(np.arange(0, graph.n, 3)):
+            reports.append(estimate_edges(graph, params))
+        reports.extend(estimate_edges(other, params) for other in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert reports == [expected] * 3
+
+
 def test_estimate_peak_memory_stays_below_8_mb():
     # the whole plan and transcript of this graph take 14 MB
     graph = graph_from_spec("gnm:1000000,500000", 0)
@@ -660,8 +736,8 @@ def test_estimate_peak_memory_stays_below_10_mb_when_the_hub_is_probed():
 
 
 def test_estimate_peak_memory_stays_below_6_mb_when_the_hub_is_probed():
-    # one n-byte table of degree codes, saturated at the hub, replaces the
-    # n-byte endpoint mask and the gathers from the 4-byte degree table
+    # the graph's one n-byte table of degree codes, saturated at the hub,
+    # replaces the n-byte endpoint mask and the gathers from the 4-byte degree table
     graph = graph_from_spec("star:3000000", 0)
     params = EstimatorParams(epsilon=0.25, master_seed=2)
     assert np.count_nonzero(build_sample_plan(graph.n, params).deg_vertices == 0) >= 1

@@ -45,6 +45,11 @@ def _ones(ids):
     return np.ones(len(ids), dtype=np.int64)
 
 
+def _marked_top_code(ids):
+    with PATH.degree_codes.marking(ids):
+        return PATH.degree_codes.top_code
+
+
 # (entry point on a 1-d run of ids, error type, name in the messages,
 #  range message for the ids [2**56 or more, 1], result on no ids)
 ENTRY_POINTS = {
@@ -63,7 +68,7 @@ ENTRY_POINTS = {
         [],
     ),
     "DegreeCodes": (
-        lambda ids: DegreeCodes(PATH.degree_table, ids).top_code,
+        _marked_top_code,
         ValueError,
         "marked vertices",
         "marked vertices must lie in 0..3",
@@ -229,7 +234,8 @@ def test_a_negative_narrow_id_is_refused_where_its_unsigned_view_is_in_range(dty
     with pytest.raises(GraphValidationError, match=f"^edge \\(-1, 1\\): endpoint out of range for n={n}$"):
         build_graph(n, np.array([[-1, 1]], dtype=dtype))
     with pytest.raises(ValueError, match=f"^marked vertices must lie in 0..{n - 1}$"):
-        DegreeCodes(np.zeros(n, dtype=np.int64), ids)
+        with DegreeCodes(np.zeros(n, dtype=np.int64)).marking(ids):
+            pass
     with pytest.raises(ValueError, match=f"^degrees must lie in 0..{n}$"):
         DegreeCodes(np.append(np.zeros(n - 1, dtype=dtype), ids))
     with pytest.raises(ValueError, match=r"^query 0 \(Deg\(-1\)\) has invalid arguments$"):

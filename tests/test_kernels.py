@@ -170,9 +170,8 @@ def test_streamed_heavy_set_across_the_dense_cutoff_matches_reference(sample, ep
     params = EstimatorParams(epsilon=epsilon, master_seed=seed)
     layout = plan_layout(n, params)
     endpoints = rng.integers(0, n, size=50)
-    heavy, hit_vertices, hit_degrees = _stream_degree_block(
-        DegreeCodes(degree_of, endpoints), params, layout, config, QueryLedger()
-    )
+    with DegreeCodes(degree_of).marking(endpoints) as table:
+        heavy, hit_vertices, hit_degrees = _stream_degree_block(table, params, layout, config, QueryLedger())
 
     sampled = build_sample_plan(n, params).deg_vertices
     degrees = degree_of[sampled]
@@ -227,9 +226,8 @@ def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table
 
     # endpoints on the largest-degree probes and elsewhere
     endpoints = np.concatenate((sampled[:3], sampled[7:40], np.arange(0, n, 997)))
-    heavy, hit_vertices, hit_degrees = _stream_degree_block(
-        DegreeCodes(degree_of, endpoints), params, layout, config, QueryLedger()
-    )
+    with DegreeCodes(degree_of).marking(endpoints) as table:
+        heavy, hit_vertices, hit_degrees = _stream_degree_block(table, params, layout, config, QueryLedger())
     expected = classify_heavy(degrees, config, params.epsilon)
     assert np.array_equal(heavy.bucket_counts, expected.bucket_counts)
     assert np.array_equal(heavy.indices, expected.indices)
@@ -304,18 +302,18 @@ def test_pair_tally_matches_classify_heavy_on_both_sides_of_the_rule(table_case)
     layout = plan_layout(n, params)
     config = params.bucket_config(n)
     sampled = build_sample_plan(n, params).deg_vertices
-    table = DegreeCodes(degree_of, endpoints)
+    table = DegreeCodes(degree_of)
     escape = bool((degree_of >= 2**15).any())
     above = bool((degree_of > top_code // 2).any())  # only on a vertex no probe reaches
     assert table.escape == (127 if escape else None)
-    assert int(answer_degree_codes(table, sampled, QueryLedger()).codes.max()) == top_code
+    with table.marking(endpoints):
+        assert int(answer_degree_codes(table, sampled, QueryLedger()).codes.max()) == top_code
     assert (table.top_code > (top_code | 1)) == (escape or above)
     assert (table.top_code <= estimator._PAIR_TOP_CODE) == (top_code < 64 and not escape and not above)
     degrees = answer_degree_codes(table, sampled, QueryLedger()).degrees()
     with mock.patch.object(estimator, "_DEGREE_CHUNK", chunk), mock.patch.object(estimator, "_TALLY_SLICE", tally_slice):
-        heavy, hit_vertices, hit_degrees = _stream_degree_block(
-            DegreeCodes(degree_of, endpoints), params, layout, config, QueryLedger()
-        )
+        with table.marking(endpoints):
+            heavy, hit_vertices, hit_degrees = _stream_degree_block(table, params, layout, config, QueryLedger())
     expected = classify_heavy(degrees, config, params.epsilon)
     assert np.array_equal(heavy.bucket_counts, expected.bucket_counts)
     assert np.array_equal(heavy.indices, expected.indices)
@@ -574,14 +572,14 @@ def test_estimate_memory_is_about_two_words_per_query():
     assert peak <= 24 * plan_layout(graph.n, params).total
 
 
-@pytest.mark.parametrize("spec, bound", [("gnm:10000,100000", 750_000), ("gnm:1000000,500000", 1_900_000)])
+@pytest.mark.parametrize("spec, bound", [("gnm:10000,100000", 750_000), ("gnm:1000000,500000", 1_000_000)])
 def test_estimate_peak_holds_one_probe_chunk(spec, bound):
-    # beyond the n-byte code table, the peak holds one chunk of int64 probe
-    # vertices with its codes, marks and hits; the vertices are freed before
-    # the codes are tallied, a slice at a time, and the endpoint draws are
-    # freed before the chunks, only their marks and repeats kept. Tallied
-    # whole, with the vertices still held, the peaks were 1.03 and 2.25 MB;
-    # with the draws held through the chunks, 0.66 and 1.93 MB
+    # the peak holds one chunk of int64 probe vertices with its codes, marks
+    # and hits, and the endpoint draws, kept to clear their marks; the n-byte
+    # code table is the graph's, built with it. The vertices are freed before
+    # the codes are tallied, a slice at a time. Tallied whole, with the
+    # vertices still held, the peaks were 1.03 and 2.25 MB; with a code table
+    # built per estimate, 0.65 and 1.82 MB
     graph = graph_from_spec(spec, 0)
     tracemalloc.start()
     try:

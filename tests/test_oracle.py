@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -113,6 +118,20 @@ def test_answer_degrees_meters_and_rejects_before_metering(triangle):
     with pytest.raises(ValueError, match="query 1 \\(Deg\\(3\\)\\)"):
         answer_degrees(triangle, np.array([0, 3]), ledger)
     assert ledger.as_dict() == {"deg": 3, "rand_edge": 0}
+
+
+def test_answer_degrees_reads_the_graphs_table_without_building_one():
+    # a table built per call would take n bytes, 1 MB here
+    graph = graph_from_spec("gnm:1000000,500000", 0)
+    vertices = np.array([5, 999_999, 5])
+    tracemalloc.start()
+    try:
+        degrees = answer_degrees(graph, vertices, QueryLedger())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert degrees.tolist() == graph.degrees.take(vertices).tolist()
+    assert peak < 2**16
 
 
 def test_consecutive_rand_edge_calls_answer_like_one_plan():
@@ -379,7 +398,90 @@ def test_degree_codes_keep_a_read_only_narrow_table_without_a_copy():
 def test_degree_codes_reject_marks_outside_the_graph(triangle, marked):
     # -1 would otherwise mark the last vertex
     with pytest.raises(ValueError, match="marked vertices must lie in 0..2"):
-        DegreeCodes(triangle.degree_table, np.array(marked))
+        with triangle.degree_codes.marking(np.array(marked)):
+            pass
+
+
+def _marks(table):
+    return table.marked(answer_degree_codes(table, np.arange(table.n), QueryLedger()).codes).tolist()
+
+
+def test_marking_refuses_a_vertex_outside_the_graph_before_any_bit_changes(triangle):
+    # the check runs first: while another marking holds the table, a refused
+    # marking touches no bit of it, and -1 never reaches the last vertex
+    table = triangle.degree_codes
+    refused = []
+
+    def mark(bad):
+        with pytest.raises(ValueError, match="^marked vertices must lie in 0..2$"):
+            with table.marking(bad):
+                pass
+        refused.append(bad)
+
+    with table.marking([1]):
+        for bad in ([1, 3], [-1]):
+            thread = threading.Thread(target=mark, args=(bad,))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert _marks(table) == [False, True, False]
+    assert refused == [[1, 3], [-1]]
+    assert _marks(table) == [False, False, False]
+
+
+def test_a_marking_while_the_table_is_held_marks_an_unmarked_copy(triangle):
+    # nested in the holder's block or in another thread, the second marking
+    # neither waits for the first nor sees or clears its marks; the holder
+    # runs in a daemon thread, so that a wait fails the test, not hangs it
+    table = triangle.degree_codes
+    seen = []
+
+    def mark(vertices):
+        with table.marking(vertices) as copy:
+            seen.append((copy is table, _marks(copy), _marks(table)))
+        seen.append(_marks(table))
+
+    def hold():
+        with table.marking([1]) as held:
+            seen.append(held is table)
+            mark([0])
+            other = threading.Thread(target=mark, args=([0, 1],), daemon=True)
+            other.start()
+            other.join(timeout=10)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    holder.join(timeout=20)
+    assert not holder.is_alive()
+    assert seen == [
+        True,
+        (False, [True, False, False], [False, True, False]),
+        [False, True, False],
+        (False, [True, True, False], [False, True, False]),
+        [False, True, False],
+    ]
+    assert _marks(table) == [False, False, False]
+    with table.marking([2]) as free:  # released: the table itself is marked again
+        assert free is table and _marks(table) == [False, False, True]
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("load", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_pickled_and_copied_tables_are_built_again_unmarked(triangle, load):
+    # a table holds a lock, which pickle refuses; a copy taken while a mark is
+    # held carries none, and a graph's copy keeps one read-only narrow table
+    with triangle.degree_codes.marking([0, 2]):
+        table, graph = load(triangle.degree_codes), load(triangle)
+    for other in (table, graph.degree_codes):
+        assert other is not triangle.degree_codes and other.top_code == triangle.degree_codes.top_code
+        assert _marks(other) == [False, False, False]
+    assert graph == triangle and graph.degree_table is graph.degree_codes.degrees
+    assert not any(a.flags.writeable for a in (graph.edges, graph.degrees, graph.degree_table))
+    with graph.degree_codes.marking([1]) as held:
+        assert held is graph.degree_codes and _marks(held) == [False, True, False]
 
 
 @pytest.mark.parametrize(
@@ -399,16 +501,18 @@ def test_degree_codes_top_code_is_the_largest_code_a_mark_can_make(degrees, top_
     n = max(3, max(degrees))
     degree_of = np.pad(degrees, (0, n - 3))
     vertices = np.arange(3)
-    assert DegreeCodes(degree_of).top_code == top_code
-    assert answer_degree_codes(DegreeCodes(degree_of, [1]), vertices, QueryLedger()).codes.max() == top_code
-    assert answer_degree_codes(DegreeCodes(degree_of), vertices, QueryLedger()).codes.max() == top_code - 1
+    table = DegreeCodes(degree_of)
+    assert table.top_code == top_code
+    with table.marking([1]):
+        assert answer_degree_codes(table, vertices, QueryLedger()).codes.max() == top_code
+    assert answer_degree_codes(table, vertices, QueryLedger()).codes.max() == top_code - 1
     # the table's rules read the codes of each width: only degrees of 127 or
     # more in a table with one of 2^15 or more are escaped, and only those
     # below the escape are folded into per-degree counts
     escaped = [i for i, d in enumerate(degrees) if d >= 127] if max(degrees) >= 2**15 else []
     for marked in ([1], [], [0, 1, 2]):
-        table = DegreeCodes(degree_of, marked)
-        codes = answer_degree_codes(table, vertices, QueryLedger()).codes
+        with table.marking(marked):
+            codes = answer_degree_codes(table, vertices, QueryLedger()).codes
         assert table.marked(codes).tolist() == [i in marked for i in range(3)]
         assert table.escaped(codes).tolist() == escaped
         below = [d for i, d in enumerate(degrees) if i not in escaped]
