@@ -20,9 +20,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .buckets import DENSE_DEGREES, BucketConfig, gamma_for
-from .graph import MAX_VERTICES, DegreeCodes, Graph, checked_int, checked_ints, pair_codes, run_starts
+from .graph import MAX_VERTICES, DegreeAnswers, DegreeCodes, Graph, checked_int, checked_ints, pair_codes, run_starts
 from .oracle import (
-    DegreeAnswers,
     PlanProvenance,
     QueryLedger,
     QueryPlan,

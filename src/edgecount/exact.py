@@ -16,8 +16,8 @@ from .graph import Graph, checked_ints
 
 def exact_bucket_sizes(graph: Graph, config: BucketConfig) -> np.ndarray:
     """True per-bucket vertex counts; degree-0 vertices appear nowhere."""
-    nonzero = graph.degrees >= 1
-    return np.bincount(config.bucket_indices(graph.degrees[nonzero]), minlength=config.t).astype(np.int64)
+    degrees = graph.degrees
+    return np.bincount(config.bucket_indices(degrees[degrees >= 1]), minlength=config.t).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,9 @@ def heavy_vertex_mask(graph: Graph, heavy_indices: np.ndarray, config: BucketCon
     bucket_is_heavy = np.zeros(config.t, dtype=bool)
     bucket_is_heavy[checked_ints(heavy_indices, config.t - 1, "heavy bucket indices")] = True
     mask = np.zeros(graph.n, dtype=bool)
-    nonzero = graph.degrees >= 1
-    mask[nonzero] = bucket_is_heavy[config.bucket_indices(graph.degrees[nonzero])]
+    degrees = graph.degrees
+    nonzero = degrees >= 1
+    mask[nonzero] = bucket_is_heavy[config.bucket_indices(degrees[nonzero])]
     return mask
 
 
@@ -48,7 +49,7 @@ def heavy_light_decomposition(graph: Graph, heavy_indices: np.ndarray, config: B
     edges_heavy = int((heavy_u & heavy_v).sum())
     edges_light = int((~heavy_u & ~heavy_v).sum())
     edges_cross = graph.m - edges_heavy - edges_light
-    mass = int(graph.degrees[mask].sum())
+    mass = int(graph.degree_codes.degrees[mask].sum())  # the stored table, which graph.degrees widens
     if mass != 2 * edges_heavy + edges_cross:
         raise RuntimeError("identity broken: heavy degree mass != 2 * edges_heavy + edges_cross")
     return HeavyLightDecomposition(

@@ -1,10 +1,11 @@
-"""Immutable simple undirected graphs with a flat, canonical edge list."""
+"""Immutable simple undirected graphs with a flat, canonical edge list and packed degree codes."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -32,20 +33,18 @@ class Graph:
     Edges are a read-only ``(m, 2)`` int64 array whose rows have
     ``0 <= u < v <= n-1`` and strictly increase in lexicographic order: each
     edge is one row, and equal edge sets have identical bytes. Isolated
-    vertices are allowed. Instances never change after construction, but for
-    the mark bits that one :meth:`DegreeCodes.marking` at a time sets and clears,
-    and can be shared freely across concurrent trials. ``edges`` go through
-    ``np.asarray`` and :func:`frozen`; :class:`GraphValidationError`, naming
-    the first bad row, is raised unless ``n`` passes :func:`check_vertex_count`
-    (it is then stored as an ``int``) and the edges keep these rules.
-    ``degrees``, each vertex's read-only int64 edge count, ``degree_table``, the same
-    counts as :func:`narrow_table` gives them, and their ``degree_codes`` derive from the edges.
+    vertices are allowed. Beside ``n`` and the edges, a graph stores only
+    ``degree_codes``, the :class:`DegreeCodes` of the degrees its edges give.
+    Instances never change after construction, but for the mark bits that one
+    :meth:`DegreeCodes.marking` at a time sets and clears, and can be shared
+    freely across concurrent trials. ``edges`` go through ``np.asarray`` and
+    :func:`frozen`; :class:`GraphValidationError`, naming the first bad row, is
+    raised unless ``n`` passes :func:`check_vertex_count` (it is then stored
+    as an ``int``) and the edges keep these rules.
     """
 
     n: int
     edges: np.ndarray
-    degrees: np.ndarray = field(init=False)
-    degree_table: np.ndarray = field(init=False, repr=False)
     degree_codes: DegreeCodes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -59,15 +58,17 @@ class Graph:
         # np.bincount would copy the read-only edges first; ufunc.at reads them in place
         degrees = np.zeros(n, dtype=np.int64)
         np.add.at(degrees, edges.ravel(), 1)
-        degrees.setflags(write=False)
-        codes = DegreeCodes(degrees)
-        fields = ("n", n), ("edges", frozen(edges)), ("degrees", degrees), ("degree_table", codes.degrees)
-        for name, value in (*fields, ("degree_codes", codes)):
+        for name, value in ("n", n), ("edges", frozen(edges)), ("degree_codes", DegreeCodes(degrees)):
             object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
         return int(self.edges.shape[0])
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Each vertex's edge count: ``degree_codes.degrees`` widened on each access to a read-only int64 copy."""
+        return _converted(self.degree_codes.degrees, np.int64)
 
     def __reduce__(self) -> tuple[type[Graph], tuple[int, np.ndarray]]:
         return Graph, (self.n, self.edges)  # built again, so a copy's arrays are read-only too
@@ -128,11 +129,6 @@ def _converted(values: np.ndarray, dtype: type | np.dtype) -> np.ndarray:
     return arr
 
 
-def narrow_table(values: np.ndarray, top: int) -> np.ndarray:
-    """Integers in ``0..top``, read-only in the narrowest unsigned dtype for ``top``; :func:`frozen` if already so."""
-    return frozen(_converted(values, np.min_scalar_type(top)))
-
-
 def frozen(arr: np.ndarray) -> np.ndarray:
     """``arr`` if it is read-only and owns its data, else a read-only copy, so no caller's array is frozen or shared."""
     if arr.flags.writeable or not arr.flags.owndata:
@@ -146,25 +142,25 @@ class DegreeCodes:
 
     The code of ``v`` is ``field << 1 | marked(v)``, where the field is
     ``deg(v)`` when it fits, so one gather per probe answers both the degree
-    and whether the probe hit a marked vertex. ``degrees`` is a table of one
-    degree per vertex, so ``n`` is its length, and its largest sets the width:
+    and whether the probe hit a marked vertex. :attr:`degrees` is the given
+    table, one degree per vertex, in the narrowest unsigned dtype for its
+    largest, which sets the width; ``n`` is its length:
 
     - uint8 codes when every degree lies in ``0..126``;
     - uint16 codes when every degree lies in ``0..2^15-1``;
     - otherwise uint8 codes whose field :attr:`escape` = 127 stands for a
-      degree of 127 or more, which :func:`~edgecount.oracle.answer_degree_codes`
-      answers from :attr:`degrees`, the table as :func:`narrow_table` gives it.
+      degree of 127 or more, which :meth:`gather` answers from :attr:`degrees`.
 
     ``escape`` is ``None`` for the two exact widths. No code exceeds
     :attr:`top_code`, ``2 * largest degree + 1`` for the exact widths and
-    ``2 * escape + 1`` otherwise. Callers never read a code's bits: they ask
-    :meth:`marked`, :meth:`escaped` and :meth:`fold`. Building the table is
-    not a query: it is the oracle's own index, built once per :class:`Graph` and
-    read only through the metered :func:`~edgecount.oracle.answer_degree_codes`.
-    Its codes are read-only and carry marks only while a :meth:`marking` holds
-    them; a mark is the low bit, which a degree shifts away and :meth:`fold`
-    sums, so readers that ignore marks need no marking. Degrees that are not
-    a 1-d integer table in ``0..n`` raise ``ValueError``.
+    ``2 * escape + 1`` otherwise. Only this module reads a code's bits:
+    callers ask :meth:`marked`, :meth:`escaped`, :meth:`fold` and
+    :meth:`DegreeAnswers.degrees`. The table is the oracle's index, not a
+    query: built once per :class:`Graph`, read only through the metered
+    :func:`~edgecount.oracle.answer_degree_codes`. Its codes are read-only and
+    carry marks only while a :meth:`marking` holds them; a mark is the low
+    bit, which a degree shifts away and :meth:`fold` sums. Degrees that are
+    not a 1-d integer table in ``0..n`` raise ``ValueError``.
     """
 
     __slots__ = ("n", "degrees", "escape", "top_code", "_codes", "_lock")
@@ -177,7 +173,7 @@ class DegreeCodes:
         top = top_value(degrees)  # one pass: the range check and the code width
         if top > n:
             raise ValueError(f"degrees must lie in 0..{n}")
-        table = narrow_table(degrees, top)
+        table = frozen(_converted(degrees, np.min_scalar_type(top)))  # the narrowest unsigned dtype for top
         if top < 2**15:
             codes = np.add(table, table, dtype=np.uint8 if top < 127 else np.uint16)
             escape = None
@@ -200,9 +196,7 @@ class DegreeCodes:
         """
         marked = checked_ints(vertices, self.n - 1, "marked vertices")
         if not self._lock.acquire(blocking=False):
-            copy = object.__new__(DegreeCodes)
-            copy.n, copy.degrees, copy.escape, copy.top_code = self.n, self.degrees, self.escape, self.top_code
-            copy._codes, copy._lock = self._codes & ~self._codes.dtype.type(1), threading.Lock()
+            copy = DegreeCodes(self.degrees)  # the same codes, unmarked; the table is frozen, so it is shared
             with copy.marking(marked):
                 yield copy
             return
@@ -223,6 +217,12 @@ class DegreeCodes:
         """The mark bits of ``codes`` as a bool mask; a 1-byte 0 or 1 is a valid bool, so uint8 needs no cast."""
         return (codes & 1).view(bool) if codes.itemsize == 1 else (codes & 1).astype(bool)
 
+    def gather(self, vertices: np.ndarray) -> DegreeAnswers:
+        """The answers for int64 ``vertices`` in ``0..n-1``, unchecked and unmetered: the oracle does both."""
+        codes = self._codes.take(vertices)  # take gathers faster than indexing
+        escaped = self.escaped(codes)
+        return DegreeAnswers(codes, escaped, self.degrees.take(vertices.take(escaped)))
+
     def escaped(self, codes: np.ndarray) -> np.ndarray:
         """The sorted positions of ``codes`` whose field is :attr:`escape`, none at an exact width."""
         return np.empty(0, dtype=np.intp) if self.escape is None else np.flatnonzero(codes >= 2 * self.escape)
@@ -230,6 +230,21 @@ class DegreeCodes:
     def fold(self, code_counts: np.ndarray) -> np.ndarray:
         """Per-degree counts from per-code ``code_counts`` up to :attr:`top_code`, marks summed, the escape left out."""
         return np.add.reduceat(code_counts, np.arange(0, code_counts.shape[0], 2))[: self.escape]
+
+
+@dataclass(frozen=True)
+class DegreeAnswers:
+    """Answers to a run of degree probes, as :meth:`DegreeCodes.gather` gives them."""
+
+    codes: np.ndarray  # one per probe
+    escaped: np.ndarray  # DegreeCodes.escaped of the codes
+    exact: np.ndarray  # the degrees behind the escape, as the table stores them
+
+    def degrees(self) -> np.ndarray:
+        """The int64 degree of every probe, any mark shifted away."""
+        degrees = (self.codes >> 1).astype(np.int64)
+        degrees[self.escaped] = self.exact
+        return degrees
 
 
 def checked_int(value: object, what: str, error: type[ValueError] = ValueError) -> int:
@@ -353,7 +368,9 @@ def read_edge_list(path: str | Path) -> Graph:
     """Parse the text format written by :func:`write_edge_list`.
 
     Blank lines are ignored. Any other malformed line raises
-    :class:`EdgeListParseError` carrying its 1-based line number.
+    :class:`EdgeListParseError` carrying its 1-based line number. A byte
+    beyond ASCII is read as a lone surrogate, which no field check accepts,
+    so its line is malformed too.
 
     The lines after a well-formed count line are parsed in bulk by
     ``np.loadtxt``; anything it rejects, and any row that is not two
@@ -361,20 +378,25 @@ def read_edge_list(path: str | Path) -> Graph:
     errors. Both read the same ``str.splitlines`` lines, so characters such
     as ``\\x0b`` end a line in both.
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = Path(path).read_text(encoding="ascii", errors="surrogateescape").splitlines()
     parsed = _parse_bulk(lines)
     n, pairs = parsed if parsed is not None else _parse_lines(lines)
     return build_graph(n, pairs)
 
 
+def _integer(field: str) -> int | None:
+    """``int(field)`` if ``field`` is ASCII digits after an optional sign, as ``np.loadtxt`` reads one, else None."""
+    try:
+        return int(field) if re.fullmatch(r"[+-]?[0-9]+", field) else None
+    except ValueError:  # more digits than int converts
+        return None
+
+
 def _parse_bulk(lines: list[str]) -> tuple[int, np.ndarray] | None:
     """Vertex count and ``(k, 2)`` edge array, or None to defer to :func:`_parse_lines`."""
     fields = lines[0].split() if lines else []
-    if len(fields) != 1:
-        return None
-    try:
-        n = int(fields[0])
-    except ValueError:
+    n = _integer(fields[0]) if len(fields) == 1 else None
+    if n is None:
         return None
     if not any(map(str.strip, itertools.islice(lines, 1, None))):
         # no edge lines; loadtxt would warn about empty input
@@ -397,17 +419,16 @@ def _parse_lines(lines: list[str]) -> tuple[int, list[tuple[int, int]]]:
         if n is None:
             if len(fields) != 1:
                 raise EdgeListParseError(f"line {lineno}: expected a single vertex count, got {raw!r}")
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise EdgeListParseError(f"line {lineno}: vertex count is not an integer: {raw!r}") from None
+            n = _integer(fields[0])
+            if n is None:
+                raise EdgeListParseError(f"line {lineno}: vertex count is not an integer: {raw!r}")
             continue
         if len(fields) != 2:
             raise EdgeListParseError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            pairs.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise EdgeListParseError(f"line {lineno}: endpoints are not integers: {raw!r}") from None
+        u, v = map(_integer, fields)
+        if u is None or v is None:
+            raise EdgeListParseError(f"line {lineno}: endpoints are not integers: {raw!r}")
+        pairs.append((u, v))
     if n is None:
         raise EdgeListParseError("line 1: missing vertex count")
     return n, pairs

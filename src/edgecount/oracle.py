@@ -4,8 +4,8 @@ These are the only two query kinds the estimator issues, and each has one
 metered primitive: :func:`answer_degree_codes`, which answers degrees as
 codes of a :class:`~edgecount.graph.DegreeCodes` table, such as the
 ``graph.degree_codes`` each graph builds once, and :func:`answer_rand_edge_ids`,
-which draws edges as positions in ``graph.edges``. That class alone knows the
-code layout; :func:`answer_degrees` decodes codes into plain degrees.
+which draws edges as positions in ``graph.edges``. Only ``graph.py`` reads a
+code's bits; :func:`answer_degrees` decodes the answers into plain degrees.
 Callers that only compare edges (the collision counts, the lower-bound
 distinguisher) read positions, as uint32 keys while ``m <= 2**32``;
 :func:`answer_rand_edges` gathers rows. A :class:`QueryPlan` fixes every
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import DegreeCodes, Graph, checked_int, checked_ints, frozen, top_value
+from .graph import DegreeAnswers, DegreeCodes, Graph, checked_int, checked_ints, frozen, top_value
 
 # kind codes of the columnar views
 DEG, RAND_EDGE = 0, 1
@@ -143,24 +143,6 @@ class Transcript:
         return np.concatenate((np.full(self.degrees.shape[0], -1, np.int64), self.edges[:, 1]))
 
 
-@dataclass(frozen=True)
-class DegreeAnswers:
-    """Answers to a run of degree probes: one code each, plus the exact degrees behind the escape.
-
-    ``escaped`` is :meth:`DegreeCodes.escaped` of the codes, and ``exact`` their degrees as the table stores them.
-    """
-
-    codes: np.ndarray
-    escaped: np.ndarray
-    exact: np.ndarray
-
-    def degrees(self) -> np.ndarray:
-        """The int64 degree of every probe."""
-        degrees = (self.codes >> 1).astype(np.int64)
-        degrees[self.escaped] = self.exact
-        return degrees
-
-
 def _checked_probes(vertices: np.ndarray, n: int, what: str) -> np.ndarray:
     """Degree-probe ``vertices`` as contiguous int64 ids; one outside ``0..n-1`` is named with its position."""
     v = checked_ints(vertices, None, what)
@@ -171,20 +153,16 @@ def _checked_probes(vertices: np.ndarray, n: int, what: str) -> np.ndarray:
 
 
 def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryLedger) -> DegreeAnswers:
-    """Answer ``Deg(v)`` for each of ``vertices``, in order, as codes of ``table``.
+    """Answer ``Deg(v)`` for each of ``vertices``, in order, as :meth:`DegreeCodes.gather` of ``table``.
 
     Vertices that are not integers, or one outside ``0..n-1``, named by its
     position, raise ``ValueError`` before anything is metered; otherwise
-    ``ledger.deg`` grows by the probe count. Outside a :meth:`~DegreeCodes.marking`
-    of its own, a caller may read the marks of another marking, in another
-    thread too, in the codes: :meth:`DegreeAnswers.degrees` and
-    :meth:`DegreeCodes.fold` drop them.
+    ``ledger.deg`` grows by the probe count. The codes may carry the marks of
+    any marking, which :meth:`DegreeAnswers.degrees` and :meth:`~DegreeCodes.fold` drop.
     """
     v = _checked_probes(vertices, table.n, "vertices")
-    codes = table._codes.take(v)  # take gathers faster than indexing
-    escaped = table.escaped(codes)
-    ledger.deg += int(codes.shape[0])
-    return DegreeAnswers(codes, escaped, table.degrees.take(v.take(escaped)))
+    ledger.deg += int(v.shape[0])
+    return table.gather(v)
 
 
 def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> np.ndarray:

@@ -310,6 +310,8 @@ def test_closed_stdout_exits_141_quietly(subprocess_env):
         "3\n0 1.0\n",
         "3\r\n0 1\r\n1\r\n",
         "3\n1_0 2\n",
+        "30\n1_0 2\n",
+        "1_0\n0 1\n",
         "3\n0 0\n",
         "3\n99999999999999999999 1\n",
     ],

@@ -121,12 +121,12 @@ def test_scaled_bucket_mass_brackets_true_mass(case):
 
 _INCONSISTENT_DEGREES = """
 import numpy as np
-from edgecount import BucketConfig, Graph, heavy_light_decomposition
+from edgecount import BucketConfig, DegreeCodes, Graph, heavy_light_decomposition
 
 # path 0-1-2 on four vertices, but isolated vertex 3 claims degree 1; a
-# Graph derives its degrees, so they are overwritten after it is built
+# Graph derives its degrees, so its degree codes are overwritten after it is built
 g = Graph(4, np.array([[0, 1], [1, 2]]))
-object.__setattr__(g, "degrees", np.array([1, 2, 1, 1]))
+object.__setattr__(g, "degree_codes", DegreeCodes(np.array([1, 2, 1, 1])))
 config = BucketConfig(4, 0.05)
 try:
     heavy_light_decomposition(g, np.arange(config.t), config)

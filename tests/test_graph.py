@@ -103,7 +103,7 @@ def test_hand_built_graph_converts_list_edges_and_degrees():
     assert graph.m == 2
     assert graph.edges.flags.writeable is False
     assert graph.degrees.flags.writeable is False
-    assert graph.degree_table.tolist() == [1, 2, 1, 0]
+    assert graph.degree_codes.degrees.tolist() == [1, 2, 1, 0]
     assert graph == build_graph(4, [(0, 1), (1, 2)])
 
 
@@ -146,6 +146,20 @@ def test_edges_of_another_integer_dtype_are_converted_once():
     assert Graph(10**6, narrow) == Graph(10**6, edges)
 
 
+def test_a_graph_retains_its_edges_and_its_degree_codes_alone():
+    # 8 MB of int64 edges, then 1 MB of uint8 codes and 1 MB of their narrow
+    # degree table; an int64 degree table kept beside them added 8 MB more
+    gen_gnm(1000, 500, 0)  # numpy's first-call allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        graph = gen_gnm(10**6, 5 * 10**5, 0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph.m == 5 * 10**5
+    assert retained <= 11_000_000
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -179,6 +193,8 @@ def test_graph_derives_its_degrees_from_its_edges():
         assert graph.degrees.dtype == np.int64 and graph.degrees.flags.writeable is False
         assert graph.degrees.tolist() == expected
         assert np.array_equal(graph.degrees, np.bincount(graph.edges.ravel(), minlength=graph.n))
+        with pytest.raises(ValueError, match="read-only"):
+            graph.degrees[:] = 1
 
 
 @pytest.mark.parametrize(
@@ -230,7 +246,7 @@ def test_graph_stores_edges_as_read_only_int64_rows(edges, m):
 def test_hand_built_graph_stores_a_numpy_integer_n_as_an_int():
     graph = Graph(np.int64(4), [[0, 1], [1, 2]])
     assert type(graph.n) is int and graph.n == 4
-    assert graph.degree_table.dtype == np.uint8 and graph.degree_table is not graph.degrees
+    assert graph.degree_codes.degrees.dtype == np.uint8
 
 
 def test_graph_equality_ignores_input_order():
@@ -317,8 +333,16 @@ def test_read_edge_list_skips_blank_lines(tmp_path):
     assert read_edge_list(f) == build_graph(3, [(0, 1), (1, 2)])
 
 
+def _loadtxt_int(field):
+    """``int(field)`` for what ``np.loadtxt`` reads as an int64, ASCII digits after an optional sign."""
+    digits = field[1:] if field[:1] in ("+", "-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(field)
+    return int(field)
+
+
 def reference_read_edge_list(path):
-    """The line-by-line reader as it stood before the bulk parse."""
+    """The line-by-line reader as it stood before the bulk parse, with loadtxt's rule for an integer."""
     text = Path(path).read_text(encoding="ascii")
     n = None
     pairs = []
@@ -331,14 +355,14 @@ def reference_read_edge_list(path):
             if len(fields) != 1:
                 raise EdgeListParseError(f"line {lineno}: expected a single vertex count, got {raw!r}")
             try:
-                n = int(fields[0])
+                n = _loadtxt_int(fields[0])
             except ValueError:
                 raise EdgeListParseError(f"line {lineno}: vertex count is not an integer: {raw!r}") from None
             continue
         if len(fields) != 2:
             raise EdgeListParseError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
-            pairs.append((int(fields[0]), int(fields[1])))
+            pairs.append((_loadtxt_int(fields[0]), _loadtxt_int(fields[1])))
         except ValueError:
             raise EdgeListParseError(f"line {lineno}: endpoints are not integers: {raw!r}") from None
     if n is None:
@@ -416,7 +440,9 @@ CORRUPTED_TEXTS = [
     ("3\n0 1\n#0 2\n", "line 3: endpoints are not integers"),
     ("3\n0 1.0\n", "line 2: endpoints are not integers"),
     ("3\r\n0 1\r\n1\r\n", "line 3: expected 'u v'"),
-    ("3\n1_0 2\n", "endpoint out of range for n=3"),
+    ("3\n1_0 2\n", "line 2: endpoints are not integers"),
+    ("30\n1_0 2\n", "line 2: endpoints are not integers"),
+    ("1_0\n0 1\n", "line 1: vertex count is not an integer"),
     ("3\n99999999999999999999 1\n", "out of range for n=3"),
     ("3\n0 0\n", "self-loop (0, 0)"),
 ]
@@ -432,10 +458,36 @@ def test_corrupted_files_name_the_fault(tmp_path, text, message):
     assert outcome(reference_read_edge_list, path) == (type(caught.value), str(caught.value))
 
 
-def test_reader_accepts_what_int_accepts(tmp_path):
+def test_reader_accepts_what_loadtxt_accepts(tmp_path):
     path = tmp_path / "odd.el"
-    path.write_bytes(b"\n +12 \r\n\n0\t+1\r\n01 1_0\n-0 11\x1f\n\n")
+    path.write_bytes(b"\n +12 \r\n\n0\t+1\r\n01 10\n-0 11\x1f\n\n")
     assert read_edge_list(path) == build_graph(12, [(0, 1), (1, 10), (0, 11)])
+
+
+def test_a_field_longer_than_int_reads_is_not_an_integer(tmp_path):
+    # int refuses more digits than sys.get_int_max_str_digits(), leading zeros too
+    path = tmp_path / "long.el"
+    path.write_text("3\n" + "0" * 5000 + "1 2\n0\n")
+    with pytest.raises(EdgeListParseError, match="^line 2: endpoints are not integers"):
+        read_edge_list(path)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"3\n0 1\n1 2\xc3\xa9\n", "line 3: endpoints are not integers: '1 2\\udcc3\\udca9'"),
+        (b"\xff3\n0 1\n", "line 1: vertex count is not an integer: '\\udcff3'"),
+        (b"3\r\n0 1\r1 2\x0b\x80\n", "line 4: expected 'u v', got '\\udc80'"),
+    ],
+)
+def test_a_byte_beyond_ascii_is_a_parse_error_naming_its_line(tmp_path, data, message):
+    # the byte is read as a lone surrogate, named by its escape; lines are
+    # counted as str.splitlines counts them, so \r and \x0b end one
+    path = tmp_path / "bytes.el"
+    path.write_bytes(data)
+    with pytest.raises(EdgeListParseError) as caught:
+        read_edge_list(path)
+    assert str(caught.value) == message
 
 
 def test_endpoint_beyond_int64_is_a_validation_error(tmp_path):

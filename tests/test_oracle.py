@@ -358,8 +358,8 @@ def _answer_every_vertex(graph):
 def test_degree_answers_from_compact_table_match_degrees(graph, largest, table_dtype):
     if largest is not None:
         assert int(graph.degrees.max()) == largest
-    assert graph.degree_table.dtype == table_dtype
-    assert graph.degree_table.flags.writeable is False
+    assert graph.degree_codes.degrees.dtype == table_dtype
+    assert graph.degree_codes.degrees.flags.writeable is False
     assert graph.degrees.dtype == np.int64
     vertices, transcript = _answer_every_vertex(graph)
     assert transcript.degrees.dtype == np.int64
@@ -368,10 +368,9 @@ def test_degree_answers_from_compact_table_match_degrees(graph, largest, table_d
 
 def test_degree_table_of_an_empty_graph_is_an_empty_uint8_table():
     graph = build_graph(0, [])
-    assert graph.degree_table is not graph.degrees
-    assert graph.degree_table.dtype == np.uint8
-    assert graph.degree_table.shape == (0,)
-    assert graph.degree_table.flags.writeable is False
+    assert graph.degree_codes.degrees.dtype == np.uint8
+    assert graph.degree_codes.degrees.shape == (0,)
+    assert graph.degree_codes.degrees.flags.writeable is False
     transcript = answer_plan(graph, _plan(0), answer_seed=0)
     assert transcript.degrees.dtype == np.int64
     assert transcript.degrees.shape == (0,)
@@ -386,7 +385,7 @@ def test_degree_answers_reject_a_table_that_is_not_integer():
 
 def test_degree_codes_keep_a_read_only_narrow_table_without_a_copy():
     graph = gen_path(5)
-    assert DegreeCodes(graph.degree_table).degrees is graph.degree_table
+    assert DegreeCodes(graph.degree_codes.degrees).degrees is graph.degree_codes.degrees
     given = np.array([1, 2, 2, 2, 1], dtype=np.uint8)
     table = DegreeCodes(given)
     assert table.n == 5 and table.degrees is not given and table.degrees.flags.writeable is False
@@ -478,8 +477,8 @@ def test_pickled_and_copied_tables_are_built_again_unmarked(triangle, load):
     for other in (table, graph.degree_codes):
         assert other is not triangle.degree_codes and other.top_code == triangle.degree_codes.top_code
         assert _marks(other) == [False, False, False]
-    assert graph == triangle and graph.degree_table is graph.degree_codes.degrees
-    assert not any(a.flags.writeable for a in (graph.edges, graph.degrees, graph.degree_table))
+    assert graph == triangle
+    assert not any(a.flags.writeable for a in (graph.edges, graph.degrees, graph.degree_codes.degrees))
     with graph.degree_codes.marking([1]) as held:
         assert held is graph.degree_codes and _marks(held) == [False, True, False]
 
