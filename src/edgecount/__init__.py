@@ -62,7 +62,6 @@ from .graph import (
     write_edge_list,
 )
 from .oracle import (
-    DegreeAnswers,
     DegreeCodes,
     EmptyGraphError,
     PlanProvenance,

@@ -20,14 +20,13 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .buckets import DENSE_DEGREES, BucketConfig, gamma_for
-from .graph import MAX_VERTICES, DegreeAnswers, DegreeCodes, Graph, checked_int, checked_ints, pair_codes, run_starts
+from .graph import MAX_VERTICES, DegreeCodes, Graph, checked_int, checked_ints, pair_codes, run_starts
 from .oracle import (
     PlanProvenance,
     QueryLedger,
     QueryPlan,
     answer_degree_codes,
     answer_rand_edge_ids,
-    answer_rand_edges,
 )
 from .seeding import check_master_seed, derive_rng
 
@@ -46,11 +45,6 @@ _ROW_RADIX = 2**32
 # Degree probes drawn, answered and folded at a time by estimate_edges: a
 # chunk's int64 vertices take 512 KiB.
 _DEGREE_CHUNK = 2**16
-
-# Values handed to one np.bincount by the degree-code tallies. bincount
-# copies its input to intp first, so that copy takes 128 KiB, not 8 bytes
-# per code of a chunk.
-_TALLY_SLICE = 2**14
 
 # Largest code of a uint8 degree-code table whose probes are tallied two
 # codes at a time: the pair tally has 256 bins per code up to the table's
@@ -302,7 +296,8 @@ def _tally(degrees: np.ndarray, config: BucketConfig, per_degree: np.ndarray, ab
         if not dense.all():
             above += np.bincount(config.bucket_indices(degrees[~dense]), minlength=config.t)
             degrees = degrees[dense]
-    tally = np.bincount(degrees, minlength=per_degree.shape[0])
+    # bincount casts to intp, which older numpy refuses to do for uint64
+    tally = np.bincount(degrees.astype(np.intp, copy=False), minlength=per_degree.shape[0])
     tally[: per_degree.shape[0]] += per_degree
     return tally
 
@@ -504,9 +499,12 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
         )
     config = params.bucket_config(graph.n)
     rng = derive_rng(params.master_seed, "oracle:answers")
-    drawn = answer_rand_edges(graph, rng, layout.endpoint_size, ledger)
-    endpoints = choose_endpoints(drawn[:, 0], drawn[:, 1], derive_rng(params.master_seed, "estimate:endpoint-coins"))
-    del drawn  # only the chosen endpoints are read from here on
+    # edge i's endpoints sit at 2i and 2i + 1 of the flat edges, so only the
+    # chosen one is gathered
+    first = 2 * answer_rand_edge_ids(graph, rng, layout.endpoint_size, ledger).astype(np.int64)
+    coins = derive_rng(params.master_seed, "estimate:endpoint-coins")
+    endpoints = graph.edges.ravel().take(choose_endpoints(first, first + 1, coins))
+    del first, coins  # only the chosen endpoints are read from here on
     # the vote and the collision count only compare edges, so they read
     # the drawn positions as keys and never gather rows
     votes = answer_rand_edge_ids(graph, rng, layout.vote_size, ledger).reshape(layout.vote_rounds, layout.vote_batch)
@@ -550,53 +548,43 @@ def _stream_degree_block(
     chunk is answered from ``table``, a graph's ``degree_codes`` with the
     endpoint draws marked, or as it is for a heavy set alone.
     """
-    # only an exact uint8 table has codes this small; it is tallied two codes
-    # at a time, as uint16 pairs: half the increments, into bins too many to
-    # contend. Either tally is sized once: top_code bounds every code
+    # codes below 2^16 are counted as they come and folded once, those of a
+    # table whose top code is at most _PAIR_TOP_CODE two at a time, as uint16
+    # pairs: half the increments, into bins too many to contend. Wider codes
+    # are decoded and tallied by degree, which never outgrows DENSE_DEGREES
+    by_code = table.top_code < 2**16
     paired = table.top_code <= _PAIR_TOP_CODE
-    code_counts = np.zeros((256 if paired else 1) * (table.top_code + 1), dtype=np.intp)
+    code_counts = np.zeros((256 if paired else 1) * (table.top_code + 1) if by_code else 0, dtype=np.intp)
     leftover = []  # the last code of each odd-length chunk, which has no pair
-    per_degree = np.zeros(0, dtype=np.intp)  # of the escaped probes' exact degrees
+    per_degree = np.zeros(0, dtype=np.intp)
     above = np.zeros(config.t, dtype=np.int64)
     # the probes on a marked endpoint, the only ones that can match an
-    # endpoint draw: their vertices, their codes and the exact degrees of
-    # the escaped ones, 9 bytes a hit with uint8 codes
-    hit_vertices, hit_codes, hit_exact = [], [], [np.empty(0, dtype=np.intp)]
+    # endpoint draw: their vertices and their codes
+    hit_vertices, hit_codes = [], []
     for vertices in _degree_vertex_chunks(table.n, params, layout.degree_size):
-        answers = answer_degree_codes(table, vertices, ledger)
-        codes = answers.codes
+        codes = answer_degree_codes(table, vertices, ledger)
         hit = np.flatnonzero(table.marked(codes))
         hit_vertices.append(vertices.take(hit))
         hit_codes.append(codes.take(hit))
         del vertices, hit  # freed before the tally
-        if answers.escaped.size:
-            hit_exact.append(answers.exact[table.marked(codes.take(answers.escaped))])
-            per_degree = _tally(answers.exact, config, per_degree, above)
         if paired:
             even = codes.shape[0] & ~1
-            _add_bincount(code_counts, codes[:even].view(np.uint16))
+            code_counts += np.bincount(codes[:even].view(np.uint16), minlength=code_counts.shape[0])
             if even < codes.shape[0]:
                 leftover.append(codes[-1])
+        elif by_code:
+            code_counts += np.bincount(codes, minlength=code_counts.shape[0])
         else:
-            _add_bincount(code_counts, codes)
-        del answers, codes  # freed before the next chunk is drawn
+            per_degree = _tally(table.decoded(codes), config, per_degree, above)
+        del codes  # freed before the next chunk is drawn
     if paired:
         # a pair holds one code in each byte: its row and its column, in either byte order
         pairs = code_counts.reshape(-1, 256)
         top = pairs.shape[0]
         code_counts = pairs.sum(axis=0)[:top] + pairs.sum(axis=1) + np.bincount(leftover, minlength=top)
-    folded = table.fold(code_counts)  # the escaped probes are tallied from their exact degrees instead
-    if folded.shape[0] < per_degree.shape[0]:
-        folded, per_degree = per_degree, folded
-    folded[: per_degree.shape[0]] += per_degree
-    heavy = _heavy_set(folded, above, layout.degree_size, config, params.epsilon)
-    codes = np.concatenate(hit_codes)
-    degrees = DegreeAnswers(codes, table.escaped(codes), np.concatenate(hit_exact)).degrees()
+    if by_code:
+        per_degree = table.fold(code_counts)
+    heavy = _heavy_set(per_degree, above, layout.degree_size, config, params.epsilon)
+    degrees = table.decoded(np.concatenate(hit_codes))
     nonzero = degrees >= 1  # degree 0 is in no bucket
     return heavy, np.concatenate(hit_vertices)[nonzero], degrees[nonzero]
-
-
-def _add_bincount(counts: np.ndarray, values: np.ndarray) -> None:
-    """``counts += np.bincount(values)`` in place, :data:`_TALLY_SLICE` values at a time."""
-    for start in range(0, values.shape[0], _TALLY_SLICE):
-        counts += np.bincount(values[start : start + _TALLY_SLICE], minlength=counts.shape[0])

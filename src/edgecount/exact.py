@@ -49,7 +49,7 @@ def heavy_light_decomposition(graph: Graph, heavy_indices: np.ndarray, config: B
     edges_heavy = int((heavy_u & heavy_v).sum())
     edges_light = int((~heavy_u & ~heavy_v).sum())
     edges_cross = graph.m - edges_heavy - edges_light
-    mass = int(graph.degree_codes.degrees[mask].sum())  # the stored table, which graph.degrees widens
+    mass = int(graph.degree_codes.degrees[mask].sum())  # the decoded table, which graph.degrees widens
     if mass != 2 * edges_heavy + edges_cross:
         raise RuntimeError("identity broken: heavy degree mass != 2 * edges_heavy + edges_cross")
     return HeavyLightDecomposition(

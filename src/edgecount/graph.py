@@ -34,7 +34,8 @@ class Graph:
     ``0 <= u < v <= n-1`` and strictly increase in lexicographic order: each
     edge is one row, and equal edge sets have identical bytes. Isolated
     vertices are allowed. Beside ``n`` and the edges, a graph stores only
-    ``degree_codes``, the :class:`DegreeCodes` of the degrees its edges give.
+    ``degree_codes``, the :class:`DegreeCodes` of the degrees its edges give,
+    its one degree table: :attr:`degrees` is decoded from it.
     Instances never change after construction, but for the mark bits that one
     :meth:`DegreeCodes.marking` at a time sets and clears, and can be shared
     freely across concurrent trials. ``edges`` go through ``np.asarray`` and
@@ -140,30 +141,24 @@ def frozen(arr: np.ndarray) -> np.ndarray:
 class DegreeCodes:
     """Each vertex's degree and one mark bit, packed into one code per vertex.
 
-    The code of ``v`` is ``field << 1 | marked(v)``, where the field is
-    ``deg(v)`` when it fits, so one gather per probe answers both the degree
-    and whether the probe hit a marked vertex. :attr:`degrees` is the given
-    table, one degree per vertex, in the narrowest unsigned dtype for its
-    largest, which sets the width; ``n`` is its length:
-
-    - uint8 codes when every degree lies in ``0..126``;
-    - uint16 codes when every degree lies in ``0..2^15-1``;
-    - otherwise uint8 codes whose field :attr:`escape` = 127 stands for a
-      degree of 127 or more, which :meth:`gather` answers from :attr:`degrees`.
-
-    ``escape`` is ``None`` for the two exact widths. No code exceeds
-    :attr:`top_code`, ``2 * largest degree + 1`` for the exact widths and
-    ``2 * escape + 1`` otherwise. Only this module reads a code's bits:
-    callers ask :meth:`marked`, :meth:`escaped`, :meth:`fold` and
-    :meth:`DegreeAnswers.degrees`. The table is the oracle's index, not a
-    query: built once per :class:`Graph`, read only through the metered
-    :func:`~edgecount.oracle.answer_degree_codes`. Its codes are read-only and
-    carry marks only while a :meth:`marking` holds them; a mark is the low
-    bit, which a degree shifts away and :meth:`fold` sums. Degrees that are
-    not a 1-d integer table in ``0..n`` raise ``ValueError``.
+    The code of ``v`` is ``deg(v) << 1 | marked(v)``, so one gather per probe
+    answers both the degree and whether the probe hit a marked vertex. The
+    codes take the narrowest unsigned dtype that holds :attr:`top_code`,
+    ``2 * largest degree + 1``: uint8 up to a degree of 127, uint16 up to
+    ``2^15-1``, uint32 up to ``2^31-1`` and uint64 beyond. ``n`` is the
+    table's length. The codes are all a table stores: :meth:`decoded` is the
+    one rule that turns codes into degrees, and :attr:`degrees` applies it
+    to the whole table. Only this module reads a code's bits: callers ask
+    :meth:`marked`, :meth:`decoded` and :meth:`fold`. The table is the
+    oracle's index, not a query: built once per :class:`Graph`, read only
+    through the metered :func:`~edgecount.oracle.answer_degree_codes`. Its
+    codes are read-only and carry marks only while a :meth:`marking` holds
+    them; a mark is the low bit, which a degree shifts away and :meth:`fold`
+    sums. Degrees that are not a 1-d integer table in ``0..n`` raise
+    ``ValueError``.
     """
 
-    __slots__ = ("n", "degrees", "escape", "top_code", "_codes", "_lock")
+    __slots__ = ("n", "top_code", "_codes", "_lock")
 
     def __init__(self, degrees: np.ndarray):
         degrees = checked_ints(degrees, None, "degrees")
@@ -173,18 +168,18 @@ class DegreeCodes:
         top = top_value(degrees)  # one pass: the range check and the code width
         if top > n:
             raise ValueError(f"degrees must lie in 0..{n}")
-        table = frozen(_converted(degrees, np.min_scalar_type(top)))  # the narrowest unsigned dtype for top
-        if top < 2**15:
-            codes = np.add(table, table, dtype=np.uint8 if top < 127 else np.uint16)
-            escape = None
-        else:
-            codes = np.empty(n, dtype=np.uint8)
-            np.minimum(table, 127, out=codes, casting="unsafe")
-            np.add(codes, codes, out=codes)  # the shift; np.left_shift is several times slower on uint8
-            escape = top = 127
+        codes = degrees.astype(np.min_scalar_type(2 * top + 1))
+        np.add(codes, codes, out=codes)  # the shift; np.left_shift is several times slower on uint8
         codes.setflags(write=False)
-        self.n, self.degrees, self.escape, self.top_code, self._codes = n, table, escape, 2 * top + 1, codes
+        self.n, self.top_code, self._codes = n, 2 * top + 1, codes
         self._lock = threading.Lock()
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Each vertex's degree, decoded from the codes on each access into a read-only array of their dtype."""
+        degrees = self.decoded(self._codes)
+        degrees.setflags(write=False)
+        return degrees
 
     @contextmanager
     def marking(self, vertices: np.ndarray) -> Iterator[DegreeCodes]:
@@ -196,7 +191,7 @@ class DegreeCodes:
         """
         marked = checked_ints(vertices, self.n - 1, "marked vertices")
         if not self._lock.acquire(blocking=False):
-            copy = DegreeCodes(self.degrees)  # the same codes, unmarked; the table is frozen, so it is shared
+            copy = DegreeCodes(self.degrees)  # the same codes, unmarked
             with copy.marking(marked):
                 yield copy
             return
@@ -217,34 +212,19 @@ class DegreeCodes:
         """The mark bits of ``codes`` as a bool mask; a 1-byte 0 or 1 is a valid bool, so uint8 needs no cast."""
         return (codes & 1).view(bool) if codes.itemsize == 1 else (codes & 1).astype(bool)
 
-    def gather(self, vertices: np.ndarray) -> DegreeAnswers:
-        """The answers for int64 ``vertices`` in ``0..n-1``, unchecked and unmetered: the oracle does both."""
-        codes = self._codes.take(vertices)  # take gathers faster than indexing
-        escaped = self.escaped(codes)
-        return DegreeAnswers(codes, escaped, self.degrees.take(vertices.take(escaped)))
+    @staticmethod
+    def decoded(codes: np.ndarray) -> np.ndarray:
+        """The degree of each of ``codes``, any mark shifted away, in the dtype of the codes."""
+        return codes >> 1
 
-    def escaped(self, codes: np.ndarray) -> np.ndarray:
-        """The sorted positions of ``codes`` whose field is :attr:`escape`, none at an exact width."""
-        return np.empty(0, dtype=np.intp) if self.escape is None else np.flatnonzero(codes >= 2 * self.escape)
+    def gather(self, vertices: np.ndarray) -> np.ndarray:
+        """The codes of int64 ``vertices`` in ``0..n-1``, unchecked and unmetered: the oracle does both."""
+        return self._codes.take(vertices)  # take gathers faster than indexing
 
-    def fold(self, code_counts: np.ndarray) -> np.ndarray:
-        """Per-degree counts from per-code ``code_counts`` up to :attr:`top_code`, marks summed, the escape left out."""
-        return np.add.reduceat(code_counts, np.arange(0, code_counts.shape[0], 2))[: self.escape]
-
-
-@dataclass(frozen=True)
-class DegreeAnswers:
-    """Answers to a run of degree probes, as :meth:`DegreeCodes.gather` gives them."""
-
-    codes: np.ndarray  # one per probe
-    escaped: np.ndarray  # DegreeCodes.escaped of the codes
-    exact: np.ndarray  # the degrees behind the escape, as the table stores them
-
-    def degrees(self) -> np.ndarray:
-        """The int64 degree of every probe, any mark shifted away."""
-        degrees = (self.codes >> 1).astype(np.int64)
-        degrees[self.escaped] = self.exact
-        return degrees
+    @staticmethod
+    def fold(code_counts: np.ndarray) -> np.ndarray:
+        """Per-degree counts from per-code ``code_counts`` up to :attr:`top_code`, marks summed."""
+        return np.add.reduceat(code_counts, np.arange(0, code_counts.shape[0], 2))
 
 
 def checked_int(value: object, what: str, error: type[ValueError] = ValueError) -> int:

@@ -5,10 +5,12 @@ metered primitive: :func:`answer_degree_codes`, which answers degrees as
 codes of a :class:`~edgecount.graph.DegreeCodes` table, such as the
 ``graph.degree_codes`` each graph builds once, and :func:`answer_rand_edge_ids`,
 which draws edges as positions in ``graph.edges``. Only ``graph.py`` reads a
-code's bits; :func:`answer_degrees` decodes the answers into plain degrees.
-Callers that only compare edges (the collision counts, the lower-bound
-distinguisher) read positions, as uint32 keys while ``m <= 2**32``;
-:func:`answer_rand_edges` gathers rows. A :class:`QueryPlan` fixes every
+code's bits; :func:`answer_degrees` decodes the answers into plain degrees
+with :meth:`~edgecount.graph.DegreeCodes.decoded`. Callers that only compare
+edges (the collision counts, the lower-bound distinguisher) read positions,
+as uint32 keys while ``m <= 2**32``, and the estimator gathers the endpoints
+it draws from them; :func:`answer_rand_edges` gathers rows for
+:func:`answer_plan`. A :class:`QueryPlan` fixes every
 query up front, degree probes first, and :func:`answer_plan` answers it
 whole for audits; callers may feed the primitives block by block instead,
 from a stream fixed before any answer, so no answer steers a later query.
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import DegreeAnswers, DegreeCodes, Graph, checked_int, checked_ints, frozen, top_value
+from .graph import DegreeCodes, Graph, checked_int, checked_ints, frozen, top_value
 
 # kind codes of the columnar views
 DEG, RAND_EDGE = 0, 1
@@ -152,13 +154,13 @@ def _checked_probes(vertices: np.ndarray, n: int, what: str) -> np.ndarray:
     return np.ascontiguousarray(v, np.int64)
 
 
-def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryLedger) -> DegreeAnswers:
+def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryLedger) -> np.ndarray:
     """Answer ``Deg(v)`` for each of ``vertices``, in order, as :meth:`DegreeCodes.gather` of ``table``.
 
     Vertices that are not integers, or one outside ``0..n-1``, named by its
     position, raise ``ValueError`` before anything is metered; otherwise
     ``ledger.deg`` grows by the probe count. The codes may carry the marks of
-    any marking, which :meth:`DegreeAnswers.degrees` and :meth:`~DegreeCodes.fold` drop.
+    any marking, which :meth:`~DegreeCodes.decoded` and :meth:`~DegreeCodes.fold` drop.
     """
     v = _checked_probes(vertices, table.n, "vertices")
     ledger.deg += int(v.shape[0])
@@ -167,7 +169,7 @@ def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryL
 
 def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> np.ndarray:
     """:func:`answer_degree_codes` on ``graph.degree_codes``, decoded to int64 degrees, so any marks are shifted away."""
-    return answer_degree_codes(graph.degree_codes, vertices, ledger).degrees()
+    return DegreeCodes.decoded(answer_degree_codes(graph.degree_codes, vertices, ledger)).astype(np.int64)
 
 
 def answer_rand_edge_ids(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:

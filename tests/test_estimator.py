@@ -27,7 +27,6 @@ from edgecount import (
     answer_degree_codes,
     answer_plan,
     answer_rand_edge_ids,
-    answer_rand_edges,
     build_graph,
     build_sample_plan,
     choose_endpoints,
@@ -572,14 +571,9 @@ def test_streamed_queries_and_answers_concatenate_to_the_plan(monkeypatch, strea
 
     def record_degree_codes(table, vertices, ledger):
         probes.append(vertices.copy())
-        answers = answer_degree_codes(table, vertices, ledger)
-        degrees.append(answers.degrees())
-        return answers
-
-    def record_rand_edges(graph, rng, count, ledger):
-        rand_counts.append(count)
-        edges.append(answer_rand_edges(graph, rng, count, ledger))
-        return edges[-1]
+        codes = answer_degree_codes(table, vertices, ledger)
+        degrees.append(DegreeCodes.decoded(codes))
+        return codes
 
     def record_rand_edge_ids(graph, rng, count, ledger):
         rand_counts.append(count)
@@ -588,7 +582,6 @@ def test_streamed_queries_and_answers_concatenate_to_the_plan(monkeypatch, strea
         return ids
 
     monkeypatch.setattr(estimator, "answer_degree_codes", record_degree_codes)
-    monkeypatch.setattr(estimator, "answer_rand_edges", record_rand_edges)
     monkeypatch.setattr(estimator, "answer_rand_edge_ids", record_rand_edge_ids)
     n = stream_graph.n
     params = EstimatorParams(epsilon=0.25, master_seed=5, collision_reps=reps)
@@ -622,7 +615,7 @@ def test_an_estimate_that_fails_mid_stream_leaves_no_mark(monkeypatch):
             estimate_edges(graph, params)
     assert len(chunks) == 2
     table = graph.degree_codes
-    assert not table.marked(answer_degree_codes(table, np.arange(graph.n), QueryLedger()).codes).any()
+    assert not table.marked(answer_degree_codes(table, np.arange(graph.n), QueryLedger())).any()
     fresh = graph_from_spec(STREAM_GRAPHS[0], 7)
     assert estimate_edges(graph, params) == estimate_edges(fresh, params)
 

@@ -147,8 +147,8 @@ def test_edges_of_another_integer_dtype_are_converted_once():
 
 
 def test_a_graph_retains_its_edges_and_its_degree_codes_alone():
-    # 8 MB of int64 edges, then 1 MB of uint8 codes and 1 MB of their narrow
-    # degree table; an int64 degree table kept beside them added 8 MB more
+    # 8 MB of int64 edges, then 1 MB of uint8 codes; a narrow degree table
+    # kept beside them added 1 MB, and an int64 one 8 MB more
     gen_gnm(1000, 500, 0)  # numpy's first-call allocations stay out of the trace
     tracemalloc.start()
     try:
@@ -157,7 +157,7 @@ def test_a_graph_retains_its_edges_and_its_degree_codes_alone():
     finally:
         tracemalloc.stop()
     assert graph.m == 5 * 10**5
-    assert retained <= 11_000_000
+    assert retained <= 9_500_000
 
 
 @pytest.mark.parametrize(
@@ -246,7 +246,7 @@ def test_graph_stores_edges_as_read_only_int64_rows(edges, m):
 def test_hand_built_graph_stores_a_numpy_integer_n_as_an_int():
     graph = Graph(np.int64(4), [[0, 1], [1, 2]])
     assert type(graph.n) is int and graph.n == 4
-    assert graph.degree_codes.degrees.dtype == np.uint8
+    assert graph.degree_codes.gather(np.arange(4)).dtype == np.uint8
 
 
 def test_graph_equality_ignores_input_order():

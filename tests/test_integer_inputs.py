@@ -82,7 +82,7 @@ ENTRY_POINTS = {
         [],
     ),
     "answer_degree_codes": (
-        lambda ids: answer_degree_codes(DegreeCodes(PATH.degree_codes.degrees), ids, QueryLedger()).codes.tolist(),
+        lambda ids: answer_degree_codes(DegreeCodes(PATH.degree_codes.degrees), ids, QueryLedger()).tolist(),
         ValueError,
         "vertices",
         r"query 0 \(Deg\(\d+\)\) has invalid arguments",

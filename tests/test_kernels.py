@@ -185,15 +185,15 @@ def test_streamed_heavy_set_across_the_dense_cutoff_matches_reference(sample, ep
     assert np.array_equal(hit_degrees, degrees[hit])
 
 
-# the largest degree of each degree table below, the dtype it narrows to, and
-# the width and escape field of its degree codes
+# the largest degree of each degree table below and the dtype of its codes,
+# the narrowest that holds 2 * largest + 1
 WIDTH_CASES = [
-    (126, np.uint8, np.uint8, None),
-    (127, np.uint8, np.uint16, None),
-    (128, np.uint8, np.uint16, None),
-    (2**15 - 1, np.uint16, np.uint16, None),
-    (2**15, np.uint16, np.uint8, 127),
-    (DENSE_DEGREES + 5, np.uint32, np.uint8, 127),
+    (126, np.uint8),
+    (127, np.uint8),
+    (128, np.uint16),
+    (2**15 - 1, np.uint16),
+    (2**15, np.uint32),
+    (DENSE_DEGREES + 5, np.uint32),
 ]
 
 
@@ -206,10 +206,10 @@ def _width_degrees(largest: int, sampled: np.ndarray, n: int) -> np.ndarray:
     return degree_of
 
 
-@pytest.mark.parametrize(
-    "largest, table_dtype, code_dtype, escape", WIDTH_CASES, ids=["126", "127", "128", "32767", "32768", "dense"]
-)
-def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table_dtype, code_dtype, escape):
+@pytest.mark.parametrize("largest, code_dtype", WIDTH_CASES, ids=["126", "127", "128", "32767", "32768", "dense"])
+def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, code_dtype):
+    # the uint32 tables are tallied by degree, chunk by chunk; the widest one
+    # has probed degrees on both sides of DENSE_DEGREES
     n = DENSE_DEGREES + 7
     params = EstimatorParams(epsilon=0.25, master_seed=3)
     layout = plan_layout(n, params)
@@ -217,12 +217,12 @@ def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table
     sampled = build_sample_plan(n, params).deg_vertices
     degree_of = _width_degrees(largest, sampled, n)
     table = DegreeCodes(degree_of)
-    assert table.degrees.dtype == table_dtype
     degrees = degree_of[sampled]
-    answers = answer_degree_codes(table, sampled, QueryLedger())
-    assert answers.codes.dtype == code_dtype
-    assert table.escape == escape
-    assert np.array_equal(answers.degrees(), degrees)
+    codes = answer_degree_codes(table, sampled, QueryLedger())
+    assert codes.dtype == code_dtype
+    assert np.array_equal(table.decoded(codes), degrees)
+    if largest > DENSE_DEGREES:
+        assert (degrees < DENSE_DEGREES).any() and (degrees >= DENSE_DEGREES).any()
 
     # endpoints on the largest-degree probes and elsewhere
     endpoints = np.concatenate((sampled[:3], sampled[7:40], np.arange(0, n, 997)))
@@ -238,15 +238,29 @@ def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, table
     assert np.array_equal(hit_degrees, degrees[hit])
 
 
+def test_a_uint64_code_chunk_is_decoded_and_tallied():
+    # codes of a degree of 2^31 or more are uint64, which older numpy's
+    # np.bincount refuses; the stream decodes each chunk and tallies it by degree
+    config = BucketConfig(2**33, 0.25)
+    degrees = np.array([0, 1, 1, 5, DENSE_DEGREES - 1, DENSE_DEGREES, 2**31, 2**32 + 3], dtype=np.int64)
+    codes = (2 * degrees + np.arange(degrees.shape[0]) % 2).astype(np.uint64)
+    decoded = DegreeCodes.decoded(codes)
+    assert decoded.dtype == np.uint64 and decoded.tolist() == degrees.tolist()
+    above = np.zeros(config.t, dtype=np.int64)
+    per_degree = estimator._tally(decoded, config, np.zeros(0, dtype=np.intp), above)
+    dense = degrees < DENSE_DEGREES
+    assert np.array_equal(per_degree, np.bincount(degrees[dense]))
+    assert np.array_equal(above, np.bincount(config.bucket_indices(degrees[~dense]), minlength=config.t))
+
+
 @pytest.mark.parametrize("bad_degree", [-1, DENSE_DEGREES + 8, 2**40])
-def test_streamed_degree_answers_outside_zero_to_n_rejected_behind_the_escape(bad_degree):
-    # a probed vertex whose degree the uint8 codes would saturate: the table
-    # refuses a degree outside 0..n when it is built, so no escaped probe can answer one
+def test_streamed_degree_answers_outside_zero_to_n_rejected_on_uint32_codes(bad_degree):
+    # a probed vertex on a table with uint32 codes: the table refuses a degree
+    # outside 0..n when it is built, so no probe can answer one
     n = DENSE_DEGREES + 7
     params = EstimatorParams(epsilon=0.25, master_seed=3)
     sampled = build_sample_plan(n, params).deg_vertices
     degree_of = _width_degrees(2**15, sampled, n)
-    assert DegreeCodes(degree_of.copy()).escape == 127
     degree_of[sampled[-1]] = bad_degree
     with pytest.raises(ValueError) as info:
         DegreeCodes(degree_of)
@@ -256,19 +270,18 @@ def test_streamed_degree_answers_outside_zero_to_n_rejected_behind_the_escape(ba
 @st.composite
 def small_code_tables(draw):
     """A degree table whose probed codes top out at a drawn code near the
-    pair rule, its endpoints, a degree chunk size and a tally slice size.
+    pair rule, its endpoints and a degree chunk size.
 
     The largest degree sits on the plan's first probe and is marked for an
-    odd top code; every other probed vertex has a smaller degree. An escape
-    table comes from a degree of at least 2^15, on a graph of more than 2^15
-    vertices, on a vertex no probe reaches, and a table whose top code lies
-    above every probed code from a degree above the largest on another such
-    vertex. Chunk sizes are small and often odd, or leave one probe in the
-    last chunk. Slices are 1, odd, a paired chunk's pair count, the chunk or
-    larger than it, so slice edges fall everywhere in a chunk, or nowhere.
+    odd top code; every other probed vertex has a smaller degree. A table of
+    uint32 codes comes from a degree of at least 2^15, on a graph of more
+    than 2^15 vertices, on a vertex no probe reaches, and a table whose top
+    code lies above every probed code from a degree above the largest on
+    another such vertex. Chunk sizes are small and often odd, or leave one
+    probe in the last chunk.
     """
-    escape, above = draw(st.booleans()), draw(st.booleans())
-    n = draw(st.integers(33, 120)) + (2**15 if escape else 0)
+    wide, above = draw(st.booleans()), draw(st.booleans())
+    n = draw(st.integers(33, 120)) + (2**15 if wide else 0)
     top_code = draw(st.sampled_from((62, 63, 64, 65)))
     params = EstimatorParams(epsilon=0.8, master_seed=draw(st.integers(0, 2**32 - 1)))
     sampled = build_sample_plan(n, params).deg_vertices
@@ -279,39 +292,35 @@ def small_code_tables(draw):
     endpoints = rng.choice(np.flatnonzero(degree_of < largest), size=draw(st.integers(1, 12)))
     if top_code % 2:
         endpoints = np.append(endpoints, sampled[0])
-    if escape or above:
+    if wide or above:
         unprobed = np.setdiff1d(np.arange(n), sampled)
-        assume(unprobed.size >= escape + above)
-        if escape:
+        assume(unprobed.size >= wide + above)
+        if wide:
             degree_of[unprobed[0]] = draw(st.integers(2**15, n))
         if above:
             degree_of[unprobed[-1]] = draw(st.integers(largest + 1, n))
     size = sampled.shape[0]
     chunk = draw(st.integers(1, 40) | st.sampled_from((size - 1, (size - 1) // 2)).filter(lambda c: c >= 1))
-    tally_slice = draw(
-        st.sampled_from((1, max(1, chunk // 2), chunk, chunk + 1, 2 * chunk + 3)) | st.integers(0, 20).map(lambda k: 2 * k + 1)
-    )
-    return degree_of, params, endpoints, top_code, chunk, tally_slice
+    return degree_of, params, endpoints, top_code, chunk
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_code_tables())
 def test_pair_tally_matches_classify_heavy_on_both_sides_of_the_rule(table_case):
-    degree_of, params, endpoints, top_code, chunk, tally_slice = table_case
+    degree_of, params, endpoints, top_code, chunk = table_case
     n = degree_of.shape[0]
     layout = plan_layout(n, params)
     config = params.bucket_config(n)
     sampled = build_sample_plan(n, params).deg_vertices
     table = DegreeCodes(degree_of)
-    escape = bool((degree_of >= 2**15).any())
+    wide = bool((degree_of >= 2**15).any())
     above = bool((degree_of > top_code // 2).any())  # only on a vertex no probe reaches
-    assert table.escape == (127 if escape else None)
     with table.marking(endpoints):
-        assert int(answer_degree_codes(table, sampled, QueryLedger()).codes.max()) == top_code
-    assert (table.top_code > (top_code | 1)) == (escape or above)
-    assert (table.top_code <= estimator._PAIR_TOP_CODE) == (top_code < 64 and not escape and not above)
-    degrees = answer_degree_codes(table, sampled, QueryLedger()).degrees()
-    with mock.patch.object(estimator, "_DEGREE_CHUNK", chunk), mock.patch.object(estimator, "_TALLY_SLICE", tally_slice):
+        assert int(answer_degree_codes(table, sampled, QueryLedger()).max()) == top_code
+    assert (table.top_code > (top_code | 1)) == (wide or above)
+    assert (table.top_code <= estimator._PAIR_TOP_CODE) == (top_code < 64 and not wide and not above)
+    degrees = table.decoded(answer_degree_codes(table, sampled, QueryLedger()))
+    with mock.patch.object(estimator, "_DEGREE_CHUNK", chunk):
         with table.marking(endpoints):
             heavy, hit_vertices, hit_degrees = _stream_degree_block(table, params, layout, config, QueryLedger())
     expected = classify_heavy(degrees, config, params.epsilon)
@@ -577,7 +586,7 @@ def test_estimate_peak_holds_one_probe_chunk(spec, bound):
     # the peak holds one chunk of int64 probe vertices with its codes, marks
     # and hits, and the endpoint draws, kept to clear their marks; the n-byte
     # code table is the graph's, built with it. The vertices are freed before
-    # the codes are tallied, a slice at a time. Tallied whole, with the
+    # a chunk's codes are tallied, by one np.bincount. Tallied with the
     # vertices still held, the peaks were 1.03 and 2.25 MB; with a code table
     # built per estimate, 0.65 and 1.82 MB
     graph = graph_from_spec(spec, 0)

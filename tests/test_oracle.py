@@ -344,21 +344,21 @@ def _answer_every_vertex(graph):
 
 
 @pytest.mark.parametrize(
-    "graph, largest, table_dtype",
+    "graph, largest, code_dtype",
     [
         (graph_from_spec("gnm:300,0"), 0, np.uint8),
-        (gen_star(256), 255, np.uint8),
+        (gen_star(256), 255, np.uint16),
         (gen_star(257), 256, np.uint16),
-        (gen_star(65536), 65535, np.uint16),
+        (gen_star(65536), 65535, np.uint32),
         (gen_star(65537), 65536, np.uint32),
         (gen_gnm(2000, 30000, seed=5), None, np.uint8),
     ],
     ids=["edgeless", "star-255", "star-256", "star-65535", "star-65536", "gnm"],
 )
-def test_degree_answers_from_compact_table_match_degrees(graph, largest, table_dtype):
+def test_degree_answers_from_compact_table_match_degrees(graph, largest, code_dtype):
     if largest is not None:
         assert int(graph.degrees.max()) == largest
-    assert graph.degree_codes.degrees.dtype == table_dtype
+    assert answer_degree_codes(graph.degree_codes, np.arange(graph.n), QueryLedger()).dtype == code_dtype
     assert graph.degree_codes.degrees.flags.writeable is False
     assert graph.degrees.dtype == np.int64
     vertices, transcript = _answer_every_vertex(graph)
@@ -368,7 +368,7 @@ def test_degree_answers_from_compact_table_match_degrees(graph, largest, table_d
 
 def test_degree_table_of_an_empty_graph_is_an_empty_uint8_table():
     graph = build_graph(0, [])
-    assert graph.degree_codes.degrees.dtype == np.uint8
+    assert answer_degree_codes(graph.degree_codes, np.arange(0), QueryLedger()).dtype == np.uint8
     assert graph.degree_codes.degrees.shape == (0,)
     assert graph.degree_codes.degrees.flags.writeable is False
     transcript = answer_plan(graph, _plan(0), answer_seed=0)
@@ -383,13 +383,12 @@ def test_degree_answers_reject_a_table_that_is_not_integer():
         DegreeCodes(np.array([1.0, 2.0, 1.0, 0.0]))
 
 
-def test_degree_codes_keep_a_read_only_narrow_table_without_a_copy():
-    graph = gen_path(5)
-    assert DegreeCodes(graph.degree_codes.degrees).degrees is graph.degree_codes.degrees
+def test_degree_codes_decode_read_only_degrees_and_keep_no_given_array():
     given = np.array([1, 2, 2, 2, 1], dtype=np.uint8)
     table = DegreeCodes(given)
-    assert table.n == 5 and table.degrees is not given and table.degrees.flags.writeable is False
+    assert table.n == 5 and table.degrees.dtype == np.uint8 and table.degrees.flags.writeable is False
     given[0] = 3  # a later write to the caller's array never reaches the table
+    assert [name for name in DegreeCodes.__slots__ if isinstance(getattr(table, name), np.ndarray)] == ["_codes"]
     assert table.degrees.tolist() == [1, 2, 2, 2, 1]
 
 
@@ -402,7 +401,7 @@ def test_degree_codes_reject_marks_outside_the_graph(triangle, marked):
 
 
 def _marks(table):
-    return table.marked(answer_degree_codes(table, np.arange(table.n), QueryLedger()).codes).tolist()
+    return table.marked(answer_degree_codes(table, np.arange(table.n), QueryLedger())).tolist()
 
 
 def test_marking_refuses_a_vertex_outside_the_graph_before_any_bit_changes(triangle):
@@ -471,7 +470,7 @@ def _pickled(obj):
 @pytest.mark.parametrize("load", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
 def test_pickled_and_copied_tables_are_built_again_unmarked(triangle, load):
     # a table holds a lock, which pickle refuses; a copy taken while a mark is
-    # held carries none, and a graph's copy keeps one read-only narrow table
+    # held carries none, and a graph's copy decodes read-only degrees
     with triangle.degree_codes.marking([0, 2]):
         table, graph = load(triangle.degree_codes), load(triangle)
     for other in (table, graph.degree_codes):
@@ -489,10 +488,10 @@ def test_pickled_and_copied_tables_are_built_again_unmarked(triangle, load):
         ([0, 31, 5], 63),  # exact uint8
         ([0, 32, 5], 65),
         ([0, 126, 5], 253),
-        ([0, 127, 5], 255),  # exact uint16
+        ([0, 127, 5], 255),
+        ([0, 128, 5], 257),  # uint16
         ([0, 2**15 - 1, 5], 2**16 - 1),
-        ([0, 2**15, 5], 255),  # uint8 with the escape
-        ([126, 2**15, 5], 255),  # a marked 126 takes the code just below the escape's
+        ([0, 2**15, 5], 2**16 + 1),  # uint32
     ],
 )
 def test_degree_codes_top_code_is_the_largest_code_a_mark_can_make(degrees, top_code):
@@ -503,17 +502,13 @@ def test_degree_codes_top_code_is_the_largest_code_a_mark_can_make(degrees, top_
     table = DegreeCodes(degree_of)
     assert table.top_code == top_code
     with table.marking([1]):
-        assert answer_degree_codes(table, vertices, QueryLedger()).codes.max() == top_code
-    assert answer_degree_codes(table, vertices, QueryLedger()).codes.max() == top_code - 1
-    # the table's rules read the codes of each width: only degrees of 127 or
-    # more in a table with one of 2^15 or more are escaped, and only those
-    # below the escape are folded into per-degree counts
-    escaped = [i for i, d in enumerate(degrees) if d >= 127] if max(degrees) >= 2**15 else []
+        assert answer_degree_codes(table, vertices, QueryLedger()).max() == top_code
+    assert answer_degree_codes(table, vertices, QueryLedger()).max() == top_code - 1
+    # the table's rules read the codes of each width
     for marked in ([1], [], [0, 1, 2]):
         with table.marking(marked):
-            codes = answer_degree_codes(table, vertices, QueryLedger()).codes
+            codes = answer_degree_codes(table, vertices, QueryLedger())
         assert table.marked(codes).tolist() == [i in marked for i in range(3)]
-        assert table.escaped(codes).tolist() == escaped
-        below = [d for i, d in enumerate(degrees) if i not in escaped]
-        per_degree = np.bincount(below, minlength=table.escape or 0)
+        assert table.decoded(codes).tolist() == degrees
+        per_degree = np.bincount(degrees)
         assert table.fold(np.bincount(codes, minlength=top_code + 1)).tolist() == per_degree.tolist()
