@@ -61,7 +61,8 @@ class EstimatorParams:
     blocks; the defaults are calibrated for the acceptance targets at
     ``n = 10**4, epsilon = 0.25``. ``collision_reps`` > 1 switches the
     collision estimate to the median over that many independent samples.
-    A real ``epsilon`` or ``c_*``, a numpy scalar too, is stored as a ``float``.
+    A real ``epsilon`` or ``c_*``, a numpy scalar too, is stored as a ``float``;
+    a bool or any other value there raises ``TypeError`` naming the field.
     """
 
     epsilon: float
@@ -75,8 +76,10 @@ class EstimatorParams:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "c_s", "c_t", "c_f", "c_r"):
-            if isinstance(getattr(self, name), numbers.Real):
-                object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0.0 < self.epsilon <= 0.8:
             raise ValueError("epsilon must be in (0, 0.8]")
         object.__setattr__(self, "master_seed", check_master_seed(self.master_seed))

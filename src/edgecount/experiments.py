@@ -85,7 +85,8 @@ class TrialConfig:
 
     The other fields are the :class:`EstimatorParams` fields of their names, a
     ``c_*`` left ``None`` taking its default there. ``trials`` that is no
-    integer or is below 1, and bad parameters, raise ``ValueError`` here.
+    integer or is below 1, and bad parameters, raise ``ValueError`` here; an
+    ``epsilon`` or ``c_*`` that is no real number raises ``TypeError``.
     """
 
     graph: str  # generator spec, or "file:PATH"

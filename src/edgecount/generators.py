@@ -46,22 +46,24 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     # earlier passes. A pass that still needs ``need`` codes keeps the codes new to ``seen`` from the
     # shortest prefix of its draws that holds ``need`` of them: it encodes and dedupes its first
     # ``need`` draws, self-loops dropped, and while ``d`` codes are missing the next ``d`` draws, each
-    # of which adds at most one new code. Of its batch-long draws u and v, only these prefixes are formed;
-    # a pass that ends short of ``need`` has read all of v, so the next pass starts where v ends.
-    bits = rng.bit_generator
+    # of which adds at most one new code. Of its batch-long draws u and v, only these prefixes are formed,
+    # through two cursors on the one stream: after the first ``need`` values of u, ``rest`` starts where
+    # ``rng`` stands and serves the extension rounds' u in order, while ``rng`` draws and drops the rest
+    # of u in bounded chunks and then reads v. A pass that ends short of ``need`` has read all of v, so
+    # the next pass starts where v ends.
+    rest = np.random.default_rng()  # unseeded: each pass sets its state before it draws
     seen = np.empty(0, dtype=np.int64)
     while seen.size < m:
         need = m - seen.size
         batch = max(2 * need, 1024)
         u = rng.integers(0, n, size=need, dtype=np.int64)
-        u_at = bits.state
-        _skip_integers(bits, n, batch - need)
+        rest.bit_generator.state = rng.bit_generator.state
+        for start in range(need, batch, 2**16):
+            rng.integers(0, n, size=min(batch - start, 2**16), dtype=np.int64)
         found, read = _new_codes(u, rng.integers(0, n, size=need, dtype=np.int64), n, seen), need
         while found.size < need and read < batch:
             take = min(need - found.size, batch - read)
-            v_at, bits.state = bits.state, u_at
-            u = rng.integers(0, n, size=take, dtype=np.int64)
-            u_at, bits.state = bits.state, v_at
+            u = rest.integers(0, n, size=take, dtype=np.int64)
             found = _union(found, _new_codes(u, rng.integers(0, n, size=take, dtype=np.int64), n, seen))
             read += take
         seen = _union(seen, found)
@@ -75,30 +77,6 @@ def _new_codes(u: np.ndarray, v: np.ndarray, n: int, seen: np.ndarray) -> np.nda
     starts = run_starts(codes)
     codes = codes if starts.all() else codes[starts]
     return codes if seen.size == 0 else codes[seen.take(np.searchsorted(seen, codes), mode="clip") != codes]
-
-
-def _skip_integers(bits: np.random.BitGenerator, high: int, count: int) -> None:
-    """Advance the PCG64 ``bits`` exactly as ``Generator(bits).integers(0, high, size=count)`` would.
-
-    numpy's Lemire draw redraws a 32-bit word ``w`` when ``w * high mod 2**32 < (2**32 - high) % high``;
-    words are the halves of the raw outputs, low first, and an unread high half is buffered in ``uinteger``.
-    """
-    if not 2 <= high <= 2**32 - 2:
-        raise ValueError(f"high={high} outside 2..2**32 - 2")
-    if count == 0:
-        return
-    threshold, state = (2**32 - high) % high, bits.state
-    if state["has_uint32"]:
-        count -= state["uinteger"] * high % 2**32 >= threshold
-    buffered = None
-    while count > 0:
-        # ceil(count / 2) outputs cannot overshoot, so the last value is in the last output of its chunk
-        words = bits.random_raw(min((count + 1) // 2, 2**16)).astype("<u8", copy=False).view("<u4")
-        kept = words.size - np.count_nonzero(words * np.uint32(high) < threshold)
-        if kept - (int(words[-1]) * high % 2**32 >= threshold) >= count:
-            buffered = int(words[-1])
-        count -= kept
-    bits.state = {**bits.state, "has_uint32": int(buffered is not None), "uinteger": buffered or 0}
 
 
 def _union(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -145,7 +123,7 @@ def gen_skewed(n: int, exponent: float, seed: int) -> Graph:
     n = check_vertex_count(n)
     if n < 2:
         raise GraphValidationError("skewed requires n >= 2")
-    if not isinstance(exponent, numbers.Real):  # refused before a comparison raises TypeError
+    if isinstance(exponent, bool) or not isinstance(exponent, numbers.Real):  # before a comparison raises TypeError
         raise GraphValidationError(f"skewed exponent must be a real number, got {exponent!r}")
     if not exponent > 0:  # NaN compares false with everything
         raise GraphValidationError("skewed requires a positive exponent")

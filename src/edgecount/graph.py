@@ -7,7 +7,7 @@ import math
 import operator
 import re
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -228,11 +228,11 @@ class DegreeCodes:
 
 
 def checked_int(value: object, what: str, error: type[ValueError] = ValueError) -> int:
-    """``operator.index(value)``, so numpy integers pass; anything else raises ``error`` naming ``what``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+    """``operator.index(value)``, so numpy integers pass; a bool or anything else raises ``error`` naming ``what``."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def run_starts(ordered: np.ndarray) -> np.ndarray:

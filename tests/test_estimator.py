@@ -73,6 +73,11 @@ def test_params_validation():
             EstimatorParams(epsilon=0.5, master_seed=seed)
     with pytest.raises(ValueError, match="master_seed must be an integer, got 1.5"):
         EstimatorParams(epsilon=0.5, master_seed=1.5)
+    # a bool is no integer here, though operator.index reads True as 1
+    with pytest.raises(ValueError, match="^master_seed must be an integer, got True$"):
+        EstimatorParams(epsilon=0.5, master_seed=True)
+    with pytest.raises(ValueError, match="^collision_reps must be an integer, got True$"):
+        EstimatorParams(epsilon=0.5, collision_reps=True)
     seeded = EstimatorParams(epsilon=0.5, master_seed=np.int64(3))
     assert type(seeded.master_seed) is int and seeded.master_seed == 3
     assert EstimatorParams(epsilon=0.4).gamma == pytest.approx(0.04)
@@ -88,6 +93,14 @@ def test_params_validation():
 def test_params_reject_non_finite_constants(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         EstimatorParams(epsilon=0.25, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["epsilon", "c_s", "c_t", "c_f", "c_r"])
+@pytest.mark.parametrize("value", [True, np.True_, "2", None])
+def test_params_name_a_real_field_that_is_no_real_number(name, value):
+    with pytest.raises(TypeError) as info:
+        EstimatorParams(**{"epsilon": 0.25, name: value})
+    assert str(info.value) == f"{name} must be a real number, got {value!r}"
 
 
 @pytest.mark.parametrize(

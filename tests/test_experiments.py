@@ -180,6 +180,7 @@ def test_distinguisher_reproducible():
         (3, 5, 5, "n must be at least 7 for the lower-bound instance, got 3"),
         (0, 5, 5, "n must be at least 7 for the lower-bound instance, got 0"),
         (1000, 2.5, 5, "q must be an integer, got 2.5"),
+        (1000, True, 5, "q must be an integer, got True"),
         (1000.5, 10, 5, "n must be an integer, got 1000.5"),
     ],
 )
@@ -200,7 +201,7 @@ def test_trial_config_rejects_fewer_than_one_trial(trials):
     assert str(info.value) == f"trials must be at least 1, got {trials}"
 
 
-@pytest.mark.parametrize("trials", [2.5, "3", None])
+@pytest.mark.parametrize("trials", [2.5, "3", None, True])
 def test_trial_config_rejects_a_trial_count_that_is_no_integer(trials):
     with pytest.raises(ValueError) as info:
         TrialConfig(graph="gnm:100,200", trials=trials)

@@ -297,6 +297,7 @@ def whole_batch_gen_gnm(n, m, seed):
 @example(n=2100, m=1_500_000, seed=1)  # one pass: the first prefix, then 33 extension rounds
 @example(n=2001, m=1_990_000, seed=4)  # 370 passes, up to 150 rounds in one
 @example(n=2001, m=100_000, seed=0)  # 61 self-loops among the first prefix's draws
+@example(n=2001, m=100_001, seed=0)  # an odd first prefix: the extension rounds start on a buffered half word
 def test_gnm_matches_whole_batch_draws(n, m, seed):
     # no monkeypatching: every n here is in the rejection regime
     assert n * (n - 1) // 2 > generators._DENSE_ENUMERATION_LIMIT
@@ -304,44 +305,15 @@ def test_gnm_matches_whole_batch_draws(n, m, seed):
 
 
 def test_gnm_forms_only_the_draws_it_reads():
-    # the graph itself holds about 17 MB; whole-batch draws peaked at 38 MB
+    # the graph itself holds about 17 MB and the peak reads 21.5 MB; whole-batch draws peaked at 38 MB,
+    # and forming the unread rest of a pass's u whole instead of in chunks adds 2-4 MB
     tracemalloc.start()
     try:
         gen_gnm(10**6, 5 * 10**5, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28e6
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**63),
-    high=st.integers(2, MAX_VERTICES) | st.integers(2**31, MAX_VERTICES),
-    counts=st.lists(st.sampled_from([0, 1, 2, 3]) | st.integers(0, 1001) | st.integers(0, 300_000), min_size=1, max_size=2),
-    prior=st.integers(0, 3),
-)
-# at 2**31 + 1 about half of all words are rejected; 3 * 2**31 // 2 rejects a quarter
-@example(seed=5, high=2**31 + 1, counts=[100_001, 3], prior=1)
-@example(seed=6, high=3 * 2**31 // 2, counts=[1, 0], prior=1)
-@example(seed=7, high=MAX_VERTICES, counts=[0], prior=1)
-def test_skip_leaves_the_generator_where_integers_does(seed, high, counts, prior):
-    drawn, skipped = np.random.default_rng(seed), np.random.default_rng(seed)
-    # an odd prior draw leaves a buffered half word for the skip to start from
-    drawn.integers(0, 7, size=prior)
-    skipped.integers(0, 7, size=prior)
-    for count in counts:
-        drawn.integers(0, high, size=count, dtype=np.int64)
-        generators._skip_integers(skipped.bit_generator, high, count)
-    want, got = drawn.bit_generator.state, skipped.bit_generator.state
-    assert (got["state"], got["has_uint32"]) == (want["state"], want["has_uint32"])
-    assert np.array_equal(skipped.integers(0, high, size=11), drawn.integers(0, high, size=11))
-
-
-@pytest.mark.parametrize("high", [1, 2**32 - 1])
-def test_skip_refuses_a_bound_outside_the_32_bit_draw(high):
-    with pytest.raises(ValueError, match="outside 2..2"):
-        generators._skip_integers(np.random.PCG64(0), high, 5)
+    assert peak < 23e6
 
 
 def test_gnm_rejects_too_many_vertices():
@@ -367,6 +339,8 @@ def test_gnm_rejects_too_many_vertices():
         (lambda: gen_lowerbound_instance("9", 0), "vertex count must be an integer, got '9'"),
         (lambda: gen_skewed(50, "2", 0), "skewed exponent must be a real number, got '2'"),
         (lambda: gen_skewed(50, None, 0), "skewed exponent must be a real number, got None"),
+        (lambda: gen_skewed(100, True, 0), "skewed exponent must be a real number, got True"),
+        (lambda: gen_gnm(10, True, 0), "m must be an integer, got True"),
     ],
     ids=[
         "gnm-n",
@@ -383,6 +357,8 @@ def test_gnm_rejects_too_many_vertices():
         "lowerbound-str",
         "skewed-exponent-str",
         "skewed-exponent-none",
+        "skewed-exponent-bool",
+        "gnm-m-bool",
     ],
 )
 def test_generators_refuse_sizes_that_are_no_integers(call, message):

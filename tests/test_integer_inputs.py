@@ -200,7 +200,7 @@ def test_query_plan_names_a_uint64_vertex_as_the_caller_passed_it():
     ],
     ids=["plan_layout", "bucket_count", "BucketConfig", "build_graph", "gen_path", "gen_gnm"],
 )
-@pytest.mark.parametrize("n", [100.5, 4.0], ids=["fraction", "whole-float"])
+@pytest.mark.parametrize("n", [100.5, 4.0, True], ids=["fraction", "whole-float", "bool"])
 def test_vertex_counts_must_be_integers(call, error, what, n):
     with pytest.raises(error) as info:
         call(n)

@@ -26,7 +26,7 @@ def test_seeds_outside_64_bits_are_rejected(master_seed):
             derive(master_seed, "graph")
 
 
-@pytest.mark.parametrize("master_seed", [1.0, "3", None])
+@pytest.mark.parametrize("master_seed", [1.0, "3", None, True])
 def test_non_integer_seeds_are_rejected(master_seed):
     with pytest.raises(ValueError, match="master_seed must be an integer"):
         derive_seed(master_seed, "graph")
