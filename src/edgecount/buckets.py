@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .graph import checked_int
+from .graph import checked_int, checked_ints
 
-# Degrees below this are looked up in dense per-degree tables, 512 KiB of
-# intp at most; the rare larger ones are binary-searched in ``powers``, so no
-# table is sized by the largest degree.
+# Degrees below this are looked up by bucket_indices in a dense per-degree
+# table, 512 KiB of intp at most; the rare larger ones are binary-searched in
+# ``powers``, so no table is sized by the largest degree.
 DENSE_DEGREES = 2**16
 
 # Most buckets bucket_count gives: 8 MiB per float64 table. Within MAX_PLAN_QUERIES
@@ -29,7 +30,8 @@ def bucket_count(n: int, gamma: float) -> int:
     n = checked_int(n, "n")
     if n < 2:
         raise ValueError("bucket_count requires n >= 2")
-    if not 0 < gamma < math.inf:  # NaN fails every comparison
+    # NaN fails every comparison; a bool or a string is no growth rate
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not 0 < gamma < math.inf:
         raise ValueError("bucket_count requires a finite gamma > 0")
     width = math.log(n) / math.log1p(gamma)  # inf at a subnormal gamma
     if width + 1 > MAX_BUCKETS:
@@ -73,6 +75,7 @@ class BucketConfig:
 
     def bucket_index(self, degree: int) -> int:
         """Index of the unique bucket containing ``degree``."""
+        degree = checked_int(degree, "degree")
         if degree < 1:
             raise ValueError("degrees below 1 belong to no bucket")
         if degree > self.n:
@@ -88,7 +91,7 @@ class BucketConfig:
         binary search per element. Degrees at or above it are searched one by
         one, so the table never outgrows the cutoff.
         """
-        degrees = np.asarray(degrees)
+        degrees = checked_ints(degrees, None, "degrees")
         if degrees.size == 0:
             return np.empty(0, dtype=np.intp)
         top = int(degrees.max())
@@ -106,3 +109,7 @@ class BucketConfig:
         table = np.empty(present.shape[0], dtype=np.intp)
         table[distinct] = np.searchsorted(self.powers, distinct, side="left")
         return table[degrees]
+
+    def bucket_counts(self, degrees: np.ndarray) -> np.ndarray:
+        """Per-bucket counts of ``degrees``, length ``t``; degree 0 is counted in no bucket."""
+        return np.bincount(self.bucket_indices(degrees[degrees >= 1]), minlength=self.t)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .buckets import DENSE_DEGREES, BucketConfig, gamma_for
+from .buckets import BucketConfig, gamma_for
 from .graph import MAX_VERTICES, DegreeCodes, Graph, checked_int, checked_ints, pair_codes, run_starts
 from .oracle import (
     PlanProvenance,
@@ -281,41 +281,11 @@ def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: fl
     degree_answers = checked_ints(degree_answers, config.n, "degree answers")
     if degree_answers.shape[0] == 0:
         raise ValueError("cannot classify from an empty degree sample")
-    above = np.zeros(config.t, dtype=np.int64)
-    per_degree = _tally(degree_answers, config, np.zeros(0, dtype=np.intp), above)
-    return _heavy_set(per_degree, above, int(degree_answers.shape[0]), config, epsilon)
+    return _heavy_set(config.bucket_counts(degree_answers), int(degree_answers.shape[0]), config, epsilon)
 
 
-def _tally(degrees: np.ndarray, config: BucketConfig, per_degree: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """Add range-checked degree answers to the running tallies.
-
-    Returns ``per_degree`` plus the per-degree counts of the answers below
-    :data:`~edgecount.buckets.DENSE_DEGREES`, so it never outgrows that
-    cutoff. The rare answers at or above it are added to ``above``, a
-    per-bucket count, in place; none is looked for below ``n`` and the dtype's top.
-    """
-    if min(config.n, np.iinfo(degrees.dtype).max) >= DENSE_DEGREES:
-        dense = degrees < DENSE_DEGREES
-        if not dense.all():
-            above += np.bincount(config.bucket_indices(degrees[~dense]), minlength=config.t)
-            degrees = degrees[dense]
-    # bincount casts to intp, which older numpy refuses to do for uint64
-    tally = np.bincount(degrees.astype(np.intp, copy=False), minlength=per_degree.shape[0])
-    tally[: per_degree.shape[0]] += per_degree
-    return tally
-
-
-def _heavy_set(
-    per_degree: np.ndarray, counts: np.ndarray, sample_size: int, config: BucketConfig, epsilon: float
-) -> HeavySet:
-    """:func:`classify_heavy` from the :func:`_tally` of its ``sample_size`` probes.
-
-    ``counts`` holds the per-bucket count of the answers above the dense
-    cutoff; the dense ones are added to it in place.
-    """
-    # one bucket lookup per distinct degree
-    distinct = np.flatnonzero(per_degree[1:]) + 1
-    np.add.at(counts, config.bucket_indices(distinct), per_degree[distinct])
+def _heavy_set(counts: np.ndarray, sample_size: int, config: BucketConfig, epsilon: float) -> HeavySet:
+    """:func:`classify_heavy` from the per-bucket ``counts`` of its ``sample_size`` probes."""
     threshold = math.sqrt(epsilon / (6.0 * config.n)) / config.t
     indices = np.flatnonzero(counts / sample_size >= threshold)
     return HeavySet(indices=indices, bucket_counts=counts, sample_size=sample_size, threshold=threshold)
@@ -553,14 +523,13 @@ def _stream_degree_block(
     """
     # codes below 2^16 are counted as they come and folded once, those of a
     # table whose top code is at most _PAIR_TOP_CODE two at a time, as uint16
-    # pairs: half the increments, into bins too many to contend. Wider codes
-    # are decoded and tallied by degree, which never outgrows DENSE_DEGREES
-    by_code = table.top_code < 2**16
+    # pairs: half the increments, into bins too many to contend. Other codes
+    # below 2^16 are counted one at a time into bins up to the largest code
+    # seen; the rare codes of 2^16 or more are decoded and counted by bucket
     paired = table.top_code <= _PAIR_TOP_CODE
-    code_counts = np.zeros((256 if paired else 1) * (table.top_code + 1) if by_code else 0, dtype=np.intp)
+    code_counts = np.zeros(256 * (table.top_code + 1) if paired else 0, dtype=np.intp)
     leftover = []  # the last code of each odd-length chunk, which has no pair
-    per_degree = np.zeros(0, dtype=np.intp)
-    above = np.zeros(config.t, dtype=np.int64)
+    counts = np.zeros(config.t, dtype=np.intp)
     # the probes on a marked endpoint, the only ones that can match an
     # endpoint draw: their vertices and their codes
     hit_vertices, hit_codes = [], []
@@ -575,19 +544,26 @@ def _stream_degree_block(
             code_counts += np.bincount(codes[:even].view(np.uint16), minlength=code_counts.shape[0])
             if even < codes.shape[0]:
                 leftover.append(codes[-1])
-        elif by_code:
-            code_counts += np.bincount(codes, minlength=code_counts.shape[0])
         else:
-            per_degree = _tally(table.decoded(codes), config, per_degree, above)
+            if table.top_code >= 2**16:
+                narrow = codes < 2**16
+                counts += config.bucket_counts(table.decoded(codes[~narrow]))
+                # bincount casts to intp, which older numpy refuses to do for uint64
+                codes = codes[narrow].astype(np.uint16)
+            tally = np.bincount(codes, minlength=code_counts.shape[0])
+            tally[: code_counts.shape[0]] += code_counts
+            code_counts = tally
         del codes  # freed before the next chunk is drawn
     if paired:
         # a pair holds one code in each byte: its row and its column, in either byte order
         pairs = code_counts.reshape(-1, 256)
         top = pairs.shape[0]
         code_counts = pairs.sum(axis=0)[:top] + pairs.sum(axis=1) + np.bincount(leftover, minlength=top)
-    if by_code:
-        per_degree = table.fold(code_counts)
-    heavy = _heavy_set(per_degree, above, layout.degree_size, config, params.epsilon)
+    per_degree = table.fold(code_counts)
+    # one bucket lookup per distinct degree
+    distinct = np.flatnonzero(per_degree[1:]) + 1
+    np.add.at(counts, config.bucket_indices(distinct), per_degree[distinct])
+    heavy = _heavy_set(counts, layout.degree_size, config, params.epsilon)
     degrees = table.decoded(np.concatenate(hit_codes))
     nonzero = degrees >= 1  # degree 0 is in no bucket
     return heavy, np.concatenate(hit_vertices)[nonzero], degrees[nonzero]

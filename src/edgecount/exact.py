@@ -16,8 +16,7 @@ from .graph import Graph, checked_ints
 
 def exact_bucket_sizes(graph: Graph, config: BucketConfig) -> np.ndarray:
     """True per-bucket vertex counts; degree-0 vertices appear nowhere."""
-    degrees = graph.degrees
-    return np.bincount(config.bucket_indices(degrees[degrees >= 1]), minlength=config.t).astype(np.int64)
+    return config.bucket_counts(graph.degrees).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,12 @@ def test_bucket_count_rejects_bad_inputs():
         (10, float("inf"), "bucket_count requires a finite gamma > 0"),
         (1000, 1e-10, f"bucket_count at n=1000, gamma=1e-10 needs more than MAX_BUCKETS={MAX_BUCKETS} buckets"),
         (10, 5e-324, f"bucket_count at n=10, gamma=5e-324 needs more than MAX_BUCKETS={MAX_BUCKETS} buckets"),
+        # a bool is no growth rate, though it compares as 1, and a string is no real number
+        (10, True, "bucket_count requires a finite gamma > 0"),
+        (10, np.True_, "bucket_count requires a finite gamma > 0"),
+        (10, "0.5", "bucket_count requires a finite gamma > 0"),
     ],
-    ids=["nan", "inf", "too-many", "subnormal"],
+    ids=["nan", "inf", "too-many", "subnormal", "bool", "numpy-bool", "string"],
 )
 def test_bucket_config_refuses_a_gamma_it_cannot_tabulate(n, gamma, message):
     with pytest.raises(ValueError) as info:
@@ -100,6 +104,21 @@ def test_out_of_range_degrees_rejected():
         config.bucket_indices(np.array([5, 0]))
     with pytest.raises(ValueError):
         config.bucket_indices(np.array([5, 200]))
+    # a degree that is no integer is refused by name, not rounded, read as
+    # 1, or taken as a boolean mask or an index error
+    config = BucketConfig(10, 0.5)
+    with pytest.raises(ValueError, match="^degrees must be integers, got dtype float64$"):
+        config.bucket_indices(np.array([1.5, 2.0]))
+    with pytest.raises(ValueError, match="^degrees must be integers, got dtype bool$"):
+        config.bucket_indices(np.array([True, True, True]))
+    with pytest.raises(ValueError, match="^degree must be an integer, got 2.5$"):
+        config.bucket_index(2.5)
+    with pytest.raises(ValueError, match="^degree must be an integer, got True$"):
+        config.bucket_index(True)
+    with pytest.raises(ValueError, match="^degrees must be integers, got dtype float64$"):
+        config.bucket_counts(np.array([0.0, 2.0]))
+    with pytest.raises(ValueError, match=r"^degrees must lie in 1\.\.n$"):
+        config.bucket_counts(np.array([0, 11]))
 
 
 def test_epsilon_constructor_divides_by_ten():

@@ -3,7 +3,8 @@
 Each reference below is the straightforward version of a kernel: a binary
 search per degree, length-n tallies and masks, one collision count per vote
 round, hashed run counts for collisions. The kernels must give exactly the same results, with memory that grows
-with the sample, plus one n-entry degree code table; per-degree tables stop at ``DENSE_DEGREES``.
+with the sample, plus one n-entry degree code table; code tallies stop at 2^16 bins, and the rare wider
+codes are counted by bucket.
 """
 
 from __future__ import annotations
@@ -208,8 +209,9 @@ def _width_degrees(largest: int, sampled: np.ndarray, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("largest, code_dtype", WIDTH_CASES, ids=["126", "127", "128", "32767", "32768", "dense"])
 def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, code_dtype):
-    # the uint32 tables are tallied by degree, chunk by chunk; the widest one
-    # has probed degrees on both sides of DENSE_DEGREES
+    # the uint32 tables' top codes lie above 2^16: their codes below it are
+    # tallied by code and the rest counted by bucket, chunk by chunk; the
+    # widest one has probed degrees on both sides of DENSE_DEGREES
     n = DENSE_DEGREES + 7
     params = EstimatorParams(epsilon=0.25, master_seed=3)
     layout = plan_layout(n, params)
@@ -238,19 +240,43 @@ def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, code_
     assert np.array_equal(hit_degrees, degrees[hit])
 
 
-def test_a_uint64_code_chunk_is_decoded_and_tallied():
+def test_a_uint64_code_chunk_is_decoded_and_counted_by_bucket():
     # codes of a degree of 2^31 or more are uint64, which older numpy's
-    # np.bincount refuses; the stream decodes each chunk and tallies it by degree
+    # np.bincount refuses; the stream decodes a wide table's codes of 2^16
+    # or more and counts them by bucket, degree 0 in none
     config = BucketConfig(2**33, 0.25)
     degrees = np.array([0, 1, 1, 5, DENSE_DEGREES - 1, DENSE_DEGREES, 2**31, 2**32 + 3], dtype=np.int64)
     codes = (2 * degrees + np.arange(degrees.shape[0]) % 2).astype(np.uint64)
     decoded = DegreeCodes.decoded(codes)
     assert decoded.dtype == np.uint64 and decoded.tolist() == degrees.tolist()
-    above = np.zeros(config.t, dtype=np.int64)
-    per_degree = estimator._tally(decoded, config, np.zeros(0, dtype=np.intp), above)
-    dense = degrees < DENSE_DEGREES
-    assert np.array_equal(per_degree, np.bincount(degrees[dense]))
-    assert np.array_equal(above, np.bincount(config.bucket_indices(degrees[~dense]), minlength=config.t))
+    counts = config.bucket_counts(decoded)
+    assert np.array_equal(counts, np.bincount(config.bucket_indices(degrees[degrees >= 1]), minlength=config.t))
+    assert counts.sum() == degrees.shape[0] - 1
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["no-narrow-code", "only-zero-narrow-codes"])
+def test_streamed_wide_table_whose_chunks_hold_no_nonzero_narrow_code(zeros):
+    # every degree is 33,000, whose codes lie above 2^16, so no chunk holds a
+    # code below 2^16; with every other degree 0, the only such codes are
+    # those of degree 0, marked or not
+    n = 40_000
+    degree_of = np.full(n, 33_000)
+    if zeros:
+        degree_of[::2] = 0
+    params = EstimatorParams(epsilon=0.25, master_seed=3)
+    layout = plan_layout(n, params)
+    config = params.bucket_config(n)
+    sampled = build_sample_plan(n, params).deg_vertices
+    degrees = degree_of[sampled]
+    endpoints = np.arange(0, n, 7)
+    with DegreeCodes(degree_of).marking(endpoints) as table:
+        assert table.top_code >= 2**16
+        heavy, hit_vertices, hit_degrees = _stream_degree_block(table, params, layout, config, QueryLedger())
+    assert np.array_equal(heavy.bucket_counts, ref_bucket_counts(degrees, config))
+    assert heavy.sample_size == layout.degree_size
+    hit = np.isin(sampled, endpoints) & (degrees >= 1)
+    assert np.array_equal(hit_vertices, sampled[hit])
+    assert np.array_equal(hit_degrees, degrees[hit])
 
 
 @pytest.mark.parametrize("bad_degree", [-1, DENSE_DEGREES + 8, 2**40])
@@ -581,14 +607,20 @@ def test_estimate_memory_is_about_two_words_per_query():
     assert peak <= 24 * plan_layout(graph.n, params).total
 
 
-@pytest.mark.parametrize("spec, bound", [("gnm:10000,100000", 750_000), ("gnm:1000000,500000", 1_000_000)])
+@pytest.mark.parametrize(
+    "spec, bound",
+    [("gnm:10000,100000", 750_000), ("gnm:1000000,500000", 1_000_000), ("star:300000", 1_450_000)],
+)
 def test_estimate_peak_holds_one_probe_chunk(spec, bound):
     # the peak holds one chunk of int64 probe vertices with its codes, marks
     # and hits, and the endpoint draws, kept to clear their marks; the n-byte
     # code table is the graph's, built with it. The vertices are freed before
     # a chunk's codes are tallied, by one np.bincount. Tallied with the
     # vertices still held, the peaks were 1.03 and 2.25 MB; with a code table
-    # built per estimate, 0.65 and 1.82 MB
+    # built per estimate, 0.65 and 1.82 MB. The star's uint32 codes are
+    # tallied by code below 2^16 into bins up to the largest code seen and
+    # counted by bucket above it, at 1.32 MB; bucketing every one of its
+    # probes peaked at 2.24 MB, and a code tally of 2^16 bins at 2.62 MB
     graph = graph_from_spec(spec, 0)
     tracemalloc.start()
     try:
