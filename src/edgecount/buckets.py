@@ -74,16 +74,11 @@ class BucketConfig:
         return cls(n, gamma_for(epsilon))
 
     def bucket_index(self, degree: int) -> int:
-        """Index of the unique bucket containing ``degree``."""
-        degree = checked_int(degree, "degree")
-        if degree < 1:
-            raise ValueError("degrees below 1 belong to no bucket")
-        if degree > self.n:
-            raise ValueError(f"degree {degree} exceeds the covered range for n={self.n}")
-        return int(np.searchsorted(self.powers, degree, side="left"))
+        """Index of the unique bucket containing ``degree``, as :meth:`bucket_indices` finds it."""
+        return int(self.bucket_indices(np.array([checked_int(degree, "degree")]))[0])
 
     def bucket_indices(self, degrees: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`bucket_index`; every degree must be in ``1..n``.
+        """Index of the bucket containing each of ``degrees``; every degree must be in ``1..n``.
 
         Each distinct degree below :data:`DENSE_DEGREES` is searched in the
         boundary table once, into a lookup table that the degrees then index,
@@ -111,5 +106,6 @@ class BucketConfig:
         return table[degrees]
 
     def bucket_counts(self, degrees: np.ndarray) -> np.ndarray:
-        """Per-bucket counts of ``degrees``, length ``t``; degree 0 is counted in no bucket."""
-        return np.bincount(self.bucket_indices(degrees[degrees >= 1]), minlength=self.t)
+        """Per-bucket counts of ``degrees``, length ``t``; degree 0 joins no bucket and any other outside ``1..n`` is refused."""
+        degrees = np.asarray(degrees)
+        return np.bincount(self.bucket_indices(degrees[degrees != 0]), minlength=self.t)

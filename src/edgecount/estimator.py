@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .buckets import BucketConfig, gamma_for
-from .graph import MAX_VERTICES, DegreeCodes, Graph, checked_int, checked_ints, pair_codes, run_starts
+from .graph import MAX_VERTICES, DegreeCodes, Graph, checked_int, checked_ints, checked_vector, pair_codes, run_starts
 from .oracle import (
     PlanProvenance,
     QueryLedger,
@@ -94,9 +94,6 @@ class EstimatorParams:
             raise ValueError("collision_reps must be at least 1")
         object.__setattr__(self, "collision_reps", reps)
         object.__setattr__(self, "gamma", gamma_for(self.epsilon))
-
-    def bucket_config(self, n: int) -> BucketConfig:
-        return BucketConfig(n, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -278,7 +275,7 @@ def classify_heavy(degree_answers: np.ndarray, config: BucketConfig, epsilon: fl
     Degree-0 answers stay in the sample size but join no bucket, matching how
     isolated vertices carry no edge mass.
     """
-    degree_answers = checked_ints(degree_answers, config.n, "degree answers")
+    degree_answers = checked_vector(degree_answers, config.n, "degree answers")
     if degree_answers.shape[0] == 0:
         raise ValueError("cannot classify from an empty degree sample")
     return _heavy_set(config.bucket_counts(degree_answers), int(degree_answers.shape[0]), config, epsilon)
@@ -299,7 +296,7 @@ def sampled_heavy_set(graph: Graph, params: EstimatorParams, ledger: QueryLedger
     whose marks it ignores, without holding the probes or their answers;
     ``ledger.deg`` grows by the block's size.
     """
-    layout, config = plan_layout(graph.n, params), params.bucket_config(graph.n)
+    layout, config = plan_layout(graph.n, params), BucketConfig(graph.n, params.gamma)
     return _stream_degree_block(graph.degree_codes, params, layout, config, ledger)[0]
 
 
@@ -338,40 +335,32 @@ def heavy_fraction_estimate(
         raise ValueError("heavy fraction needs at least one endpoint draw")
     if np.shape(sampled_vertices) != np.shape(sampled_degrees):
         raise ValueError("sampled vertices and degrees must align one to one")
-    sampled_degrees = checked_ints(sampled_degrees, config.n, "degree answers")
-    endpoints = checked_ints(endpoints, config.n - 1, "endpoints")
+    sampled_degrees = checked_vector(sampled_degrees, config.n, "degree answers")
+    endpoints = checked_vector(endpoints, config.n - 1, "endpoints")
     sampled_vertices = checked_ints(sampled_vertices, config.n - 1, "sampled vertices")
-    is_endpoint = np.zeros(config.n, dtype=bool)
-    is_endpoint[endpoints] = True
-    hit = np.flatnonzero(is_endpoint.take(sampled_vertices) & (sampled_degrees >= 1))
-    draws, repeats = endpoints.shape[0], _repeats(endpoints)
-    return _heavy_fraction(draws, repeats, sampled_vertices[hit], sampled_degrees[hit], heavy, config)
-
-
-def _repeats(endpoints: np.ndarray) -> np.ndarray:
-    """The sorted endpoint draws less the first draw of each vertex: one entry per repeated draw."""
-    ordered = np.sort(endpoints)
-    return ordered[1:][ordered[1:] == ordered[:-1]]
+    hit = np.flatnonzero(np.isin(sampled_vertices, endpoints) & (sampled_degrees >= 1))
+    return _heavy_fraction(endpoints, sampled_vertices[hit], sampled_degrees[hit], heavy, config)
 
 
 def _heavy_fraction(
-    draws: int, repeats: np.ndarray, vertices: np.ndarray, degrees: np.ndarray, heavy: HeavySet, config: BucketConfig
+    endpoints: np.ndarray, vertices: np.ndarray, degrees: np.ndarray, heavy: HeavySet, config: BucketConfig
 ) -> float:
     """:func:`heavy_fraction_estimate` from the ``vertices`` and ``degrees`` of its checked probes that hit an endpoint.
 
-    ``draws`` counts the endpoint draws and ``repeats`` is their :func:`_repeats`;
-    degree 0 is left out, and every hit vertex must be one of the draws. A
-    heavy hit then matches each draw of its vertex: once for the first draw,
-    plus once for each entry of ``repeats`` on that vertex.
+    Degree 0 is left out, and every hit vertex must be one of the ``endpoints``
+    drawn. A heavy hit then matches each draw of its vertex: once for the
+    first draw, plus once for each repeated draw of it.
     """
     hits = vertices[heavy.heavy_mask()[config.bucket_indices(degrees)]]
     matched_pairs = hits.shape[0]
+    ordered = np.sort(endpoints)
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]  # one entry per draw after a vertex's first
     if repeats.size:
         # the few repeats are searched into the sorted hits, not the hits
         # into the draws: unsorted keys make a search several times slower
         hits.sort()
         matched_pairs += int((np.searchsorted(hits, repeats, "right") - np.searchsorted(hits, repeats, "left")).sum())
-    return float(config.n / heavy.sample_size * matched_pairs / draws)
+    return float(config.n / heavy.sample_size * matched_pairs / endpoints.shape[0])
 
 
 def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
@@ -470,7 +459,7 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
         return EstimateReport(
             m_hat=0.0, branch=BRANCH_ZERO_EDGES, r=0, k=0, d_tilde_h=0.0, p_tilde_h=0.0, queries=ledger
         )
-    config = params.bucket_config(graph.n)
+    config = BucketConfig(graph.n, params.gamma)
     rng = derive_rng(params.master_seed, "oracle:answers")
     # edge i's endpoints sit at 2i and 2i + 1 of the flat edges, so only the
     # chosen one is gathered
@@ -492,13 +481,12 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
     del keys  # freed before the degree block
     r = sorted(rep_counts)[len(rep_counts) // 2]  # upper median; identity for one rep
 
-    # the rest reads the endpoint draws only as their repeats and as marks on
-    # the graph's code table, held for the degree block and cleared after it
-    repeats = _repeats(endpoints)
+    # the degree block reads the endpoint draws as marks on the graph's code
+    # table, held for the block and cleared after it
     with graph.degree_codes.marking(endpoints) as table:
         heavy, *hits = _stream_degree_block(table, params, layout, config, ledger)
     mass = heavy_mass_estimate(heavy, config)
-    fraction = _heavy_fraction(layout.endpoint_size, repeats, *hits, heavy, config)
+    fraction = _heavy_fraction(endpoints, *hits, heavy, config)
     if r > 0 and k == 1:
         m_hat: float | None = collision_edge_estimate(layout.collision_size, r)
         branch = BRANCH_COLLISION

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .buckets import BucketConfig
 from .estimator import (
     BRANCH_COLLISION,
     BRANCH_FAILED,
@@ -272,11 +273,11 @@ def run_ph_bound_check(graph_source: str, epsilon: float, trials: int, master_se
     if graph.m < graph.n / 2:
         raise ValueError(f"heavy-fraction bound applies to m >= n/2 (got m={graph.m}, n={graph.n})")
     bound = 0.5 - params.epsilon / 8.0
+    config = BucketConfig(graph.n, params.gamma)
     values: list[float] = []
     for j in range(trials):
         trial = replace(params, master_seed=derive_seed(params.master_seed, f"trial:{j}"))
         heavy = sampled_heavy_set(graph, trial, QueryLedger())
-        config = trial.bucket_config(graph.n)
         decomposition = heavy_light_decomposition(graph, heavy.indices, config)  # checks the identities
         values.append(decomposition.heavy_degree_mass / (2.0 * graph.m))
     meeting = sum(value >= bound for value in values)

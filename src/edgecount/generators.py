@@ -26,11 +26,17 @@ from .graph import (
 _DENSE_ENUMERATION_LIMIT = 2_000_000
 
 
+def _vertex_count(n: int, shape: str, least: int) -> int:
+    """:func:`check_vertex_count` of ``n``, which the graph ``shape`` needs to be at least ``least``."""
+    n = check_vertex_count(n)
+    if n < least:
+        raise GraphValidationError(f"{shape} requires n >= {least}")
+    return n
+
+
 def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform random graph with exactly ``m`` distinct edges on ``n`` vertices."""
-    n = check_vertex_count(n)
-    if n < 1:
-        raise GraphValidationError("gnm requires n >= 1")
+    n = _vertex_count(n, "gnm", 1)
     m = checked_int(m, "m", GraphValidationError)
     max_pairs = n * (n - 1) // 2
     if not 0 <= m <= max_pairs:
@@ -89,26 +95,20 @@ def _union(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def gen_path(n: int) -> Graph:
-    n = check_vertex_count(n)
-    if n < 2:
-        raise GraphValidationError("path requires n >= 2")
+    n = _vertex_count(n, "path", 2)
     u = np.arange(n - 1, dtype=np.int64)
     return build_graph(n, np.column_stack((u, u + 1)))
 
 
 def gen_star(n: int) -> Graph:
-    n = check_vertex_count(n)
-    if n < 2:
-        raise GraphValidationError("star requires n >= 2")
+    n = _vertex_count(n, "star", 2)
     spokes = np.arange(1, n, dtype=np.int64)
     return build_graph(n, np.column_stack((np.zeros(n - 1, dtype=np.int64), spokes)))
 
 
 def gen_clique_plus_isolated(n: int, k: int) -> Graph:
     """Clique on vertices ``0..k-1``; the remaining ``n - k`` vertices are isolated."""
-    n = check_vertex_count(n)
-    if n < 2:
-        raise GraphValidationError("clique_plus_isolated requires n >= 2")
+    n = _vertex_count(n, "clique_plus_isolated", 2)
     k = checked_int(k, "k", GraphValidationError)
     if not 0 <= k <= n:
         raise GraphValidationError(f"clique_plus_isolated: k={k} outside [0, {n}]")
@@ -120,9 +120,7 @@ def gen_skewed(n: int, exponent: float, seed: int) -> Graph:
     """Heavy-tailed random graph: degrees drawn with P(d) proportional to
     ``d**-exponent`` over ``1..round(sqrt(n))``, realized as a simple graph by
     pairing stubs and dropping self-loops and duplicate pairs."""
-    n = check_vertex_count(n)
-    if n < 2:
-        raise GraphValidationError("skewed requires n >= 2")
+    n = _vertex_count(n, "skewed", 2)
     if isinstance(exponent, bool) or not isinstance(exponent, numbers.Real):  # before a comparison raises TypeError
         raise GraphValidationError(f"skewed exponent must be a real number, got {exponent!r}")
     if not exponent > 0:  # NaN compares false with everything

@@ -116,6 +116,14 @@ def checked_ints(values: np.ndarray, top: int | None, what: str, error: type[Val
     return arr
 
 
+def checked_vector(values: np.ndarray, top: int | None, what: str) -> np.ndarray:
+    """:func:`checked_ints` of a 1-d array; any other shape raises ``ValueError`` naming ``what`` and the shape."""
+    arr = checked_ints(values, top, what)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be a 1-d array, got shape {arr.shape}")
+    return arr
+
+
 def top_value(arr: np.ndarray) -> int:
     """Largest value of integer ``arr``, 0 when empty and ``2**64`` when one is negative; one pass, viewed unsigned."""
     largest = int(arr.view(arr.dtype.str.replace("i", "u")).max(initial=0))

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import DegreeCodes, Graph, checked_int, checked_ints, frozen, top_value
+from .graph import DegreeCodes, Graph, checked_int, checked_vector, frozen, top_value
 
 # kind codes of the columnar views
 DEG, RAND_EDGE = 0, 1
@@ -146,8 +146,8 @@ class Transcript:
 
 
 def _checked_probes(vertices: np.ndarray, n: int, what: str) -> np.ndarray:
-    """Degree-probe ``vertices`` as contiguous int64 ids; one outside ``0..n-1`` is named with its position."""
-    v = checked_ints(vertices, None, what)
+    """1-d degree-probe ``vertices`` as contiguous int64 ids; one outside ``0..n-1`` is named with its position."""
+    v = checked_vector(vertices, None, what)
     if v.size and top_value(v) >= n:
         pos = int(np.flatnonzero((v < 0) | (v >= n))[0])
         raise ValueError(f"query {pos} (Deg({int(v[pos])})) has invalid arguments")
@@ -157,8 +157,8 @@ def _checked_probes(vertices: np.ndarray, n: int, what: str) -> np.ndarray:
 def answer_degree_codes(table: DegreeCodes, vertices: np.ndarray, ledger: QueryLedger) -> np.ndarray:
     """Answer ``Deg(v)`` for each of ``vertices``, in order, as :meth:`DegreeCodes.gather` of ``table``.
 
-    Vertices that are not integers, or one outside ``0..n-1``, named by its
-    position, raise ``ValueError`` before anything is metered; otherwise
+    Vertices that are not a 1-d array of integers, or one outside ``0..n-1``,
+    named by its position, raise ``ValueError`` before anything is metered; otherwise
     ``ledger.deg`` grows by the probe count. The codes may carry the marks of
     any marking, which :meth:`~DegreeCodes.decoded` and :meth:`~DegreeCodes.fold` drop.
     """

@@ -121,6 +121,27 @@ def test_out_of_range_degrees_rejected():
         config.bucket_counts(np.array([0, 11]))
 
 
+@pytest.mark.parametrize("degree", [0, -3, 101])
+def test_scalar_lookup_refuses_a_degree_as_the_vector_one_does(degree):
+    with pytest.raises(ValueError, match=r"^degrees must lie in 1\.\.n$"):
+        BucketConfig(100, 0.1).bucket_index(degree)
+
+
+@pytest.mark.parametrize("degrees", [np.array([-5, 2]), [-5, 2], np.array([0, -1, 3])], ids=["array", "list", "with-zero"])
+def test_bucket_counts_refuse_a_negative_degree(degrees):
+    # a negative degree was dropped with degree 0, and a list raised a bare TypeError
+    with pytest.raises(ValueError, match=r"^degrees must lie in 1\.\.n$"):
+        BucketConfig(100, 0.1).bucket_counts(degrees)
+
+
+def test_bucket_counts_take_a_list_and_leave_degree_zero_out():
+    config = BucketConfig(100, 0.1)
+    counts = config.bucket_counts([0, 2, 2, 100])
+    assert counts.shape == (config.t,)
+    assert counts.sum() == 3
+    assert counts[config.bucket_index(2)] == 2 and counts[config.bucket_index(100)] == 1
+
+
 def test_epsilon_constructor_divides_by_ten():
     config = BucketConfig.from_epsilon(10_000, 0.25)
     assert config.gamma == pytest.approx(0.025)

@@ -317,6 +317,24 @@ def test_heavy_fraction_edge_cases():
         heavy_fraction_estimate(np.zeros(0, dtype=np.int64), sampled_vertices, sampled_degrees, heavy, config)
 
 
+def test_classify_heavy_refuses_answers_that_are_not_one_row():
+    # (2, 2) answers were classified with a sample size of 2, not 4
+    config = BucketConfig(100, 0.025)
+    with pytest.raises(ValueError, match=r"^degree answers must be a 1-d array, got shape \(2, 2\)$"):
+        classify_heavy(np.full((2, 2), 5), config, epsilon=0.25)
+
+
+def test_heavy_fraction_refuses_endpoints_or_samples_that_are_not_one_row():
+    # (1, 2) endpoints were counted as 1 draw: the estimate read 5.0, not 2.5
+    config = BucketConfig(100, 0.025)
+    vertices, degrees = np.array([0, 1]), np.array([99, 99])
+    heavy = classify_heavy(degrees, config, epsilon=0.25)
+    with pytest.raises(ValueError, match=r"^endpoints must be a 1-d array, got shape \(1, 2\)$"):
+        heavy_fraction_estimate(np.array([[0, 1]]), vertices, degrees, heavy, config)
+    with pytest.raises(ValueError, match=r"^degree answers must be a 1-d array, got shape \(1, 2\)$"):
+        heavy_fraction_estimate(np.array([0, 1]), vertices.reshape(1, 2), degrees.reshape(1, 2), heavy, config)
+
+
 def test_heavy_fraction_conditionally_unbiased():
     # with the degree sample held fixed, the estimator's mean over fresh edge
     # draws and coins must hit the exact degree-weighted target
@@ -377,7 +395,7 @@ def pipeline_trials(dense_graph):
         transcript = answer_plan(
             dense_graph, plan, derive_seed(params.master_seed, "oracle:answers")
         )
-        heavy = classify_heavy(transcript.degrees, params.bucket_config(REFERENCE_N), params.epsilon)
+        heavy = classify_heavy(transcript.degrees, BucketConfig(REFERENCE_N, params.gamma), params.epsilon)
         rows.append((report, report.d_tilde_h, report.p_tilde_h, heavy, params))
     return rows
 
@@ -385,7 +403,7 @@ def pipeline_trials(dense_graph):
 def test_sampled_mass_tracks_exact_bucket_mass(dense_graph, pipeline_trials):
     ratios = []
     for _, mass, _, heavy, params in pipeline_trials:
-        config = params.bucket_config(REFERENCE_N)
+        config = BucketConfig(REFERENCE_N, params.gamma)
         sizes = exact_bucket_sizes(dense_graph, config)
         exact_scaled = float((sizes[heavy.indices] * config.powers[heavy.indices]).sum())
         ratios.append(mass / exact_scaled)
@@ -396,7 +414,7 @@ def test_sampled_mass_tracks_exact_bucket_mass(dense_graph, pipeline_trials):
 def test_sampled_fraction_tracks_exact_heavy_fraction(dense_graph, pipeline_trials):
     ratios = []
     for _, _, fraction, heavy, params in pipeline_trials:
-        config = params.bucket_config(REFERENCE_N)
+        config = BucketConfig(REFERENCE_N, params.gamma)
         exact = exact_heavy_fraction(dense_graph, heavy.indices, config)
         ratios.append(fraction / exact)
     mean = float(np.mean(ratios))
@@ -533,7 +551,7 @@ def reference_report(graph, params):
     size = layout.collision_size
     reps = sorted(count_collisions(blocks["collision"][j * size : (j + 1) * size]) for j in range(layout.collision_reps))
     r = reps[len(reps) // 2]
-    config = params.bucket_config(n)
+    config = BucketConfig(n, params.gamma)
     heavy = classify_heavy(transcript.degrees, config, params.epsilon)
     mass = heavy_mass_estimate(heavy, config)
     drawn = blocks["endpoint"]

@@ -34,7 +34,6 @@ from edgecount import estimator
 from edgecount.buckets import DENSE_DEGREES
 from edgecount.estimator import (
     _heavy_fraction,
-    _repeats,
     _sorted_collisions,
     _sorted_majority_vote,
     _stream_degree_block,
@@ -215,7 +214,7 @@ def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, code_
     n = DENSE_DEGREES + 7
     params = EstimatorParams(epsilon=0.25, master_seed=3)
     layout = plan_layout(n, params)
-    config = params.bucket_config(n)
+    config = BucketConfig(n, params.gamma)
     sampled = build_sample_plan(n, params).deg_vertices
     degree_of = _width_degrees(largest, sampled, n)
     table = DegreeCodes(degree_of)
@@ -265,7 +264,7 @@ def test_streamed_wide_table_whose_chunks_hold_no_nonzero_narrow_code(zeros):
         degree_of[::2] = 0
     params = EstimatorParams(epsilon=0.25, master_seed=3)
     layout = plan_layout(n, params)
-    config = params.bucket_config(n)
+    config = BucketConfig(n, params.gamma)
     sampled = build_sample_plan(n, params).deg_vertices
     degrees = degree_of[sampled]
     endpoints = np.arange(0, n, 7)
@@ -336,7 +335,7 @@ def test_pair_tally_matches_classify_heavy_on_both_sides_of_the_rule(table_case)
     degree_of, params, endpoints, top_code, chunk = table_case
     n = degree_of.shape[0]
     layout = plan_layout(n, params)
-    config = params.bucket_config(n)
+    config = BucketConfig(n, params.gamma)
     sampled = build_sample_plan(n, params).deg_vertices
     table = DegreeCodes(degree_of)
     wide = bool((degree_of >= 2**15).any())
@@ -427,7 +426,7 @@ def endpoint_draws_with_hits(draw):
 @given(endpoint_draws_with_hits())
 def test_repeat_only_match_equals_the_search_into_distinct_draws(case):
     endpoints, hit_vertices, hit_degrees, heavy, config = case
-    got = _heavy_fraction(endpoints.shape[0], _repeats(endpoints), hit_vertices, hit_degrees, heavy, config)
+    got = _heavy_fraction(endpoints, hit_vertices, hit_degrees, heavy, config)
     assert got == ref_searchsorted_match(endpoints, hit_vertices, hit_degrees, heavy, config)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 import threading
 import tracemalloc
 
@@ -300,6 +301,49 @@ def test_ledger_matches_plan_multiplicities(case, extra_edges):
     transcript = answer_plan(g, plan, answer_seed=0)
     assert transcript.ledger.as_dict() == plan.counts()
     assert transcript.ledger.total == len(plan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_with_queries(), st.integers(0, 10))
+def test_each_metered_call_grows_the_ledger_by_the_answers_it_returns(case, count):
+    g, degs = case
+    vertices = np.array(degs, dtype=np.int64)
+    count = count if g.m else 0
+    rng = np.random.default_rng(5)
+    ledger = QueryLedger()
+    calls = [
+        ("deg", lambda: answer_degree_codes(g.degree_codes, vertices, ledger)),
+        ("deg", lambda: answer_degrees(g, vertices, ledger)),
+        ("rand_edge", lambda: answer_rand_edge_ids(g, rng, count, ledger)),
+    ]
+    for kind, call in calls:
+        before = ledger.as_dict()
+        answers = call()
+        grown = {key: value - before[key] for key, value in ledger.as_dict().items()}
+        assert grown == {"deg": 0, "rand_edge": 0, kind: answers.shape[0]}
+    before = ledger.as_dict()
+    transcript = answer_plan(g, _plan(g.n, degs=degs, rand_edges=count), answer_seed=0, ledger=ledger)
+    grown = {key: value - before[key] for key, value in ledger.as_dict().items()}
+    assert grown == {"deg": transcript.degrees.shape[0], "rand_edge": transcript.edges.shape[0]}
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 0), ()])
+def test_degree_probes_that_are_not_one_row_are_refused_before_metering(triangle, shape):
+    # a (2, 3) array was answered with 6 degrees but metered as 2 probes
+    probes = np.zeros(shape, dtype=np.int64)
+    ledger = QueryLedger()
+    message = rf"^vertices must be a 1-d array, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        answer_degree_codes(triangle.degree_codes, probes, ledger)
+    with pytest.raises(ValueError, match=message):
+        answer_degrees(triangle, probes, ledger)
+    assert ledger.total == 0
+
+
+def test_a_plan_of_probes_that_are_not_one_row_is_refused():
+    # a (2, 2) plan had len 2 and counted 2 degree probes
+    with pytest.raises(ValueError, match=r"^degree-probe vertices must be a 1-d array, got shape \(2, 2\)$"):
+        QueryPlan(np.zeros((2, 2), dtype=np.int64), 0, PlanProvenance(3, None, 0))
 
 
 def _sample_plan_fn(graph, epsilon, seed):
