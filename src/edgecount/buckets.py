@@ -7,11 +7,12 @@ import numbers
 
 import numpy as np
 
-from .graph import checked_int, checked_ints
+from .graph import checked_int, checked_ints, top_value
 
 # Degrees below this are looked up by bucket_indices in a dense per-degree
-# table, 512 KiB of intp at most; the rare larger ones are binary-searched in
-# ``powers``, so no table is sized by the largest degree.
+# table, and counted by bucket_counts in a per-degree tally, 512 KiB of intp
+# at most each; the rare larger ones are binary-searched in ``powers``, so no
+# table is sized by the largest degree.
 DENSE_DEGREES = 2**16
 
 # Most buckets bucket_count gives: 8 MiB per float64 table. Within MAX_PLAN_QUERIES
@@ -75,7 +76,8 @@ class BucketConfig:
 
     def bucket_index(self, degree: int) -> int:
         """Index of the unique bucket containing ``degree``, as :meth:`bucket_indices` finds it."""
-        return int(self.bucket_indices(np.array([checked_int(degree, "degree")]))[0])
+        degree = min(max(checked_int(degree, "degree"), 0), self.n + 1)  # into int64, refused all the same
+        return int(self.bucket_indices(np.array([degree]))[0])
 
     def bucket_indices(self, degrees: np.ndarray) -> np.ndarray:
         """Index of the bucket containing each of ``degrees``; every degree must be in ``1..n``.
@@ -107,5 +109,17 @@ class BucketConfig:
 
     def bucket_counts(self, degrees: np.ndarray) -> np.ndarray:
         """Per-bucket counts of ``degrees``, length ``t``; degree 0 joins no bucket and any other outside ``1..n`` is refused."""
-        degrees = np.asarray(degrees)
-        return np.bincount(self.bucket_indices(degrees[degrees != 0]), minlength=self.t)
+        degrees = checked_ints(degrees, None, "degrees").ravel()
+        if top_value(degrees) < DENSE_DEGREES:  # a negative degree reads as 2**64
+            # bincount casts to intp, which older numpy refuses to do for uint64
+            return self.fold(np.bincount(degrees.astype(np.intp, copy=False)))
+        # the rare others, negatives included, are looked up one by one
+        wide = (degrees < 0) | (degrees >= DENSE_DEGREES)
+        return np.bincount(self.bucket_indices(degrees[wide]), minlength=self.t) + self.bucket_counts(degrees[~wide])
+
+    def fold(self, per_degree: np.ndarray) -> np.ndarray:
+        """Per-bucket counts, length ``t``, from ``per_degree[d]`` degrees ``d`` each; degree 0 joins no bucket."""
+        distinct = np.flatnonzero(per_degree[1:]) + 1  # one bucket lookup per distinct degree
+        counts = np.zeros(self.t, dtype=np.intp)
+        np.add.at(counts, self.bucket_indices(distinct), per_degree[distinct])
+        return counts

@@ -307,12 +307,15 @@ def heavy_mass_estimate(heavy: HeavySet, config: BucketConfig) -> float:
 
 
 def choose_endpoints(edge_u: np.ndarray, edge_v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Pick one endpoint of each answered edge with a fair coin.
+    """Pick one endpoint of each answered edge with a fair coin; the columns must be 1-d integer arrays of one length.
 
     This is the degree-proportional vertex draw; the coin randomness is
     post-processing and issues no queries.
     """
-    coins = rng.integers(0, 2, size=np.asarray(edge_u).shape[0])
+    edge_u, edge_v = checked_vector(edge_u, None, "edge_u"), checked_vector(edge_v, None, "edge_v")
+    if edge_u.shape != edge_v.shape:
+        raise ValueError(f"edge_u and edge_v must have equal lengths, got {edge_u.shape[0]} and {edge_v.shape[0]}")
+    coins = rng.integers(0, 2, size=edge_u.shape[0])
     return np.where(coins == 1, edge_v, edge_u)
 
 
@@ -547,10 +550,7 @@ def _stream_degree_block(
         pairs = code_counts.reshape(-1, 256)
         top = pairs.shape[0]
         code_counts = pairs.sum(axis=0)[:top] + pairs.sum(axis=1) + np.bincount(leftover, minlength=top)
-    per_degree = table.fold(code_counts)
-    # one bucket lookup per distinct degree
-    distinct = np.flatnonzero(per_degree[1:]) + 1
-    np.add.at(counts, config.bucket_indices(distinct), per_degree[distinct])
+    counts += config.fold(table.fold(code_counts))
     heavy = _heavy_set(counts, layout.degree_size, config, params.epsilon)
     degrees = table.decoded(np.concatenate(hit_codes))
     nonzero = degrees >= 1  # degree 0 is in no bucket

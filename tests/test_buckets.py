@@ -121,7 +121,7 @@ def test_out_of_range_degrees_rejected():
         config.bucket_counts(np.array([0, 11]))
 
 
-@pytest.mark.parametrize("degree", [0, -3, 101])
+@pytest.mark.parametrize("degree", [0, -3, 101, 2**64, -(2**70)])
 def test_scalar_lookup_refuses_a_degree_as_the_vector_one_does(degree):
     with pytest.raises(ValueError, match=r"^degrees must lie in 1\.\.n$"):
         BucketConfig(100, 0.1).bucket_index(degree)

@@ -285,6 +285,23 @@ def test_heavy_mass_estimate_empty_heavy_set():
     assert heavy_mass_estimate(heavy, config) == 0.0
 
 
+@pytest.mark.parametrize(
+    "edge_u, edge_v, message",
+    [
+        ([1, 2, 3], [5], "^edge_u and edge_v must have equal lengths, got 3 and 1$"),
+        (np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64), r"^edge_u must be a 1-d array, got shape \(2, 2\)$"),
+        ([1, 2], [1.0, 2.0], "^edge_v must be integers, got dtype float64$"),
+    ],
+    ids=["lengths", "two-d", "float"],
+)
+def test_choose_endpoints_refuses_columns_that_are_not_one_length_of_integers(edge_u, edge_v, message):
+    # [1, 2, 3] against [5] broadcast to [5, 5, 5], and (2, 2) columns drew one coin per column
+    rng = derive_rng(0, "estimate:endpoint-coins")
+    with pytest.raises(ValueError, match=message):
+        choose_endpoints(edge_u, edge_v, rng)
+    assert rng.bit_generator.state == derive_rng(0, "estimate:endpoint-coins").bit_generator.state
+
+
 def test_choose_endpoints_is_a_fair_coin():
     count = 20_000
     u = np.arange(count) * 2

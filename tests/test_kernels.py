@@ -109,6 +109,46 @@ def test_bucket_indices_match_binary_search(n, gamma, raw):
             config.bucket_indices(np.append(degrees, bad))
 
 
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(INTEGER_DTYPES),
+    st.integers(2, 3 * DENSE_DEGREES),
+    st.floats(0.01, 1.0),
+    st.lists(st.integers(0, 3 * DENSE_DEGREES), max_size=60),
+    st.integers(0, 20),
+)
+def test_bucket_counts_and_the_fold_match_binary_search(dtype, n, gamma, raw, zeros):
+    # degrees on both sides of DENSE_DEGREES, where the dtype and n allow,
+    # plus zeros; both ways into the fold give the per-bucket reference
+    config = BucketConfig(n, gamma)
+    top = min(n, int(np.iinfo(dtype).max))
+    degrees = np.array([r % (top + 1) for r in raw] + [0] * zeros, dtype=dtype)
+    expected = ref_bucket_counts(degrees, config)
+    counts = config.bucket_counts(degrees)
+    assert counts.dtype == np.intp and counts.shape == (config.t,)
+    assert np.array_equal(counts, expected)
+    folded = config.fold(np.bincount(degrees.astype(np.intp)))
+    assert folded.dtype == np.intp
+    assert np.array_equal(folded, expected)
+
+
+def test_bucket_counts_of_a_hub_size_no_tally_by_its_degree():
+    # a per-degree tally up to the hub's degree would take 24 MB
+    config = BucketConfig(3_000_000, 0.025)
+    degrees = np.array([0, 1, 3_000_000])
+    tracemalloc.start()
+    try:
+        counts = config.bucket_counts(degrees)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 2 and counts[0] == 1 and counts[config.bucket_index(3_000_000)] == 1
+    assert peak < 10**6
+
+
 @settings(max_examples=150, deadline=None)
 @given(degree_samples(), st.floats(0.01, 0.8))
 def test_classify_heavy_counts_match_reference(sample, epsilon):
