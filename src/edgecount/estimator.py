@@ -367,22 +367,24 @@ def _heavy_fraction(
 
 
 def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
-    """Number of index pairs ``i < j`` whose edges are identical.
+    """Number of index pairs ``i < j`` whose edges, ``(k, 2)`` rows, are identical.
 
-    An endpoint outside ``0..2**32-1`` would alias in the pair codes: ``ValueError``.
+    Another shape, or an endpoint outside ``0..2**32-1`` that would alias in the pair codes: ``ValueError``.
     """
     arr = checked_ints(list(edges) if not isinstance(edges, np.ndarray) else edges, _ROW_RADIX - 1, "edge endpoints")
     if arr.size == 0:
         return 0
-    arr = arr.reshape(-1, 2).astype(np.int64, copy=False)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must be (k, 2) rows, got shape {arr.shape}")
+    arr = arr.astype(np.int64, copy=False)
     codes = pair_codes(arr[:, 0], arr[:, 1], _ROW_RADIX)
     codes.sort()
     return _sorted_collisions(codes)
 
 
 def count_id_collisions(keys: np.ndarray) -> int:
-    """:func:`count_collisions` of the rows of ``graph.edges`` at the positions ``keys``, which stay unsorted."""
-    return _sorted_collisions(np.sort(keys))
+    """:func:`count_collisions` of the rows of ``graph.edges`` at the 1-d positions ``keys``, which stay unsorted."""
+    return _sorted_collisions(np.sort(checked_vector(keys, None, "edge keys")))
 
 
 def _sorted_collisions(keys: np.ndarray) -> int:
@@ -396,7 +398,8 @@ def _sorted_collisions(keys: np.ndarray) -> int:
 
 
 def collision_edge_estimate(sample_count: int, collisions: int) -> float:
-    """Invert the expected collision count: ``C(sample_count, 2) / collisions``."""
+    """Invert the expected collision count: ``C(sample_count, 2) / collisions``; both are integers."""
+    sample_count, collisions = checked_int(sample_count, "sample_count"), checked_int(collisions, "collisions")
     if collisions < 1:
         raise ValueError("collision estimate undefined without collisions")
     return math.comb(sample_count, 2) / collisions
@@ -512,11 +515,11 @@ def _stream_degree_block(
     chunk is answered from ``table``, a graph's ``degree_codes`` with the
     endpoint draws marked, or as it is for a heavy set alone.
     """
-    # codes below 2^16 are counted as they come and folded once, those of a
-    # table whose top code is at most _PAIR_TOP_CODE two at a time, as uint16
-    # pairs: half the increments, into bins too many to contend. Other codes
-    # below 2^16 are counted one at a time into bins up to the largest code
-    # seen; the rare codes of 2^16 or more are decoded and counted by bucket
+    # the codes of a uint8 or uint16 table are counted as they come and folded
+    # once, those of a table whose top code is at most _PAIR_TOP_CODE two at a
+    # time, as uint16 pairs: half the increments, into bins too many to
+    # contend, and the others one at a time into bins up to the largest code
+    # seen. A wider table's chunks are decoded and counted by bucket whole
     paired = table.top_code <= _PAIR_TOP_CODE
     code_counts = np.zeros(256 * (table.top_code + 1) if paired else 0, dtype=np.intp)
     leftover = []  # the last code of each odd-length chunk, which has no pair
@@ -535,12 +538,9 @@ def _stream_degree_block(
             code_counts += np.bincount(codes[:even].view(np.uint16), minlength=code_counts.shape[0])
             if even < codes.shape[0]:
                 leftover.append(codes[-1])
+        elif table.top_code >= 2**16:
+            counts += config.bucket_counts(table.decoded(codes))
         else:
-            if table.top_code >= 2**16:
-                narrow = codes < 2**16
-                counts += config.bucket_counts(table.decoded(codes[~narrow]))
-                # bincount casts to intp, which older numpy refuses to do for uint64
-                codes = codes[narrow].astype(np.uint16)
             tally = np.bincount(codes, minlength=code_counts.shape[0])
             tally[: code_counts.shape[0]] += code_counts
             code_counts = tally

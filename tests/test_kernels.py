@@ -3,7 +3,7 @@
 Each reference below is the straightforward version of a kernel: a binary
 search per degree, length-n tallies and masks, one collision count per vote
 round, hashed run counts for collisions. The kernels must give exactly the same results, with memory that grows
-with the sample, plus one n-entry degree code table; code tallies stop at 2^16 bins, and the rare wider
+with the sample, plus one n-entry degree code table; code tallies stop at 2^16 bins, and a wider table's
 codes are counted by bucket.
 """
 
@@ -23,6 +23,7 @@ from edgecount import (
     HeavySet,
     build_sample_plan,
     classify_heavy,
+    collision_edge_estimate,
     collision_majority_vote,
     count_collisions,
     estimate_edges,
@@ -248,9 +249,9 @@ def _width_degrees(largest: int, sampled: np.ndarray, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("largest, code_dtype", WIDTH_CASES, ids=["126", "127", "128", "32767", "32768", "dense"])
 def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, code_dtype):
-    # the uint32 tables' top codes lie above 2^16: their codes below it are
-    # tallied by code and the rest counted by bucket, chunk by chunk; the
-    # widest one has probed degrees on both sides of DENSE_DEGREES
+    # the uint32 tables' top codes lie above 2^16: each of their chunks is
+    # decoded and counted by bucket whole; the widest one has probed degrees
+    # on both sides of DENSE_DEGREES
     n = DENSE_DEGREES + 7
     params = EstimatorParams(epsilon=0.25, master_seed=3)
     layout = plan_layout(n, params)
@@ -281,8 +282,9 @@ def test_streamed_heavy_set_matches_reference_at_every_code_width(largest, code_
 
 def test_a_uint64_code_chunk_is_decoded_and_counted_by_bucket():
     # codes of a degree of 2^31 or more are uint64, which older numpy's
-    # np.bincount refuses; the stream decodes a wide table's codes of 2^16
-    # or more and counts them by bucket, degree 0 in none
+    # np.bincount refuses; the stream decodes a wide table's chunks and
+    # counts them by bucket, which casts them to intp after its range check,
+    # degree 0 in none
     config = BucketConfig(2**33, 0.25)
     degrees = np.array([0, 1, 1, 5, DENSE_DEGREES - 1, DENSE_DEGREES, 2**31, 2**32 + 3], dtype=np.int64)
     codes = (2 * degrees + np.arange(degrees.shape[0]) % 2).astype(np.uint64)
@@ -553,6 +555,54 @@ def test_row_kernels_reject_endpoints_that_alias(pairs):
         collision_majority_vote(edges[:, 0], edges[:, 1], 1, 2)
 
 
+@pytest.mark.parametrize(
+    "edges, shape",
+    [
+        (np.array([[0, 1, 2], [0, 1, 2]]), r"\(2, 3\)"),
+        (np.zeros((2, 2, 2), dtype=np.int64), r"\(2, 2, 2\)"),
+        (np.array([0, 1, 0, 1]), r"\(4,\)"),
+        ([0, 1, 0, 1], r"\(4,\)"),
+    ],
+    ids=["three-wide", "three-d", "flat", "flat-list"],
+)
+def test_count_collisions_refuses_edges_that_are_not_pair_rows(edges, shape):
+    # these were re-cut into pairs: two equal 3-wide rows counted 0, the
+    # zeros 6 and the flat run 1
+    with pytest.raises(ValueError, match=rf"^edges must be \(k, 2\) rows, got shape {shape}$"):
+        count_collisions(edges)
+    with mock.patch.object(estimator, "pair_codes", side_effect=AssertionError("encoded")):
+        with pytest.raises(ValueError, match="rows"):
+            count_collisions(edges)
+    assert count_collisions(np.zeros((0, 2), dtype=np.int64)) == 0
+
+
+def test_count_id_collisions_refuses_keys_that_are_not_one_row():
+    # each row was sorted on its own and the rows compared: [[1, 1], [2, 2]] counted 0
+    with pytest.raises(ValueError, match=r"^edge keys must be a 1-d array, got shape \(2, 2\)$"):
+        count_id_collisions(np.array([[1, 1], [2, 2]]))
+    with pytest.raises(ValueError, match="^edge keys must be integers, got dtype float64$"):
+        count_id_collisions(np.array([1.0, 1.0]))
+    assert count_id_collisions(np.array([1, 1, 2], dtype=np.uint32)) == 1
+
+
+@pytest.mark.parametrize(
+    "sample_count, collisions, message",
+    [
+        (10, 1.5, "^collisions must be an integer, got 1.5$"),
+        (True, 1, "^sample_count must be an integer, got True$"),
+        (10, True, "^collisions must be an integer, got True$"),
+        (10.0, 1, "^sample_count must be an integer, got 10.0$"),
+    ],
+    ids=["fractional", "bool-sample", "bool-collisions", "float-sample"],
+)
+def test_collision_edge_estimate_refuses_counts_that_are_not_integers(sample_count, collisions, message):
+    # the first three read 30.0, 0.0 and 45.0 (the last as C(10, 2) / True),
+    # and a float sample count raised math.comb's TypeError, naming nothing
+    with pytest.raises(ValueError, match=message):
+        collision_edge_estimate(sample_count, collisions)
+    assert collision_edge_estimate(np.int64(10), np.uint8(1)) == 45.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(pair_lists, st.integers(0, 8), st.integers(0, 6), st.integers(0, 3))
 def test_majority_vote_matches_per_round_scan(pairs, rounds, batch_size, extra):
@@ -657,9 +707,9 @@ def test_estimate_peak_holds_one_probe_chunk(spec, bound):
     # a chunk's codes are tallied, by one np.bincount. Tallied with the
     # vertices still held, the peaks were 1.03 and 2.25 MB; with a code table
     # built per estimate, 0.65 and 1.82 MB. The star's uint32 codes are
-    # tallied by code below 2^16 into bins up to the largest code seen and
-    # counted by bucket above it, at 1.32 MB; bucketing every one of its
-    # probes peaked at 2.24 MB, and a code tally of 2^16 bins at 2.62 MB
+    # decoded and counted by bucket a chunk at a time, at 1.23 MB; tallied
+    # by code below 2^16 and counted by bucket above it, they peaked at
+    # 1.29 MB, and a code tally of 2^16 bins at 2.62 MB
     graph = graph_from_spec(spec, 0)
     tracemalloc.start()
     try:
