@@ -383,7 +383,7 @@ def count_collisions(edges: np.ndarray | Iterable[tuple[int, int]]) -> int:
 
 
 def count_id_collisions(keys: np.ndarray) -> int:
-    """:func:`count_collisions` of the rows of ``graph.edges`` at the 1-d positions ``keys``, which stay unsorted."""
+    """:func:`count_collisions` of the rows of ``graph.rows`` at the 1-d positions ``keys``, which stay unsorted."""
     return _sorted_collisions(np.sort(checked_vector(keys, None, "edge keys")))
 
 
@@ -398,11 +398,14 @@ def _sorted_collisions(keys: np.ndarray) -> int:
 
 
 def collision_edge_estimate(sample_count: int, collisions: int) -> float:
-    """Invert the expected collision count: ``C(sample_count, 2) / collisions``; both are integers."""
+    """Invert the expected collision count, ``C(sample_count, 2) / collisions``, for counts that draws can give."""
     sample_count, collisions = checked_int(sample_count, "sample_count"), checked_int(collisions, "collisions")
-    if collisions < 1:
-        raise ValueError("collision estimate undefined without collisions")
-    return math.comb(sample_count, 2) / collisions
+    if sample_count < 2:
+        raise ValueError(f"sample_count must be at least 2, got {sample_count}")
+    pairs = math.comb(sample_count, 2)
+    if not 1 <= collisions <= pairs:
+        raise ValueError(f"collisions must lie in 1..{pairs} for sample_count={sample_count}, got {collisions}")
+    return pairs / collisions
 
 
 def collision_majority_vote(edge_u: np.ndarray, edge_v: np.ndarray, rounds: int, batch_size: int) -> int:
@@ -467,14 +470,12 @@ def estimate_edges(graph: Graph, params: EstimatorParams) -> EstimateReport:
         )
     config = BucketConfig(graph.n, params.gamma)
     rng = derive_rng(params.master_seed, "oracle:answers")
-    # edge i's endpoints sit at 2i and 2i + 1 of the flat edges, so only the
-    # chosen one is gathered
+    # edge i's endpoints sit at 2i and 2i + 1 of the flat rows: only the chosen one is gathered
     first = 2 * answer_rand_edge_ids(graph, rng, layout.endpoint_size, ledger).astype(np.int64)
     coins = derive_rng(params.master_seed, "estimate:endpoint-coins")
-    endpoints = graph.edges.ravel().take(choose_endpoints(first, first + 1, coins))
+    endpoints = graph.rows.ravel().take(choose_endpoints(first, first + 1, coins))
     del first, coins  # only the chosen endpoints are read from here on
-    # the vote and the collision count only compare edges, so they read
-    # the drawn positions as keys and never gather rows
+    # the vote and the collision count only compare edges: they read drawn positions as keys, never rows
     votes = answer_rand_edge_ids(graph, rng, layout.vote_size, ledger).reshape(layout.vote_rounds, layout.vote_batch)
     votes.sort(axis=1)
     k = _sorted_majority_vote(votes)

@@ -26,45 +26,51 @@ class EdgeListParseError(ValueError):
     """Raised when an edge-list file is malformed; the message names the line."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    Edges are a read-only ``(m, 2)`` int64 array whose rows have
-    ``0 <= u < v <= n-1`` and strictly increase in lexicographic order: each
-    edge is one row, and equal edge sets have identical bytes. Isolated
-    vertices are allowed. Beside ``n`` and the edges, a graph stores only
-    ``degree_codes``, the :class:`DegreeCodes` of the degrees its edges give,
-    its one degree table: :attr:`degrees` is decoded from it.
-    Instances never change after construction, but for the mark bits that one
-    :meth:`DegreeCodes.marking` at a time sets and clears, and can be shared
-    freely across concurrent trials. ``edges`` go through ``np.asarray`` and
-    :func:`frozen`; :class:`GraphValidationError`, naming the first bad row, is
-    raised unless ``n`` passes :func:`check_vertex_count` (it is then stored
-    as an ``int``) and the edges keep these rules.
+    Edges are stored as ``rows``, a read-only uint32 ``(m, 2)`` array whose
+    rows have ``0 <= u < v <= n-1`` and strictly increase in lexicographic
+    order: each edge is one row, and equal edge sets have identical bytes.
+    uint32 holds every id below :data:`MAX_VERTICES`; :attr:`edges` widens the
+    rows to int64 on each read. Isolated vertices are allowed. A graph stores
+    only ``n``, as an ``int``, the rows and ``degree_codes``, and changes only
+    in the mark bits of one :meth:`DegreeCodes.marking` at a time, so trials
+    can share it. The edges given are narrowed and :func:`frozen`, and refused
+    with :class:`GraphValidationError`, naming the first bad row, unless they
+    keep these rules and ``n`` passes :func:`check_vertex_count`.
     """
 
     n: int
-    edges: np.ndarray
-    degree_codes: DegreeCodes = field(init=False, repr=False)
+    rows: np.ndarray
+    degree_codes: DegreeCodes = field(repr=False)
 
-    def __post_init__(self) -> None:
-        n = check_vertex_count(self.n)
-        edges = _vertex_pairs(self.edges, n)
-        u, v = edges[:, 0], edges[:, 1]
-        _refuse_first_row(edges, u >= v, "not u < v")
-        after = (u[1:] == u[:-1]) & (v[1:] > v[:-1])
-        after |= u[1:] > u[:-1]
-        _refuse_first_row(edges, ~after, "repeated or out of order")
-        # np.bincount would copy the read-only edges first; ufunc.at reads them in place
+    def __init__(self, n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> None:
+        n = check_vertex_count(n)
+        rows = _converted(_vertex_pairs(edges, n), np.uint32)
+        self._keep(n, rows, rows[:, 0].astype(np.int64) * n + rows[:, 1])  # numpy 1.x keeps uint32 * n in uint32
+
+    def _keep(self, n: int, rows: np.ndarray, codes: np.ndarray) -> Graph:
+        """Keep ``rows`` in ``0..n-1``, refused unless each is ``u < v`` and its int64 pair code exceeds the last."""
+        for bad, why in (rows[:, 0] >= rows[:, 1], "not u < v"), (codes[1:] <= codes[:-1], "repeated or out of order"):
+            if bad.any():  # the first bad row; the order check starts at row 1
+                i = int(np.argmax(bad)) + rows.shape[0] - bad.shape[0]
+                raise GraphValidationError(f"edge row {i} ({rows[i, 0]}, {rows[i, 1]}): {why}")
         degrees = np.zeros(n, dtype=np.int64)
-        np.add.at(degrees, edges.ravel(), 1)
-        for name, value in ("n", n), ("edges", frozen(edges)), ("degree_codes", DegreeCodes(degrees)):
+        np.add.at(degrees, rows.ravel(), 1)  # in place, where np.bincount would copy the rows to intp first
+        for name, value in ("n", n), ("rows", frozen(rows)), ("degree_codes", DegreeCodes(degrees)):
             object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The rows, widened on each read to a fresh read-only int64 ``(m, 2)`` array."""
+        return _converted(self.rows, np.int64)
 
     @property
     def m(self) -> int:
-        return int(self.edges.shape[0])
+        return int(self.rows.shape[0])
 
     @property
     def degrees(self) -> np.ndarray:
@@ -72,16 +78,16 @@ class Graph:
         return _converted(self.degree_codes.degrees, np.int64)
 
     def __reduce__(self) -> tuple[type[Graph], tuple[int, np.ndarray]]:
-        return Graph, (self.n, self.edges)  # built again, so a copy's arrays are read-only too
+        return Graph, (self.n, self.rows)  # built again, so a copy's arrays are read-only too
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.edges, other.edges)
+        return self.n == other.n and np.array_equal(self.rows, other.rows)
 
 
 def _vertex_pairs(values: object, n: int) -> np.ndarray:
-    """``values`` as ``(m, 2)`` int64 endpoints in ``0..n-1``, as :func:`_converted` gives them; empty as ``(0, 2)``."""
+    """``values`` as ``(m, 2)`` endpoints in ``0..n-1``, in their own integer dtype as :func:`checked_ints` gives them."""
     arr = checked_ints(values, None, "edge endpoints", GraphValidationError)
     arr = arr.reshape(0, 2) if arr.size == 0 else arr
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -89,14 +95,7 @@ def _vertex_pairs(values: object, n: int) -> np.ndarray:
     if arr.size and top_value(arr) >= n:
         u, v = arr[np.argmax(((arr < 0) | (arr >= n)).any(axis=1))]
         raise GraphValidationError(f"edge ({u}, {v}): endpoint out of range for n={n}")
-    return _converted(arr, np.int64)
-
-
-def _refuse_first_row(edges: np.ndarray, bad: np.ndarray, why: str) -> None:
-    """Raise :class:`GraphValidationError` for the first row ``bad`` marks; ``bad`` spans the last ``len(bad)`` rows."""
-    if bad.any():
-        i = int(np.argmax(bad)) + edges.shape[0] - bad.shape[0]
-        raise GraphValidationError(f"edge row {i} ({edges[i, 0]}, {edges[i, 1]}): {why}")
+    return arr
 
 
 def checked_ints(values: np.ndarray, top: int | None, what: str, error: type[ValueError] = ValueError) -> np.ndarray:
@@ -205,10 +204,10 @@ class DegreeCodes:
             return
         try:
             self._codes.setflags(write=True)
-            self._codes[marked] |= 1
+            self._codes[marked.astype(np.intp, copy=False)] |= 1  # a transient intp copy indexes 2x faster
             yield self
         finally:
-            self._codes[marked] &= ~self._codes.dtype.type(1)
+            self._codes[marked.astype(np.intp, copy=False)] &= ~self._codes.dtype.type(1)
             self._codes.setflags(write=False)
             self._lock.release()
 
@@ -293,7 +292,7 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int]] | np.ndarray) -> Gr
             np.asarray(raw_edges, dtype=np.int64)
         except OverflowError:
             raise GraphValidationError(f"edge endpoint beyond the int64 range: out of range for n={n}") from None
-    arr = _vertex_pairs(arr, n)
+    arr = _converted(_vertex_pairs(arr, n), np.int64)
     first, second = arr[:, 0], arr[:, 1]
     loops = first == second
     if loops.any():
@@ -313,11 +312,13 @@ def check_vertex_count(n: int) -> int:
 
 
 def graph_from_codes(n: int, codes: np.ndarray) -> Graph:
-    """:class:`Graph` whose edges decode from the non-negative int64 pair codes ``codes``; ``n`` is already checked."""
-    edges = np.empty((codes.shape[0], 2), dtype=np.int64)
-    np.divmod(codes, n, out=(edges[:, 0], edges[:, 1]))
-    edges.setflags(write=False)
-    return Graph(n=n, edges=edges)
+    """:class:`Graph` whose rows decode from int64 pair ``codes``, refused as ``Graph(n, edges)`` refuses the rows."""
+    if codes.size and top_value(codes) >= n * n:  # an endpoint is out of range: its int64 decoding, which
+        _vertex_pairs(np.column_stack(np.divmod(codes, n or 1)), n)  # nothing wraps, goes to the check that names it
+    rows = np.empty((codes.shape[0], 2), dtype=np.uint32)
+    np.divmod(codes, n, out=(rows[:, 0], rows[:, 1]), casting="unsafe", dtype=np.int64)
+    rows.setflags(write=False)  # the graph's own, so frozen keeps it
+    return object.__new__(Graph)._keep(n, rows, codes)
 
 
 def format_edges(edges: np.ndarray) -> bytes:

@@ -4,7 +4,7 @@ These are the only two query kinds the estimator issues, and each has one
 metered primitive: :func:`answer_degree_codes`, which answers degrees as
 codes of a :class:`~edgecount.graph.DegreeCodes` table, such as the
 ``graph.degree_codes`` each graph builds once, and :func:`answer_rand_edge_ids`,
-which draws edges as positions in ``graph.edges``. Only ``graph.py`` reads a
+which draws edges as positions in ``graph.rows``. Only ``graph.py`` reads a
 code's bits; :func:`answer_degrees` decodes the answers into plain degrees
 with :meth:`~edgecount.graph.DegreeCodes.decoded`. Callers that only compare
 edges (the collision counts, the lower-bound distinguisher) read positions,
@@ -173,7 +173,7 @@ def answer_degrees(graph: Graph, vertices: np.ndarray, ledger: QueryLedger) -> n
 
 
 def answer_rand_edge_ids(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:
-    """Answer ``count`` random-edge queries as positions in ``graph.edges``, uint32 while ``m <= 2**32``, else int64.
+    """Answer ``count`` random-edge queries as positions in ``graph.rows``, uint32 while ``m <= 2**32``, else int64.
 
     A :class:`~edgecount.graph.Graph` checks that its rows are distinct when
     it is built, so equal positions are equal edges and repeats can be
@@ -193,8 +193,8 @@ def answer_rand_edge_ids(graph: Graph, rng: np.random.Generator, count: int, led
 
 
 def answer_rand_edges(graph: Graph, rng: np.random.Generator, count: int, ledger: QueryLedger) -> np.ndarray:
-    """:func:`answer_rand_edge_ids` as a ``(count, 2)`` array of the stored ``u < v`` rows."""
-    return graph.edges.take(answer_rand_edge_ids(graph, rng, count, ledger), axis=0)
+    """:func:`answer_rand_edge_ids` as a ``(count, 2)`` int64 array of the stored ``u < v`` rows."""
+    return graph.rows.take(answer_rand_edge_ids(graph, rng, count, ledger), axis=0).astype(np.int64)
 
 
 def answer_plan(graph: Graph, plan: QueryPlan, answer_seed: int, ledger: QueryLedger | None = None) -> Transcript:

@@ -181,6 +181,17 @@ def test_estimate_checks_the_chosen_endpoints(row):
     assert str(info.value) == f"edge ({row[0]}, {row[1]}): endpoint out of range for n=4"
 
 
+@pytest.mark.parametrize(
+    "graph", [gen_gnm(10**4, 10**5, 0), gen_gnm(20_000, 10_000, 0)], ids=["non-collision", "collision"]
+)
+def test_an_estimate_never_widens_the_graphs_edges(graph, monkeypatch):
+    # widening all the rows costs more time and memory than an estimate
+    # holds, so it gathers what it reads from the stored rows
+    expected = estimate_edges(graph, EstimatorParams(0.25, 1))
+    monkeypatch.setattr(Graph, "edges", property(lambda graph: pytest.fail("graph.edges was read")))
+    assert estimate_edges(graph, EstimatorParams(0.25, 1)) == expected
+
+
 def test_sample_sizes_frozen_at_reference_scale():
     params = EstimatorParams(epsilon=0.25)
     layout = plan_layout(REFERENCE_N, params)

@@ -603,6 +603,26 @@ def test_collision_edge_estimate_refuses_counts_that_are_not_integers(sample_cou
     assert collision_edge_estimate(np.int64(10), np.uint8(1)) == 45.0
 
 
+@pytest.mark.parametrize(
+    "sample_count, collisions, message",
+    [
+        (1, 1, "^sample_count must be at least 2, got 1$"),
+        (-3, 1, "^sample_count must be at least 2, got -3$"),
+        (3, 7, r"^collisions must lie in 1\.\.3 for sample_count=3, got 7$"),
+        (3, 4, r"^collisions must lie in 1\.\.3 for sample_count=3, got 4$"),
+        (100, 0, r"^collisions must lie in 1\.\.4950 for sample_count=100, got 0$"),
+        (100, -1, r"^collisions must lie in 1\.\.4950 for sample_count=100, got -1$"),
+    ],
+    ids=["one-draw", "negative-sample", "more-than-pairs", "one-more-than-pairs", "none", "negative"],
+)
+def test_collision_edge_estimate_refuses_counts_outside_their_range(sample_count, collisions, message):
+    # (1, 1) read 0.0, (3, 7) read 0.43 although 3 draws hold 3 pairs, and
+    # (-3, 1) raised math.comb's message, which names no parameter
+    with pytest.raises(ValueError, match=message):
+        collision_edge_estimate(sample_count, collisions)
+    assert collision_edge_estimate(3, 3) == 1.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(pair_lists, st.integers(0, 8), st.integers(0, 6), st.integers(0, 3))
 def test_majority_vote_matches_per_round_scan(pairs, rounds, batch_size, extra):
